@@ -223,6 +223,9 @@ def estimate_lambda_star(traj: Trajectory, r: Field, beta: Field) -> Field:
     if traj.spec.variant is not Variant.MASS_ACTION_DS0:
         raise ValueError("the exposure factor is defined for the susceptible-locked "
                          "mass-action system")
+    if traj.final.J is None:
+        raise ValueError("the trajectory carries no exposure field J "
+                         "(profiles reloaded from CSV do not record it)")
     J = np.asarray(traj.final.J.values)
     return Field(r.grid, np.exp(-np.asarray(beta.values) * J))
 

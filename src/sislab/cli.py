@@ -2,7 +2,8 @@
 
 Subcommands: simulate, eigen, threshold, classify, sweep.  All take
 --config plus repeatable --set key=value overrides; exit status is 0 on
-success/pass, 2 when a verification fails, 1 on error.
+success/pass, 2 when a verification fails, 1 on error (a bad configuration
+or a solver that fails), with one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -14,18 +15,12 @@ from pathlib import Path
 
 from . import models
 from .classify import predict_regime, verify_outcome
-from .config import (
-    ConfigError,
-    PRESETS,
-    RunConfig,
-    config_from_entries,
-    load_sweep_config,
-    parse_config_text,
-    preset_config,
-)
-from .mesh import build_grid, eval_expression
+from .config import PRESETS, ConfigError, RunConfig, load_config, load_sweep_config
+from .mesh import Field, build_grid, eval_expression
+from .models import MassConservationError
+from .operators import TridiagonalSolveError
 from .output import emit_csv, emit_svg, emit_sweep_svg, trajectory_from_csv
-from .spectral import basic_reproduction_number, principal_eigenvalue
+from .spectral import EigenConvergenceError, basic_reproduction_number, principal_eigenvalue
 from .sweep import run_sweep
 from .threshold import critical_population
 
@@ -38,26 +33,23 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         metavar="KEY=VALUE", help="override a configuration key")
 
 
-def _resolve_config(args) -> RunConfig:
+def _overrides(args) -> dict[str, str]:
+    """--preset and the --set items, as overrides of the --config file."""
+    if not (args.config or args.preset):
+        raise ConfigError("give --config and/or --preset")
     overrides = {}
     for item in args.overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
-    if args.config:
-        entries = parse_config_text(Path(args.config).read_text(), source=args.config)
-        if args.preset:
-            entries["preset"] = (args.preset, 0)
-        for key, value in overrides.items():
-            entries[key] = (value, 0)
-        return config_from_entries(entries, source=args.config)
     if args.preset:
-        entries = {"preset": (args.preset, 0)}
-        for key, value in overrides.items():
-            entries[key] = (value, 0)
-        return config_from_entries(entries)
-    raise ConfigError("give --config and/or --preset")
+        overrides["preset"] = args.preset
+    return overrides
+
+
+def _resolve_config(args) -> RunConfig:
+    return load_config(args.config, _overrides(args))
 
 
 def _cmd_simulate(args) -> int:
@@ -97,7 +89,7 @@ def _cmd_eigen(args) -> int:
     spec, grid, _, _ = cfg.build()
     d = spec.d_I if spec.d_I > 0 else spec.d_S
     r0 = basic_reproduction_number(d, spec.beta, spec.gamma, tol=args.tol)
-    gap = eval_expression(grid, f"({cfg.beta_expr}) - ({cfg.gamma_expr})", cfg.params)
+    gap = Field(grid, spec.beta.values - spec.gamma.values)
     sig = principal_eigenvalue(d, gap, tol=args.tol).sigma
     print(f"R0 = {r0!r}  (d={d:g})")
     print(f"sigma(d, beta - gamma) = {sig!r}")
@@ -144,13 +136,7 @@ def _cmd_classify(args) -> int:
 def _cmd_sweep(args) -> int:
     if not args.config:
         raise ConfigError("sweep needs --config with sweep_* keys")
-    overrides = {}
-    for item in args.overrides:
-        key, value = item.split("=", 1)
-        overrides[key.strip()] = value.strip()
-    if args.preset:
-        overrides["preset"] = args.preset
-    sweep_cfg = load_sweep_config(args.config, overrides)
+    sweep_cfg = load_sweep_config(args.config, _overrides(args))
     result = run_sweep(sweep_cfg, jobs=args.jobs)
     out = Path(args.out or sweep_cfg.base.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -220,7 +206,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, EigenConvergenceError,
+            MassConservationError, TridiagonalSolveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

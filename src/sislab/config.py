@@ -3,24 +3,12 @@ construction of model objects from expressions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from .mesh import Field, Grid, build_grid, eval_expression
 from .models import ModelSpec, Variant
-
-REQUIRED_KEYS = ("model", "beta_expr", "gamma_expr", "S0_expr", "I0_expr", "d_S", "d_I")
-
-_DEFAULTS = {
-    "x_min": 0.0,
-    "x_max": 1.0,
-    "nx": 201,
-    "dt": 1e-3,
-    "T": 200.0,
-    "snapshot_every": 0.5,
-    "steady_tol": 1e-7,
-    "output_dir": ".",
-}
 
 # Scenario presets.  All share the unit interval, S0 = 2 + cos(pi x) and
 # I0 = 1.5 + cos(pi x) (total population 3.5); sim1c swaps in a movable
@@ -182,28 +170,6 @@ class RunConfig:
             "steady_tol": self.steady_tol,
         }
 
-    def to_mapping(self) -> dict[str, str]:
-        out = {
-            "model": self.model,
-            "beta_expr": self.beta_expr,
-            "gamma_expr": self.gamma_expr,
-            "S0_expr": self.S0_expr,
-            "I0_expr": self.I0_expr,
-            "d_S": repr(self.d_S),
-            "d_I": repr(self.d_I),
-            "nx": str(self.nx),
-            "x_min": repr(self.x_min),
-            "x_max": repr(self.x_max),
-            "dt": repr(self.dt),
-            "T": repr(self.T),
-            "snapshot_every": repr(self.snapshot_every),
-            "steady_tol": repr(self.steady_tol),
-            "output_dir": self.output_dir,
-        }
-        for name, value in self.params.items():
-            out[f"param.{name}"] = repr(value)
-        return out
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -241,72 +207,52 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, tuple[st
 
 
 def preset_config(name: str, **overrides) -> RunConfig:
-    if name not in PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; available: "
-                          + ", ".join(sorted(PRESETS)))
-    cfg = _config_from_strings({k: (v, 0) for k, v in PRESETS[name].items()},
-                               source=f"preset {name}")
-    cfg = cfg.with_overrides(preset=name, **overrides)
-    return cfg
+    return load_config(None, {"preset": name}).with_overrides(**overrides)
 
 
 def load_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
-    text = Path(path).read_text()
-    entries = parse_config_text(text, source=str(path))
-    if overrides:
-        for key, value in overrides.items():
-            entries[key] = (value, 0)
-    return config_from_entries(entries, source=str(path))
+    """Read a config file (``path=None`` reads none), then apply ``overrides``,
+    which win over the file and may name a preset."""
+    return config_from_entries(*_read_entries(path, overrides))
+
+
+def _read_entries(path, overrides: dict[str, str] | None
+                  ) -> tuple[dict[str, tuple[str, int]], str]:
+    source = "<config>" if path is None else str(path)
+    entries = {} if path is None else parse_config_text(Path(path).read_text(), source)
+    for key, value in (overrides or {}).items():
+        entries[key] = (value, 0)
+    return entries, source
 
 
 def config_from_entries(entries: dict[str, tuple[str, int]],
                         source: str = "<config>") -> RunConfig:
+    """Build a RunConfig; keys, value types and defaults are RunConfig's fields."""
     entries = dict(entries)
-    preset_name = entries.pop("preset", None)
-    if preset_name is not None:
-        name = preset_name[0]
-        if name not in PRESETS:
-            raise ConfigError(f"{source}: unknown preset {name!r}; available: "
+    preset = entries.pop("preset", (None, 0))[0]
+    if preset is not None:
+        if preset not in PRESETS:
+            raise ConfigError(f"{source}: unknown preset {preset!r}; available: "
                               + ", ".join(sorted(PRESETS)))
-        merged = {k: (v, 0) for k, v in PRESETS[name].items()}
-        merged.update(entries)
-        cfg = _config_from_strings(merged, source)
-        return cfg.with_overrides(preset=name)
-    missing = [k for k in REQUIRED_KEYS if k not in entries]
+        entries = {**{k: (v, 0) for k, v in PRESETS[preset].items()}, **entries}
+    kwargs: dict = {"preset": preset, "params": {}}
+    for key, (value, lineno) in entries.items():
+        where = f"{source}:{lineno}" if lineno else source
+        if key in _FIELD_PARSERS:
+            kwargs[key] = _FIELD_PARSERS[key](value, key, where)
+        elif key.startswith("param."):
+            kwargs["params"][key[len("param."):]] = _parse_float(value, key, where)
+        elif key not in _SWEEP_KEYS:  # sweep keys are read by sweep_config_from_entries
+            raise ConfigError(f"{where}: unknown key {key!r}")
+    missing = [f.name for f in fields(RunConfig) if f.name not in kwargs
+               and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ConfigError(f"{source}: missing required keys: {', '.join(missing)} "
                           f"(or give preset = <name>)")
-    return _config_from_strings(entries, source)
-
-
-_FLOAT_KEYS = {"d_S", "d_I", "x_min", "x_max", "dt", "T", "snapshot_every", "steady_tol"}
-_INT_KEYS = {"nx"}
-_STR_KEYS = {"model", "beta_expr", "gamma_expr", "S0_expr", "I0_expr", "output_dir"}
-_SWEEP_KEYS = {"sweep_parameter", "sweep_lo", "sweep_hi", "sweep_count", "sweep_observable"}
-
-
-def _config_from_strings(entries: dict[str, tuple[str, int]], source: str) -> RunConfig:
-    kwargs: dict = dict(_DEFAULTS)
-    params: dict[str, float] = {}
-    for key, (value, lineno) in entries.items():
-        where = f"{source}:{lineno}" if lineno else source
-        if key in _STR_KEYS:
-            kwargs[key] = value
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = _parse_float(value, key, where)
-        elif key in _INT_KEYS:
-            kwargs[key] = _parse_int(value, key, where)
-        elif key.startswith("param."):
-            params[key[len("param."):]] = _parse_float(value, key, where)
-        elif key in _SWEEP_KEYS:
-            continue  # consumed by sweep_config_from_entries
-        else:
-            raise ConfigError(f"{where}: unknown key {key!r}")
-    missing = [k for k in REQUIRED_KEYS if k not in kwargs]
-    if missing:
-        raise ConfigError(f"{source}: missing required keys: {', '.join(missing)}")
-    kwargs["params"] = params
     return RunConfig(**kwargs)
+
+
+_SWEEP_KEYS = {"sweep_parameter", "sweep_lo", "sweep_hi", "sweep_count", "sweep_observable"}
 
 
 def sweep_config_from_entries(entries: dict[str, tuple[str, int]],
@@ -333,12 +279,7 @@ def sweep_config_from_entries(entries: dict[str, tuple[str, int]],
 
 
 def load_sweep_config(path, overrides: dict[str, str] | None = None) -> SweepConfig:
-    text = Path(path).read_text()
-    entries = parse_config_text(text, source=str(path))
-    if overrides:
-        for key, value in overrides.items():
-            entries[key] = (value, 0)
-    return sweep_config_from_entries(entries, source=str(path))
+    return sweep_config_from_entries(*_read_entries(path, overrides))
 
 
 def _parse_float(value: str, key: str, where: str) -> float:
@@ -353,3 +294,11 @@ def _parse_int(value: str, key: str, where: str) -> int:
         return int(value)
     except ValueError:
         raise ConfigError(f"{where}: {key} expects an integer, got {value!r}") from None
+
+
+_PARSERS = {str: lambda value, key, where: value, float: _parse_float, int: _parse_int}
+
+# How each settable RunConfig field is read from its string value; `preset`
+# and `params` are set through the `preset` key and `param.<name>` keys.
+_FIELD_PARSERS = {name: _PARSERS[tp] for name, tp in get_type_hints(RunConfig).items()
+                  if tp in _PARSERS}

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .mesh import Field, RiskMode, quadrature, risk_sets, rmin_set
+from .mesh import Field, RiskMode, incidence_quotient, quadrature, risk_sets, rmin_set
 from .operators import gradient_energy_values
 
 
@@ -70,9 +70,7 @@ def lyapunov_std_ds0(S: Field, I: Field, beta: Field, gamma: Field, d_I: float,
     kappa = np.maximum(bv - gv, 0.0) / gv
     Sv, Iv = np.asarray(S.values), np.asarray(I.values)
     V = 0.5 * quadrature(grid, kappa * Sv * Sv + Iv * Iv)
-    tot = Sv + Iv
-    safe = np.where(tot > eps_reg, tot, 1.0)
-    reaction = np.where(tot > eps_reg, gv * (kappa * Sv - Iv) ** 2 * Iv / safe, 0.0)
+    reaction = incidence_quotient(gv * (kappa * Sv - Iv) ** 2 * Iv, Sv, Iv, eps_reg)
     dissipation = d_I * gradient_energy_values(Iv, grid.dx) + quadrature(grid, reaction)
     return V, dissipation
 
@@ -96,17 +94,12 @@ def lyapunov_std_di0(S: Field, I: Field, beta: Field, gamma: Field, d_S: float,
 
     term_grad = d_S * gradient_energy_values(Sv, grid.dx)
 
-    tot = Sv + Iv
-    safe = np.where(tot > eps_reg, tot, 1.0)
-    incidence = np.where(tot > eps_reg, bv * Sv * Iv / safe, 0.0)
+    incidence = incidence_quotient(bv * Sv * Iv, Sv, Iv, eps_reg)
     low = np.where(high_mask, 0.0, Sv * (-incidence + gv * Iv))
     term_lowrisk = quadrature(grid, low)
 
-    high = np.where(
-        high_mask & (tot > eps_reg),
-        np.maximum(bv - gv, 0.0) * (Sv - kappa * Iv) ** 2 * Iv / safe,
-        0.0,
-    )
+    high = np.where(high_mask, incidence_quotient(
+        np.maximum(bv - gv, 0.0) * (Sv - kappa * Iv) ** 2 * Iv, Sv, Iv, eps_reg), 0.0)
     term_highrisk = quadrature(grid, high)
     return V, term_grad, term_lowrisk, term_highrisk
 
@@ -131,58 +124,51 @@ def concentration_fraction(I: Field, min_indices, eps_radius: float) -> float:
 
 
 class DiagnosticsContext:
-    """Per-run wiring: which energy, which component the Harnack ratio tracks,
-    and the concentration target for point-mass limits."""
+    """Per-run wiring, decided once from the variant: which energy, which
+    component the Harnack ratio tracks, and the concentration target for
+    point-mass limits."""
 
     def __init__(self, spec, I0: Field, eps_radius: float = 0.05):
-        self.spec = spec
         self.eps_radius = eps_radius
         variant = spec.variant
         self.harnack_on_s = variant.locks_i
         self.min_indices = None
-        self.high_mask = None
-        self.std_energy_ok = False
+        # (S, I) -> (V, dissipation rate), or None when the variant has no energy
+        self.energy = None
         if variant.mass_action and variant.locks_i:
             r = spec.risk_ratio()
             _, self.min_indices = rmin_set(r, I0)
-            self.r = r
+            self.energy = lambda S, I: lyapunov_mass_action_di0(S, I, spec.beta, r,
+                                                                spec.d_S)
         elif variant.std_incidence and variant.locks_s:
             gap = np.asarray(spec.beta.values) - np.asarray(spec.gamma.values)
-            self.std_energy_ok = float(gap.min()) >= -1e-9 * max(1.0, float(np.abs(gap).max()))
+            if float(gap.min()) >= -1e-9 * max(1.0, float(np.abs(gap).max())):
+                self.energy = lambda S, I: lyapunov_std_ds0(S, I, spec.beta, spec.gamma,
+                                                            spec.d_I, spec.eps_reg)
         elif variant.std_incidence and variant.locks_i:
             profile = risk_sets(spec.beta, spec.gamma, None, RiskMode.STD_INCIDENCE)
-            support = np.asarray(I0.values) > 0
-            self.high_mask = profile.plus_mask() & support
+            high_mask = profile.plus_mask() & (np.asarray(I0.values) > 0)
+
+            def energy(S, I):
+                V, grad, low, high = lyapunov_std_di0(S, I, spec.beta, spec.gamma,
+                                                      spec.d_S, high_mask, spec.eps_reg)
+                return V, grad - low + high
+
+            self.energy = energy
 
     def record(self, prev_state, state, sup_change_rate: float) -> DiagnosticsRecord:
-        spec = self.spec
         S, I = state.S, state.I
-        total_mass = state.total_mass()
-
-        V = dissipation = None
-        variant = spec.variant
-        if variant.mass_action and variant.locks_i:
-            V, dissipation = lyapunov_mass_action_di0(S, I, spec.beta, self.r, spec.d_S)
-        elif variant.std_incidence and variant.locks_s and self.std_energy_ok:
-            V, dissipation = lyapunov_std_ds0(S, I, spec.beta, spec.gamma, spec.d_I,
-                                              spec.eps_reg)
-        elif variant.std_incidence and variant.locks_i:
-            V, grad, low, high = lyapunov_std_di0(S, I, spec.beta, spec.gamma,
-                                                  spec.d_S, self.high_mask, spec.eps_reg)
-            dissipation = grad - low + high
-
-        ratio = harnack_ratio(S if self.harnack_on_s else I)
-
+        V, dissipation = (None, None) if self.energy is None else self.energy(S, I)
         conc = None
         if self.min_indices is not None and quadrature(I.grid, np.asarray(I.values)) > 0:
             conc = concentration_fraction(I, self.min_indices, self.eps_radius)
 
         return DiagnosticsRecord(
             t=state.t,
-            total_mass=total_mass,
+            total_mass=state.total_mass(),
             lyapunov=V,
             lyapunov_dissipation=dissipation,
-            harnack_ratio=ratio,
+            harnack_ratio=harnack_ratio(S if self.harnack_on_s else I),
             concentration_fraction=conc,
             sup_change_rate=sup_change_rate,
         )

@@ -102,6 +102,15 @@ def quadrature(grid: Grid, values: np.ndarray) -> float:
     return float(grid.weights @ values)
 
 
+def incidence_quotient(x: np.ndarray, S: np.ndarray, I: np.ndarray,
+                       eps_reg: float) -> np.ndarray:
+    """Nodewise x/(S+I) where S+I > eps_reg and exactly 0 elsewhere: the one
+    place standard incidence divides by the local population."""
+    tot = S + I
+    positive = tot > eps_reg
+    return np.where(positive, x / np.where(positive, tot, 1.0), 0.0)
+
+
 class RiskMode(enum.Enum):
     MASS_ACTION = "mass_action"
     STD_INCIDENCE = "std_incidence"

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import diagnostics as diag_mod
-from .mesh import Field, Grid, quadrature
+from .mesh import Field, Grid, incidence_quotient, quadrature
 from .operators import neumann_laplacian, solve_shifted
 
 
@@ -117,7 +117,7 @@ class State:
     t: float
     S: Field
     I: Field
-    J: Field  # accumulated nodewise exposure, int_0^t I dt
+    J: Field | None  # accumulated nodewise exposure int_0^t I dt; None if unknown
 
     def total_mass(self) -> float:
         return float(self.S.grid.weights @ (np.asarray(self.S.values)
@@ -143,24 +143,6 @@ class Trajectory:
         return self.snapshots[-k:]
 
 
-def reaction_mass_action(S: float, I: float, beta: float, gamma: float) -> float:
-    """New-infection rate beta*S*I (the infected equation gains this minus gamma*I)."""
-    if S < 0 or I < 0:
-        raise ValueError("densities must be nonnegative")
-    return beta * S * I
-
-
-def reaction_std_incidence(S: float, I: float, beta: float, gamma: float,
-                           eps_reg: float = 1e-12) -> float:
-    """Frequency-dependent new-infection rate beta*S*I/(S+I), 0 at the origin."""
-    if S < 0 or I < 0:
-        raise ValueError("densities must be nonnegative")
-    tot = S + I
-    if tot <= eps_reg:
-        return 0.0
-    return beta * S * I / tot
-
-
 class _Kernel:
     """Precomputed arrays and substeps for one model spec."""
 
@@ -172,16 +154,13 @@ class _Kernel:
         self.r = self.gamma / self.beta
         self.L = neumann_laplacian(self.grid)
         self.clipped_mass = 0.0
+        self.reaction_half = (self._std_incidence_heun if spec.variant.std_incidence
+                              else self._mass_action_flow)
 
     def dt_max(self, S: np.ndarray, I: np.ndarray) -> float:
         return 0.5 / float((self.beta * (S + I) + self.gamma).max())
 
     # -- reaction ----------------------------------------------------------
-
-    def reaction_half(self, S, I, J, tau):
-        if self.spec.variant.mass_action or self.spec.variant is Variant.FULL:
-            return self._mass_action_flow(S, I, J, tau)
-        return self._std_incidence_heun(S, I, J, tau)
 
     def _mass_action_flow(self, S, I, J, tau):
         # Exact nodewise solution of S' = -beta*(S-r)*I, I' = -S'.
@@ -228,10 +207,7 @@ class _Kernel:
         return S_new, I_new, J + dJ
 
     def _std_rate(self, S, I):
-        tot = S + I
-        safe = np.where(tot > self.spec.eps_reg, tot, 1.0)
-        g = np.where(tot > self.spec.eps_reg, self.beta * S * I / safe, 0.0)
-        return g - self.gamma * I
+        return incidence_quotient(self.beta * S * I, S, I, self.spec.eps_reg) - self.gamma * I
 
     # -- diffusion ---------------------------------------------------------
 
@@ -264,14 +240,19 @@ class _Kernel:
 
 
 def step(spec: ModelSpec, state: State, dt: float) -> State:
-    """Advance one Strang step; rejects dt above the stability bound."""
+    """Advance one Strang step; rejects dt above the stability bound.
+
+    A state without an exposure field (``J is None``) stays without one.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    kernel = _Kernel(spec)
-    S, I, J = kernel.strang_step(np.array(state.S.values), np.array(state.I.values),
-                                 np.array(state.J.values), dt, state.t)
     grid = spec.grid
-    return State(state.t + dt, Field(grid, S), Field(grid, I), Field(grid, J))
+    kernel = _Kernel(spec)
+    J0 = np.zeros(grid.nx) if state.J is None else np.array(state.J.values)
+    S, I, J = kernel.strang_step(np.array(state.S.values), np.array(state.I.values),
+                                 J0, dt, state.t)
+    return State(state.t + dt, Field(grid, S), Field(grid, I),
+                 None if state.J is None else Field(grid, J))
 
 
 def run(spec: ModelSpec, S0: Field, I0: Field, dt: float, T: float,

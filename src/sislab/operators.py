@@ -36,15 +36,6 @@ class TridiagonalMatrix:
         out[1:] += self.lower * v[:-1]
         return out
 
-    def apply(self, f: Field) -> Field:
-        return Field(f.grid, self.matvec(np.asarray(f.values)))
-
-    def row_sums(self) -> np.ndarray:
-        s = self.diag.copy()
-        s[:-1] += self.upper
-        s[1:] += self.lower
-        return s
-
 
 def neumann_laplacian(grid: Grid) -> TridiagonalMatrix:
     """Second-order Laplacian with reflecting (zero-flux) boundary rows."""
@@ -115,24 +106,12 @@ def _solve_banded(lower, diag, upper, rhs) -> np.ndarray:
     return scipy.linalg.solve_banded((1, 1), ab, rhs, check_finite=False)
 
 
-def gradient_energy(f) -> float:
+def gradient_energy_values(values: np.ndarray, dx: float) -> float:
     """Midpoint-rule value of the squared-gradient integral.
 
-    Uses edge differences so that <L f, f>_w == -gradient_energy(f) exactly,
-    which is what makes the dissipation identities testable to roundoff.
+    Uses edge differences so that <L f, f>_w == -gradient_energy_values(f, dx)
+    exactly, which is what makes the dissipation identities testable to
+    roundoff.
     """
-    if isinstance(f, Field):
-        values, dx = np.asarray(f.values), f.grid.dx
-    else:
-        raise TypeError("gradient_energy expects a Field")
     diffs = np.diff(values)
     return float((diffs @ diffs) / dx)
-
-
-def gradient_energy_values(values: np.ndarray, dx: float) -> float:
-    diffs = np.diff(values)
-    return float((diffs @ diffs) / dx)
-
-
-def weighted_inner(grid: Grid, u: np.ndarray, v: np.ndarray) -> float:
-    return float(grid.weights @ (u * v))

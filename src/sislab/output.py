@@ -78,15 +78,15 @@ def read_diagnostics_csv(path) -> list[DiagnosticsRecord]:
 
 
 def trajectory_from_csv(spec, profiles_path, diagnostics_path=None) -> Trajectory:
-    """Rebuild a trajectory (without exposure fields) from emitted CSVs."""
+    """Rebuild a trajectory from emitted CSVs; the exposure field J is not
+    written, so every reloaded state has ``J = None``."""
     blocks = read_profiles_csv(profiles_path)
     grid = spec.grid
     snapshots = []
     for t, x, s, i in blocks:
         if x.shape[0] != grid.nx:
             raise ValueError("profile grid does not match the configured grid")
-        zero = Field(grid, np.zeros(grid.nx))
-        snapshots.append(State(t, Field(grid, s), Field(grid, i), zero))
+        snapshots.append(State(t, Field(grid, s), Field(grid, i), None))
     records = read_diagnostics_csv(diagnostics_path) if diagnostics_path else []
     N = snapshots[0].total_mass()
     return Trajectory(spec=spec, snapshots=snapshots, diagnostics=records, N=N)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Field, Grid, quadrature
+from .mesh import Field, quadrature
 from .operators import (
     TridiagonalMatrix,
     gradient_energy_values,
@@ -88,26 +88,6 @@ def principal_eigenvalue(d: float, h: Field, tol: float = 1e-12,
     raise EigenConvergenceError("principal eigenvalue iteration", max_iter, residual)
 
 
-def small_diffusion_sigma_limit(h: Field) -> float:
-    """Limit of the principal eigenvalue as the diffusion rate shrinks to 0."""
-    return h.max()
-
-
-def large_diffusion_sigma_limit(h: Field) -> float:
-    """Limit of the principal eigenvalue for very fast diffusion: the average."""
-    return h.mean()
-
-
-def first_nonzero_neumann_eigenvalue(grid: Grid) -> float:
-    """First positive eigenvalue of -Laplacian on the interval: (pi/(b-a))^2."""
-    return (np.pi / grid.length) ** 2
-
-
-def normalize_max(phi: Field) -> Field:
-    """Rescale an eigenfunction so its maximum equals one."""
-    return Field(phi.grid, np.asarray(phi.values) / phi.max())
-
-
 def rayleigh_quotient(d: float, phi: Field, h: Field) -> float:
     """Variational value int(h*phi^2) - d*int(|grad phi|^2) for unit-norm phi."""
     grid = phi.grid
@@ -146,32 +126,23 @@ def basic_reproduction_number(d_I: float, beta: Field, gamma: Field,
     if bv.min() <= 0 or gv.min() <= 0:
         raise ValueError("transmission and recovery rates must be positive")
     L = neumann_laplacian(grid)
-    b_lower = -d_I * L.lower
-    b_diag = gv - d_I * L.diag
-    b_upper = -d_I * L.upper
+    B = TridiagonalMatrix(-d_I * L.lower, gv - d_I * L.diag, -d_I * L.upper)
+    op_scale = max(1.0, float(bv.max() + gv.max()) + 4.0 * d_I / grid.dx**2)
 
     u = np.full(grid.nx, 1.0 / np.sqrt(grid.length))
     rho = np.inf
     for it in range(1, max_iter + 1):
-        v = solve_tridiagonal(b_lower, b_diag, b_upper, bv * u)
+        v = solve_tridiagonal(B.lower, B.diag, B.upper, bv * u)
         norm = np.sqrt(quadrature(grid, v * v))
         u = v / norm
-        Bu = _matvec3(b_lower, b_diag, b_upper, u)
+        Bu = B.matvec(u)
         num = quadrature(grid, bv * u * u)
         den = quadrature(grid, u * Bu)
         rho = num / den
         residual = float(np.abs(bv * u - rho * Bu).max())
-        op_scale = max(1.0, float(bv.max() + gv.max()) + 4.0 * d_I / grid.dx**2)
         if residual <= tol * op_scale:
             return float(rho)
     raise EigenConvergenceError("reproduction number iteration", max_iter, residual)
-
-
-def _matvec3(lower, diag, upper, v):
-    out = diag * v
-    out[:-1] += upper * v[1:]
-    out[1:] += lower * v[:-1]
-    return out
 
 
 def dense_principal_eigenvalue(d: float, h: Field) -> tuple[float, np.ndarray]:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .config import RunConfig, SweepConfig
+from .config import SweepConfig
 from .mesh import quadrature
 
 
@@ -36,8 +36,7 @@ _SWEEPABLE_FIELDS = ("d_S", "d_I", "dt", "T", "snapshot_every", "steady_tol")
 
 
 def _evaluate_point(payload) -> tuple[float, float | None, str | None]:
-    mapping, parameter, value, observable = payload
-    cfg = RunConfig(**mapping)
+    cfg, parameter, value, observable = payload
     if parameter in _SWEEPABLE_FIELDS:
         cfg = cfg.with_overrides(**{parameter: value})
     else:
@@ -67,11 +66,7 @@ def _extract_observable(traj: models.Trajectory, observable: str) -> float:
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
     """Run the sweep, optionally across processes; the table stays sorted."""
-    base_mapping = {k: getattr(cfg.base, k) for k in (
-        "model", "beta_expr", "gamma_expr", "S0_expr", "I0_expr", "d_S", "d_I",
-        "nx", "x_min", "x_max", "dt", "T", "snapshot_every", "steady_tol",
-        "output_dir", "preset", "params")}
-    payloads = [(base_mapping, cfg.parameter, float(v), cfg.observable)
+    payloads = [(cfg.base, cfg.parameter, float(v), cfg.observable)
                 for v in cfg.values()]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sislab import models
+from sislab.classify import estimate_lambda_star
 from sislab.cli import main
 from sislab.config import (
     ConfigError,
@@ -206,6 +207,19 @@ class TestCsvEmission:
         assert rebuilt.N == pytest.approx(traj.N, rel=1e-12)
         assert len(rebuilt.snapshots) == len(traj.snapshots)
 
+    def test_reloaded_run_has_no_exposure_factor(self, tiny_run, tmp_path):
+        cfg, traj = tiny_run
+        spec = traj.spec
+        assert estimate_lambda_star(traj, spec.risk_ratio(), spec.beta).max() < 1.0
+        rebuilt = trajectory_from_csv(spec, *emit_csv(traj, tmp_path))
+        assert rebuilt.final.J is None
+        with pytest.raises(ValueError, match="exposure field J"):
+            estimate_lambda_star(rebuilt, spec.risk_ratio(), spec.beta)
+        # stepping on from a reloaded state works and stays without J
+        stepped = models.step(spec, rebuilt.final, 1e-3)
+        assert stepped.J is None
+        assert np.array_equal(stepped.S.values, models.step(spec, traj.final, 1e-3).S.values)
+
 
 class TestSvgEmission:
     def test_final_profiles_has_two_series(self, tiny_run, tmp_path):
@@ -296,3 +310,18 @@ class TestCli:
         rc = main(["simulate", "--config", str(tmp_path / "nope.cfg")])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_sweep_set_without_equals_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("preset = sim1c\nsweep_parameter = a\nsweep_lo = 0.5\n"
+                       "sweep_hi = 1.5\nsweep_count = 3\n")
+        rc = main(["sweep", "--config", str(cfg), "--set", "T"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --set expects KEY=VALUE, got 'T'\n"
+
+    def test_solver_failure_is_one_error_line(self, capsys):
+        rc = main(["eigen", "--d", "1", "--h", "x", "--nx", "41", "--tol", "1e-300"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: principal eigenvalue iteration did not converge")
+        assert err.count("\n") == 1

@@ -10,7 +10,7 @@ from sislab.diagnostics import (
     lyapunov_std_ds0,
 )
 from sislab.mesh import Field, RiskMode, build_grid, eval_expression, risk_sets
-from sislab.operators import gradient_energy
+from sislab.operators import gradient_energy_values
 
 
 @pytest.fixture
@@ -24,7 +24,8 @@ class TestMassActionEnergy:
         I = eval_expression(grid, "1 + x")
         beta = Field.constant(grid, 1.0)
         V, dissipation = lyapunov_mass_action_di0(r, I, beta, r, d_S=1.0)
-        assert dissipation == pytest.approx(gradient_energy(r), rel=1e-12)
+        assert dissipation == pytest.approx(gradient_energy_values(r.values, grid.dx),
+                                            rel=1e-12)
 
     def test_disease_free_constant_state_dissipates_nothing(self, grid):
         S = Field.constant(grid, 2.0)

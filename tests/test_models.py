@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sislab.mesh import Field, build_grid, eval_expression, quadrature
+from sislab.mesh import Field, build_grid, eval_expression, incidence_quotient, quadrature
 from sislab.models import (
     ModelSpec,
     State,
     StepSizeError,
     Variant,
     _Kernel,
-    reaction_mass_action,
-    reaction_std_incidence,
     run,
     step,
 )
@@ -29,18 +27,39 @@ def make_spec(variant=Variant.MASS_ACTION_DS0, beta="2", gamma="4 - pi*sin(pi*x)
 
 class TestReactionTerms:
     def test_mass_action_vanishes_without_either_compartment(self):
-        assert reaction_mass_action(0.0, 5.0, 2.0, 1.0) == 0.0
-        assert reaction_mass_action(3.0, 0.0, 2.0, 1.0) == 0.0
+        spec, g = make_spec()
+        kernel = _Kernel(spec)
+        S = np.linspace(0.5, 3.0, g.nx)
+        # no infecteds: the exact flow leaves the pair and the exposure fixed
+        S1, I1, J1 = kernel.reaction_half(S, np.zeros(g.nx), np.zeros(g.nx), 1e-3)
+        assert S1 == pytest.approx(S, abs=1e-14)
+        assert np.abs(I1).max() <= 1e-14
+        assert np.all(J1 == 0.0)
+        # no susceptibles: the infected only recover, I' = -gamma*I at tau -> 0
+        I = np.linspace(0.5, 3.0, g.nx)
+        tau = 1e-7
+        _, I1, _ = kernel.reaction_half(np.zeros(g.nx), I, np.zeros(g.nx), tau)
+        assert (I1 - I) / tau == pytest.approx(-spec.gamma.values * I, rel=1e-5)
 
     def test_mass_action_nullcline(self):
         # at S = gamma/beta the infected gain exactly balances recovery
-        f = reaction_mass_action(2.0, 1.5, 2.0, 4.0)
-        assert f == pytest.approx(6.0)
-        assert f - 4.0 * 1.5 == pytest.approx(0.0)
+        spec, g = make_spec()
+        kernel = _Kernel(spec)
+        r = spec.gamma.values / spec.beta.values
+        I = np.full(g.nx, 1.5)
+        S1, I1, _ = kernel.reaction_half(r.copy(), I, np.zeros(g.nx), 1e-2)
+        assert np.array_equal(S1, r)
+        assert I1 == pytest.approx(I, rel=1e-15)
 
     def test_std_incidence_origin_and_arithmetic(self):
-        assert reaction_std_incidence(0.0, 0.0, 3.0, 1.0) == 0.0
-        assert reaction_std_incidence(1.0, 1.0, 2.0, 1.0) == pytest.approx(1.0)
+        eps = 1e-12
+        S = np.array([0.0, 1.0, 4e-13, 1.0])
+        I = np.array([0.0, 1.0, 5e-13, 0.0])
+        q = incidence_quotient(2.0 * S * I, S, I, eps)
+        assert q[0] == 0.0 and q[2] == 0.0 and q[3] == 0.0  # S + I <= eps_reg
+        assert q[1] == pytest.approx(1.0)
+        spec, g = make_spec(Variant.STD_INCIDENCE_DS0, beta="2 - sin(pi*x)", gamma="1.5")
+        assert np.all(_Kernel(spec)._std_rate(np.zeros(g.nx), np.zeros(g.nx)) == 0.0)
 
     @given(
         S=st.floats(0, 10),
@@ -49,7 +68,8 @@ class TestReactionTerms:
     )
     @settings(max_examples=60, deadline=None)
     def test_std_incidence_bounded_by_the_smaller_density(self, S, I, beta):
-        f = reaction_std_incidence(S, I, beta, 1.0)
+        Sv, Iv = np.array([S]), np.array([I])
+        f = incidence_quotient(beta * Sv * Iv, Sv, Iv, 1e-12)[0]
         assert f <= beta * min(S, I) + 1e-12
 
 

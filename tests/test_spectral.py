@@ -6,13 +6,9 @@ from sislab.mesh import Field, build_grid, eval_expression, quadrature
 from sislab.spectral import (
     basic_reproduction_number,
     dense_principal_eigenvalue,
-    first_nonzero_neumann_eigenvalue,
-    large_diffusion_sigma_limit,
-    normalize_max,
     principal_eigenvalue,
     rayleigh_quotient,
     sigma_monotonicity_check,
-    small_diffusion_sigma_limit,
 )
 
 
@@ -31,12 +27,12 @@ class TestPrincipalEigenvalue:
     def test_small_diffusion_approaches_the_max(self, grid):
         h = eval_expression(grid, "cos(2*pi*x)")
         res = principal_eigenvalue(1e-4, h)
-        assert abs(res.sigma - small_diffusion_sigma_limit(h)) <= 0.05
+        assert abs(res.sigma - h.max()) <= 0.05
 
     def test_large_diffusion_approaches_the_mean(self, grid):
         h = eval_expression(grid, "cos(2*pi*x)")
         res = principal_eigenvalue(1e3, h)
-        assert abs(res.sigma - large_diffusion_sigma_limit(h)) <= 1e-3
+        assert abs(res.sigma - h.mean()) <= 1e-3
 
     def test_matches_dense_solver(self):
         g = build_grid(0, 1, 65)
@@ -141,14 +137,3 @@ class TestReproductionNumber:
         ours = basic_reproduction_number(d, beta, gamma)
         assert ours == pytest.approx(dense, abs=1e-9)
 
-
-def test_first_nonzero_mode_utility():
-    g = build_grid(0, 2, 11)
-    assert first_nonzero_neumann_eigenvalue(g) == pytest.approx((np.pi / 2) ** 2)
-
-
-def test_normalize_max_utility(grid):
-    res = principal_eigenvalue(0.2, eval_expression(grid, "cos(2*pi*x)"))
-    phi = normalize_max(res.phi)
-    assert phi.max() == pytest.approx(1.0, abs=0)
-    assert phi.min() > 0
