@@ -171,6 +171,11 @@ class RunConfig:
         }
 
 
+# Numeric run fields a sweep may vary; any other sweep parameter must name an
+# expression constant of the base run (a `param.<name>` key).
+_SWEEPABLE_FIELDS = ("d_S", "d_I", "dt", "T", "snapshot_every", "steady_tol")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     base: RunConfig
@@ -179,6 +184,18 @@ class SweepConfig:
     hi: float
     count: int
     observable: str
+
+    def __post_init__(self):
+        if self.parameter not in _SWEEPABLE_FIELDS and self.parameter not in self.base.params:
+            allowed = [*_SWEEPABLE_FIELDS, *sorted(self.base.params)]
+            raise ConfigError(f"unknown sweep parameter {self.parameter!r}; "
+                              f"choose from {', '.join(allowed)}")
+
+    def point(self, value: float) -> RunConfig:
+        """The base run with the swept parameter set to ``value``."""
+        if self.parameter in _SWEEPABLE_FIELDS:
+            return self.base.with_overrides(**{self.parameter: value})
+        return self.base.with_overrides(params={**self.base.params, self.parameter: value})
 
     def values(self):
         import numpy as np

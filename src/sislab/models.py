@@ -23,7 +23,9 @@ import numpy as np
 
 from . import diagnostics as diag_mod
 from .mesh import Field, Grid, incidence_quotient, quadrature
-from .operators import neumann_laplacian, solve_shifted
+# The tridiagonal solve is bound as `solve_shifted`, the name the
+# Crank-Nicolson solve is traced under (bench/tracing.py).
+from .operators import TridiagonalMatrix, neumann_laplacian, solve_tridiagonal as solve_shifted
 
 
 class Variant(enum.Enum):
@@ -144,11 +146,12 @@ class Trajectory:
 
 
 class _Kernel:
-    """Precomputed arrays and substeps for one model spec."""
+    """Precomputed arrays and substeps for one model spec and step size."""
 
-    def __init__(self, spec: ModelSpec):
+    def __init__(self, spec: ModelSpec, dt: float):
         self.spec = spec
         self.grid = spec.grid
+        self.dt = dt
         self.beta = np.asarray(spec.beta.values)
         self.gamma = np.asarray(spec.gamma.values)
         self.r = self.gamma / self.beta
@@ -156,6 +159,8 @@ class _Kernel:
         self.clipped_mass = 0.0
         self.reaction_half = (self._std_incidence_heun if spec.variant.std_incidence
                               else self._mass_action_flow)
+        self._diffuse_S = self._crank_nicolson(spec.d_S)
+        self._diffuse_I = self._crank_nicolson(spec.d_I)
 
     def dt_max(self, S: np.ndarray, I: np.ndarray) -> float:
         return 0.5 / float((self.beta * (S + I) + self.gamma).max())
@@ -211,30 +216,32 @@ class _Kernel:
 
     # -- diffusion ---------------------------------------------------------
 
-    def diffuse(self, S, I, dt):
-        if self.spec.d_S > 0:
-            S = self._crank_nicolson(S, self.spec.d_S, dt)
-        if self.spec.d_I > 0:
-            I = self._crank_nicolson(I, self.spec.d_I, dt)
-        return S, I
+    def diffuse(self, S, I):
+        return self._diffuse_S(S), self._diffuse_I(I)
 
-    def _crank_nicolson(self, u, d, dt):
+    def _crank_nicolson(self, d):
+        """One CN step at dispersal rate d, or the identity when d = 0."""
+        if d <= 0:
+            return lambda u: u
         # Incremental form of the trapezoidal step: (Id - cL) delta = 2cL u.
         # Solving for the update keeps the quadrature-mass roundoff
         # proportional to |delta| instead of |u|, which is what lets runs of
         # hundreds of thousands of steps hold mass to ~1e-12 relative.
-        c = 0.5 * d * dt
-        delta = solve_shifted(self.L, c, (2.0 * c) * self.L.matvec(u))
-        return u + delta
+        # Id - cL is the same at every step, so it is factored once here.
+        L = self.L
+        c = 0.5 * d * self.dt
+        lu = TridiagonalMatrix(-c * L.lower, 1.0 - c * L.diag, -c * L.upper).factor()
+        return lambda u: u + solve_shifted(lu, (2.0 * c) * L.matvec(u))
 
     # -- one full step -----------------------------------------------------
 
-    def strang_step(self, S, I, J, dt, t):
+    def strang_step(self, S, I, J, t):
+        dt = self.dt
         bound = self.dt_max(S, I)
         if dt > bound:
             raise StepSizeError(dt, bound, t)
         S, I, J = self.reaction_half(S, I, J, 0.5 * dt)
-        S, I = self.diffuse(S, I, dt)
+        S, I = self.diffuse(S, I)
         S, I, J = self.reaction_half(S, I, J, 0.5 * dt)
         return S, I, J
 
@@ -247,10 +254,10 @@ def step(spec: ModelSpec, state: State, dt: float) -> State:
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = spec.grid
-    kernel = _Kernel(spec)
+    kernel = _Kernel(spec, dt)
     J0 = np.zeros(grid.nx) if state.J is None else np.array(state.J.values)
     S, I, J = kernel.strang_step(np.array(state.S.values), np.array(state.I.values),
-                                 J0, dt, state.t)
+                                 J0, state.t)
     return State(state.t + dt, Field(grid, S), Field(grid, I),
                  None if state.J is None else Field(grid, J))
 
@@ -276,7 +283,7 @@ def run(spec: ModelSpec, S0: Field, I0: Field, dt: float, T: float,
     if T <= 0 or dt <= 0:
         raise ValueError("T and dt must be positive")
 
-    kernel = _Kernel(spec)
+    kernel = _Kernel(spec, dt)
     context = diag_mod.DiagnosticsContext(spec, I0, eps_radius) if record_diagnostics else None
 
     S = np.array(S0.values)
@@ -301,7 +308,7 @@ def run(spec: ModelSpec, S0: Field, I0: Field, dt: float, T: float,
     k = 0
     while k < n_steps:
         t = k * dt
-        S, I, J = kernel.strang_step(S, I, J, dt, t)
+        S, I, J = kernel.strang_step(S, I, J, t)
         k += 1
         if k % steps_per_snap == 0 or k == n_steps:
             t_snap = k * dt

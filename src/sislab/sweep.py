@@ -32,19 +32,13 @@ class SweepResult:
         return [(p.parameter, p.value, p.error) for p in self.points]
 
 
-_SWEEPABLE_FIELDS = ("d_S", "d_I", "dt", "T", "snapshot_every", "steady_tol")
-
-
 def _evaluate_point(payload) -> tuple[float, float | None, str | None]:
-    cfg, parameter, value, observable = payload
-    if parameter in _SWEEPABLE_FIELDS:
-        cfg = cfg.with_overrides(**{parameter: value})
-    else:
-        cfg = cfg.with_overrides(params={**cfg.params, parameter: value})
+    sweep_cfg, value = payload
+    cfg = sweep_cfg.point(value)
     try:
         spec, grid, S0, I0 = cfg.build()
         traj = models.run(spec, S0, I0, **cfg.run_kwargs())
-        return value, _extract_observable(traj, observable), None
+        return value, _extract_observable(traj, sweep_cfg.observable), None
     except Exception as exc:  # per-point failures recorded, sweep continues
         return value, None, f"{type(exc).__name__}: {exc}"
 
@@ -66,8 +60,7 @@ def _extract_observable(traj: models.Trajectory, observable: str) -> float:
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
     """Run the sweep, optionally across processes; the table stays sorted."""
-    payloads = [(cfg.base, cfg.parameter, float(v), cfg.observable)
-                for v in cfg.values()]
+    payloads = [(cfg, float(v)) for v in cfg.values()]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_evaluate_point, payloads))

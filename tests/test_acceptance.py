@@ -28,7 +28,6 @@ from sislab.spectral import (
     basic_reproduction_number,
     dense_principal_eigenvalue,
     principal_eigenvalue,
-    sigma_monotonicity_check,
 )
 from sislab.sweep import run_sweep
 from sislab.threshold import critical_population, sigma_sensitivity
@@ -196,7 +195,8 @@ def test_criterion_09_spectral_suite():
     checks.append(("constant", abs(res.sigma - 2.75) <= 1e-10))
 
     h = eval_expression(grid, "cos(2*pi*x)")
-    checks.append(("monotone", sigma_monotonicity_check(h, [0.01, 0.1, 1.0, 10.0])))
+    sigmas = [principal_eigenvalue(d, h).sigma for d in (0.01, 0.1, 1.0, 10.0)]
+    checks.append(("monotone", all(b < a for a, b in zip(sigmas, sigmas[1:]))))
     checks.append(("small-d limit",
                    abs(principal_eigenvalue(1e-4, h).sigma - 1.0) <= 0.05))
     checks.append(("large-d limit",

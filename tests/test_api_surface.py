@@ -1,6 +1,7 @@
 """The names other code binds: the package's public API and every function
-the benchmark's tracer wraps.  A refactor that drops a traced binding fails
-here instead of silently zeroing that layer's benchmark metrics."""
+the benchmark's tracer wraps.  A refactor that drops a traced binding, or
+routes the work around it, fails here instead of silently zeroing that
+layer's benchmark metrics."""
 
 import importlib
 import importlib.util
@@ -9,6 +10,9 @@ from pathlib import Path
 import pytest
 
 import sislab
+from sislab import models, operators, spectral
+from sislab.config import preset_config
+from sislab.mesh import build_grid, eval_expression
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -44,3 +48,52 @@ def test_every_traced_binding_resolves(module_name, path):
     for part in path.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """The sizes of the matrices factored through operators' dgttrf binding."""
+    sizes = []
+    dgttrf = operators.dgttrf
+
+    def counting(dl, d, du, **kwargs):
+        sizes.append(len(d))
+        return dgttrf(dl, d, du, **kwargs)
+
+    monkeypatch.setattr(operators, "dgttrf", counting)
+    return sizes
+
+
+def _span_count(tracer, name):
+    return sum(span[0] == name for span in tracer.spans)
+
+
+@pytest.mark.parametrize("overrides, dispersing", [
+    ({}, 1),                              # mass_action_ds0: only I disperses
+    ({"model": "full", "d_S": 0.5}, 2),   # both compartments disperse
+], ids=["degenerate", "full"])
+def test_a_run_factors_once_and_traces_every_crank_nicolson_solve(
+        factorizations, overrides, dispersing):
+    cfg = preset_config("sim1b", nx=41, T=0.05, **overrides)
+    spec, _, S0, I0 = cfg.build()
+    tracer = _load_tracing().Tracer()
+    with tracer.installed():
+        traj = models.run(spec, S0, I0, **cfg.run_kwargs())
+    steps = round(traj.final.t / cfg.dt)
+    assert steps == 50
+    assert _span_count(tracer, "models.run") == 1
+    assert _span_count(tracer, "operators.solve_shifted") == dispersing * steps
+    assert factorizations == [41] * dispersing
+
+
+def test_eigen_solves_factor_once_and_trace_every_iteration(factorizations):
+    grid = build_grid(0, 1, 101)
+    tracer = _load_tracing().Tracer()
+    with tracer.installed():
+        res = spectral.principal_eigenvalue(0.1, eval_expression(grid, "cos(2*pi*x)"))
+        assert _span_count(tracer, "operators.solve_tridiagonal") == res.iterations
+        assert factorizations == [101]
+        spectral.basic_reproduction_number(1.0, eval_expression(grid, "2 - sin(pi*x)"),
+                                           eval_expression(grid, "1.5"))
+    assert _span_count(tracer, "operators.solve_tridiagonal") > res.iterations
+    assert factorizations == [101, 101]

@@ -9,6 +9,7 @@ from sislab.cli import main
 from sislab.config import (
     ConfigError,
     PRESETS,
+    SweepConfig,
     load_config,
     load_sweep_config,
     parse_config_text,
@@ -149,6 +150,14 @@ class TestConfigParsing:
             "sweep_hi = 1\nsweep_count = 1\n")
         with pytest.raises(ConfigError, match="at least 2"):
             load_sweep_config(path)
+
+    @pytest.mark.parametrize("parameter", ["aa", "nx"])
+    def test_sweep_rejects_a_parameter_it_cannot_vary(self, parameter):
+        # neither a sweepable run field nor an expression constant: every
+        # point would run the same configuration
+        base = preset_config("sim1c", nx=41, T=0.5)
+        with pytest.raises(ConfigError, match=f"unknown sweep parameter '{parameter}'.*d_I.*a"):
+            SweepConfig(base, parameter, 0.5, 1.5, 3, "I_mass_at_T")
 
 
 @pytest.fixture(scope="module")
@@ -318,6 +327,19 @@ class TestCli:
         rc = main(["sweep", "--config", str(cfg), "--set", "T"])
         assert rc == 1
         assert capsys.readouterr().err == "error: --set expects KEY=VALUE, got 'T'\n"
+
+    @pytest.mark.parametrize("parameter", ["aa", "nx"])
+    def test_sweep_of_an_unknown_parameter_is_one_error_line(self, tmp_path, capsys,
+                                                             parameter):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"preset = sim1c\nnx = 41\nT = 0.5\nsweep_parameter = {parameter}\n"
+                       "sweep_lo = 0.5\nsweep_hi = 1.5\nsweep_count = 3\n")
+        rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unknown sweep parameter '{parameter}'")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "sw").exists()
 
     def test_solver_failure_is_one_error_line(self, capsys):
         rc = main(["eigen", "--d", "1", "--h", "x", "--nx", "41", "--tol", "1e-300"])

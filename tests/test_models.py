@@ -28,7 +28,7 @@ def make_spec(variant=Variant.MASS_ACTION_DS0, beta="2", gamma="4 - pi*sin(pi*x)
 class TestReactionTerms:
     def test_mass_action_vanishes_without_either_compartment(self):
         spec, g = make_spec()
-        kernel = _Kernel(spec)
+        kernel = _Kernel(spec, 1e-3)
         S = np.linspace(0.5, 3.0, g.nx)
         # no infecteds: the exact flow leaves the pair and the exposure fixed
         S1, I1, J1 = kernel.reaction_half(S, np.zeros(g.nx), np.zeros(g.nx), 1e-3)
@@ -44,7 +44,7 @@ class TestReactionTerms:
     def test_mass_action_nullcline(self):
         # at S = gamma/beta the infected gain exactly balances recovery
         spec, g = make_spec()
-        kernel = _Kernel(spec)
+        kernel = _Kernel(spec, 1e-3)
         r = spec.gamma.values / spec.beta.values
         I = np.full(g.nx, 1.5)
         S1, I1, _ = kernel.reaction_half(r.copy(), I, np.zeros(g.nx), 1e-2)
@@ -59,7 +59,7 @@ class TestReactionTerms:
         assert q[0] == 0.0 and q[2] == 0.0 and q[3] == 0.0  # S + I <= eps_reg
         assert q[1] == pytest.approx(1.0)
         spec, g = make_spec(Variant.STD_INCIDENCE_DS0, beta="2 - sin(pi*x)", gamma="1.5")
-        assert np.all(_Kernel(spec)._std_rate(np.zeros(g.nx), np.zeros(g.nx)) == 0.0)
+        assert np.all(_Kernel(spec, 1e-3)._std_rate(np.zeros(g.nx), np.zeros(g.nx)) == 0.0)
 
     @given(
         S=st.floats(0, 10),
@@ -110,7 +110,7 @@ class TestStep:
     def test_reaction_transfer_is_antisymmetric(self):
         # single node pair: S + I is conserved bitwise by the reaction flow
         spec, g = make_spec()
-        kernel = _Kernel(spec)
+        kernel = _Kernel(spec, 1e-3)
         rng = np.random.default_rng(0)
         S = rng.uniform(0, 3, g.nx)
         I = rng.uniform(0, 3, g.nx)
@@ -122,7 +122,7 @@ class TestStep:
     def test_std_incidence_reaction_conserves_mass(self):
         spec, g = make_spec(Variant.STD_INCIDENCE_DS0, beta="2 - sin(pi*x)",
                             gamma="1.5")
-        kernel = _Kernel(spec)
+        kernel = _Kernel(spec, 1e-3)
         rng = np.random.default_rng(1)
         S = rng.uniform(0, 3, g.nx)
         I = rng.uniform(0, 3, g.nx)
@@ -133,12 +133,12 @@ class TestStep:
     def test_pure_diffusion_conserves_mass_exactly(self):
         # reaction disabled: drive only the diffusion substep
         spec, g = make_spec(Variant.FULL, beta="1", gamma="1", d_S=1.0, d_I=0.7)
-        kernel = _Kernel(spec)
+        kernel = _Kernel(spec, 1e-3)
         S = eval_expression(g, "2 + cos(pi*x)").values.copy()
         I = eval_expression(g, "1.5 + cos(3*pi*x)").values.copy()
         target = quadrature(g, S + I)
         for _ in range(1000):
-            S, I = kernel.diffuse(S, I, 1e-3)
+            S, I = kernel.diffuse(S, I)
         drift = abs(quadrature(g, S + I) - target)
         assert drift <= 1e-13 * target
         assert np.ptp(S) < 1e-3  # diffusion has flattened the profile
@@ -267,7 +267,7 @@ def test_exact_reaction_flow_matches_a_fine_ode_integration(S, I, beta, gamma, t
     g = build_grid(0, 1, 3)
     spec = ModelSpec(Variant.MASS_ACTION_DS0, Field.constant(g, beta),
                      Field.constant(g, gamma), d_S=0.0, d_I=1.0)
-    kernel = _Kernel(spec)
+    kernel = _Kernel(spec, 1e-3)
     Sv = np.full(3, S)
     Iv = np.full(3, I)
     S1, I1, J1 = kernel.reaction_half(Sv, Iv, np.zeros(3), tau)

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from sislab.mesh import Field, build_grid, eval_expression, quadrature
+from sislab.mesh import build_grid, eval_expression, quadrature
 from sislab.operators import (
     TridiagonalMatrix,
     TridiagonalSolveError,
     gradient_energy_values,
     neumann_laplacian,
-    solve_shifted,
     solve_tridiagonal,
 )
 
@@ -59,22 +59,17 @@ class TestNeumannLaplacian:
         assert abs(quadrature(grid, L.matvec(f))) <= 1e-10 * np.abs(f).max() / grid.dx
 
 
-class TestSolveShifted:
-    def test_zero_alpha_is_identity(self, grid):
-        L = neumann_laplacian(grid)
-        rhs = np.sin(grid.nodes)
-        assert np.array_equal(solve_shifted(L, 0.0, rhs), rhs)
+def shifted(L, alpha):
+    """Id - alpha*L, the Crank-Nicolson matrix."""
+    return TridiagonalMatrix(-alpha * L.lower, 1.0 - alpha * L.diag, -alpha * L.upper)
 
+
+class TestSolveShifted:
     def test_constants_are_fixed_points(self, grid):
         L = neumann_laplacian(grid)
         rhs = np.full(grid.nx, 2.5)
-        out = solve_shifted(L, 0.37, rhs)
+        out = solve_tridiagonal(shifted(L, 0.37).factor(), rhs)
         assert out == pytest.approx(2.5, rel=1e-13)
-
-    def test_field_in_field_out(self, grid):
-        L = neumann_laplacian(grid)
-        out = solve_shifted(L, 0.1, Field.constant(grid, 1.0))
-        assert isinstance(out, Field)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -85,28 +80,46 @@ class TestSolveShifted:
         upper = rng.uniform(-1, 1, n - 1)
         diag = 2.5 + rng.uniform(0, 1, n)  # strictly dominant
         rhs = rng.uniform(-1, 1, n)
-        x = solve_tridiagonal(lower, diag, upper, rhs)
         m = TridiagonalMatrix(lower, diag, upper)
+        x = solve_tridiagonal(m.factor(), rhs)
         residual = np.abs(m.matvec(x) - rhs).max()
         assert residual <= 1e-12 * max(1.0, np.abs(rhs).max())
 
-    def test_tiny_pivot_is_reported(self):
-        lower = np.array([1.0])
-        diag = np.array([1.0, 1e-16])
-        upper = np.array([1e-16])
+    @given(seed=st.integers(0, 10_000), n=st.integers(3, 300), dominant=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_factored_solve_equals_banded_solve(self, seed, n, dominant):
+        # the factor-once route gives the same bits as a one-shot banded solve
+        rng = np.random.default_rng(seed)
+        lower = rng.uniform(-1, 1, n - 1)
+        upper = rng.uniform(-1, 1, n - 1)
+        diag = rng.uniform(-1, 1, n) + (3.0 if dominant else 0.0)
+        rhs = rng.uniform(-1, 1, n)
+        x = solve_tridiagonal(TridiagonalMatrix(lower, diag, upper).factor(), rhs)
+        ab = np.zeros((3, n))
+        ab[0, 1:] = upper
+        ab[1] = diag
+        ab[2, :-1] = lower
+        assert np.array_equal(x, scipy.linalg.solve_banded((1, 1), ab, rhs))
+
+    @pytest.mark.parametrize("diag, upper", [
+        ([1.0, 1e-16, 1.0], [1e-16, 0.0]),  # U pivot cancels to exactly 0
+        ([1.0, 2e-15, 1.0], [1e-15, 0.0]),  # U pivot 1e-15, which LAPACK accepts
+    ], ids=["exact_zero", "below_1e-14"])
+    def test_tiny_pivot_is_reported(self, diag, upper):
+        m = TridiagonalMatrix(np.array([1.0, 0.0]), np.array(diag), np.array(upper))
         with pytest.raises(TridiagonalSolveError, match="pivot"):
-            solve_tridiagonal(lower, diag, upper, np.array([1.0, 1.0]))
+            m.factor()
 
     def test_thomas_path_matches_banded_path(self):
-        # a dominant system pushed through the pivot-checked branch
+        # a barely dominant system: a margin of 1e-11 per row
         rng = np.random.default_rng(5)
         n = 30
         lower = rng.uniform(-1, 1, n - 1)
         upper = rng.uniform(-1, 1, n - 1)
-        diag = 2.00000000001 + np.zeros(n)  # dominance margin below the fast gate
+        diag = 2.00000000001 + np.zeros(n)
         rhs = rng.uniform(-1, 1, n)
-        x = solve_tridiagonal(lower, diag, upper, rhs)
         m = TridiagonalMatrix(lower, diag, upper)
+        x = solve_tridiagonal(m.factor(), rhs)
         assert np.abs(m.matvec(x) - rhs).max() <= 1e-11
 
 

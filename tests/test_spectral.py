@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sislab.mesh import Field, build_grid, eval_expression, quadrature
+from sislab.operators import gradient_energy_values
 from sislab.spectral import (
     basic_reproduction_number,
     dense_principal_eigenvalue,
     principal_eigenvalue,
-    rayleigh_quotient,
-    sigma_monotonicity_check,
 )
 
 
@@ -52,7 +51,11 @@ class TestPrincipalEigenvalue:
     def test_variational_value_matches_sigma(self, grid):
         h = eval_expression(grid, "4 - pi*sin(pi*x)")
         res = principal_eigenvalue(0.7, h)
-        assert rayleigh_quotient(0.7, res.phi, h) == pytest.approx(res.sigma, abs=1e-12)
+        phi = res.phi.values
+        # int(h*phi^2) - d*int(|grad phi|^2) for the unit-norm eigenfunction
+        value = (quadrature(grid, h.values * phi * phi)
+                 - 0.7 * gradient_energy_values(phi, grid.dx))
+        assert value == pytest.approx(res.sigma, abs=1e-12)
 
     def test_rejects_nonpositive_diffusion(self, grid):
         with pytest.raises(ValueError, match="positive"):
@@ -82,16 +85,8 @@ class TestPrincipalEigenvalue:
 class TestMonotonicity:
     def test_strictly_decreasing_in_d(self, grid):
         h = eval_expression(grid, "cos(2*pi*x)")
-        assert sigma_monotonicity_check(h, [0.01, 0.1, 1.0, 10.0])
-
-    def test_rejects_constant_potential(self, grid):
-        with pytest.raises(ValueError, match="constant"):
-            sigma_monotonicity_check(Field.constant(grid, 2.0), [0.1, 1.0])
-
-    def test_rejects_unordered_rates(self, grid):
-        h = eval_expression(grid, "cos(2*pi*x)")
-        with pytest.raises(ValueError):
-            sigma_monotonicity_check(h, [1.0, 0.1])
+        sigmas = [principal_eigenvalue(d, h).sigma for d in (0.01, 0.1, 1.0, 10.0)]
+        assert all(b < a for a, b in zip(sigmas, sigmas[1:]))
 
     def test_values_land_between_mean_and_max(self, grid):
         h = eval_expression(grid, "4 - pi*sin(pi*x)")
