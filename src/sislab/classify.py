@@ -22,7 +22,7 @@ import numpy as np
 from .mesh import Field, RiskMode, quadrature, risk_sets, rmin_set
 from .models import ModelSpec, Trajectory, Variant
 from .diagnostics import concentration_fraction
-from .threshold import OptimizerOptions, critical_population
+from .threshold import critical_population
 
 RECIPROCAL_CAP = 1e12
 DIVERGENCE_GROWTH = 2.0
@@ -63,15 +63,14 @@ class OutcomeReport:
 
 
 def predict_regime(spec: ModelSpec, S0: Field, I0: Field,
-                   compute_threshold: bool = True,
-                   threshold_opts: OptimizerOptions | None = None) -> RegimePrediction:
+                   compute_threshold: bool = True) -> RegimePrediction:
     """Decision table over the four degenerate systems."""
     if spec.variant is Variant.FULL:
         raise ValueError("regime prediction covers only the degenerate systems")
     grid = spec.grid
     N = quadrature(grid, np.asarray(S0.values) + np.asarray(I0.values))
     if spec.variant is Variant.MASS_ACTION_DS0:
-        return _predict_mass_ds0(spec, S0, I0, N, compute_threshold, threshold_opts)
+        return _predict_mass_ds0(spec, S0, I0, N, compute_threshold)
     if spec.variant is Variant.MASS_ACTION_DI0:
         return _predict_mass_di0(spec, S0, I0, N)
     if spec.variant is Variant.STD_INCIDENCE_DS0:
@@ -79,7 +78,7 @@ def predict_regime(spec: ModelSpec, S0: Field, I0: Field,
     return _predict_std_di0(spec, I0, N)
 
 
-def _predict_mass_ds0(spec, S0, I0, N, compute_threshold, threshold_opts):
+def _predict_mass_ds0(spec, S0, I0, N, compute_threshold):
     grid = spec.grid
     r = spec.risk_ratio()
     int_r = quadrature(grid, np.asarray(r.values))
@@ -102,8 +101,7 @@ def _predict_mass_ds0(spec, S0, I0, N, compute_threshold, threshold_opts):
                                 predicted_I=endemic_I, predicted_I_mass=N - int_r,
                                 notes=notes)
     if compute_threshold:
-        res = critical_population(S0, r, spec.beta, spec.d_I,
-                                  threshold_opts or OptimizerOptions())
+        res = critical_population(S0, r, spec.beta, spec.d_I)
         notes.append(f"critical population N*={res.n_star:.6g} "
                      f"(bounds [{res.lower_bound:.6g}, {res.upper_bound:.6g}])")
         if N > res.n_star:

@@ -87,12 +87,17 @@ def _cmd_eigen(args) -> int:
         return 0
     cfg = _resolve_config(args)
     spec, grid, _, _ = cfg.build()
-    d = spec.d_I if spec.d_I > 0 else spec.d_S
-    r0 = basic_reproduction_number(d, spec.beta, spec.gamma, tol=args.tol)
-    gap = Field(grid, spec.beta.values - spec.gamma.values)
-    sig = principal_eigenvalue(d, gap, tol=args.tol).sigma
-    print(f"R0 = {r0!r}  (d={d:g})")
-    print(f"sigma(d, beta - gamma) = {sig!r}")
+    beta, gamma = spec.beta.values, spec.gamma.values
+    if spec.d_I > 0:
+        r0 = basic_reproduction_number(spec.d_I, spec.beta, spec.gamma, tol=args.tol)
+        sig = principal_eigenvalue(spec.d_I, Field(grid, beta - gamma), tol=args.tol).sigma
+        print(f"R0 = {r0!r}  (d_I={spec.d_I:g})")
+        print(f"sigma(d_I, beta - gamma) = {sig!r}")
+    else:
+        # locked infecteds: the invasion quantities are their d_I -> 0 limits
+        print(f"R0 = {float((beta / gamma).max())!r}  (d_I -> 0 limit: max beta/gamma)")
+        print(f"sigma(d_I, beta - gamma) = {float((beta - gamma).max())!r}  "
+              f"(d_I -> 0 limit: max(beta - gamma))")
     return 0
 
 
@@ -103,6 +108,8 @@ def _cmd_threshold(args) -> int:
     print(f"critical population N* = {result.n_star!r}")
     print(f"bounds: int r = {result.lower_bound!r} <= N* <= "
           f"int max(S0, r) = {result.upper_bound!r}")
+    print(f"certified: N* <= dual bound = {result.dual_bound!r}  relative gap "
+          f"{(result.dual_bound - result.n_star) / result.n_star:.3e}")
     print(f"constraint eigenvalue at optimum = {result.sigma_at_opt:.3e}  "
           f"converged={result.converged}")
     return 0

@@ -1,11 +1,17 @@
 """Critical population size by eigenvalue-constrained maximization.
 
-Maximizes the linear functional int(lam*S0 + (1-lam)*r) over nodewise
-lam in [0, 1] subject to sigma(d_I, beta*lam*(S0-r)) <= 0.  The feasible
-set is convex (the eigenvalue is a supremum of linear functionals of the
-potential) and the objective is linear, so projected gradient ascent with
-an exact penalty converges globally; multi-start guards against flat KKT
-points on the box boundary.
+Maximizes N(lam) = int(lam*S0 + (1-lam)*r) over nodewise lam in [0, 1]
+subject to sigma(d_I, beta*lam*gap) <= feas_tol, where gap = S0 - r.  The
+eigenvalue is a supremum of linear functionals of the potential, so the
+feasible set is convex and a KKT point of this linear objective is the
+global optimum: with phi the principal eigenfunction at lam, lam = 1 where
+gap*(tau - beta*phi^2) > 0 and lam = 0 where it is negative, for one level
+tau.  Each ascent step moves every node toward that target by at most its
+trust radius at the largest level whose true eigenvalue stays feasible; the
+nodes left between 0 and 1 are then solved for exactly, so every iterate is
+feasible.  The tangent plane of the convex eigenvalue at an iterate gives,
+by LP duality, an upper bound on N*; the ascent stops once that bound
+certifies the iterate to the relative gap ``tol``.
 """
 
 from __future__ import annotations
@@ -15,17 +21,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Field, quadrature
+from .operators import (TridiagonalMatrix, TridiagonalSolveError, neumann_laplacian,
+                        solve_tridiagonal)
 from .spectral import principal_eigenvalue
+
+# The completion aims sigma at this fraction of feas_tol: the rest is room for
+# the roundoff of its solve, and the certificate's slack is what remains.
+_AIM = 0.9
 
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    tol: float = 1e-6            # KKT residual / relative objective tolerance
+    tol: float = 1e-6            # certified relative gap (dual_bound - N*) / N*
     feas_tol: float = 1e-8       # allowed eigenvalue at the returned point
-    max_iter: int = 200          # projected-gradient iterations per start
-    penalty_rounds: int = 3      # exact-penalty escalations
-    random_starts: int = 1
-    seed: int = 0
+    max_iter: int = 200          # ascent steps per start
+    random_starts: int = 1       # random first-step scores, tried only when
+    seed: int = 0                # the deterministic start does not certify
     eig_tol: float = 1e-12
 
 
@@ -36,8 +47,9 @@ class ThresholdResult:
     sigma_at_opt: float
     lower_bound: float
     upper_bound: float
-    converged: bool
-    iterations: int
+    dual_bound: float            # certified upper bound on the optimum
+    converged: bool              # dual_bound - n_star <= tol * n_star
+    iterations: int              # ascent steps over all starts
 
 
 def sigma_sensitivity(d: float, h: Field, tol: float = 1e-12) -> Field:
@@ -52,47 +64,110 @@ def sigma_sensitivity(d: float, h: Field, tol: float = 1e-12) -> Field:
     return Field(h.grid, phi * phi)
 
 
-class _ConstrainedProblem:
-    def __init__(self, S0: Field, r: Field, beta: Field, d_I: float, eig_tol: float):
+class _Problem:
+    def __init__(self, S0: Field, r: Field, beta: Field, d_I: float,
+                 opts: OptimizerOptions):
         self.grid = S0.grid
-        self.w = np.asarray(self.grid.weights)
-        self.gap = np.asarray(S0.values) - np.asarray(r.values)
-        self.beta = np.asarray(beta.values)
+        self.gap = S0.values - r.values
+        self.beta = beta.values
         self.d_I = d_I
-        self.eig_tol = eig_tol
-        self.base = quadrature(self.grid, np.asarray(r.values))
-        self.grad_objective = self.w * self.gap
-        self._phi_warm = None
-        self.evals = 0
+        self.opts = opts
+        self.base = quadrature(self.grid, r.values)
+        self.c = self.grid.weights * self.gap
+        self.laplacian = neumann_laplacian(self.grid)
 
     def objective(self, lam: np.ndarray) -> float:
-        return self.base + float(self.grad_objective @ lam)
+        return self.base + float(self.c @ lam)
 
-    def sigma(self, lam: np.ndarray) -> tuple[float, np.ndarray]:
+    def sigma(self, lam: np.ndarray, warm: np.ndarray | None):
         h = Field(self.grid, self.beta * lam * self.gap)
-        eig = principal_eigenvalue(self.d_I, h, tol=self.eig_tol, start=self._phi_warm)
-        self._phi_warm = np.asarray(eig.phi.values)
-        self.evals += 1
-        phi2 = self._phi_warm * self._phi_warm
-        grad_sigma = self.w * phi2 * self.beta * self.gap
-        return eig.sigma, grad_sigma
+        eig = principal_eigenvalue(self.d_I, h, tol=self.opts.eig_tol, start=warm)
+        return eig.sigma, eig.phi.values
 
-    def kkt_residual(self, lam, g, grad_sigma) -> float:
-        scale = float(np.abs(self.grad_objective).max()) or 1.0
-        free = (lam > 1e-12) & (lam < 1.0 - 1e-12)
-        candidates = [0.0]
-        for sel in (free, np.ones_like(lam, dtype=bool)):
-            if sel.any():
-                denom = float(grad_sigma[sel] @ grad_sigma[sel])
-                if denom > 0.0:
-                    candidates.append(max(0.0, float(
-                        self.grad_objective[sel] @ grad_sigma[sel]) / denom))
-        best = np.inf
-        for mu in candidates:
-            stepped = np.clip(lam + (self.grad_objective - mu * grad_sigma) / scale,
-                              0.0, 1.0)
-            best = min(best, float(np.abs(stepped - lam).max()))
-        return best if g <= 0 else max(best, g)
+    def dual_bound(self, lam: np.ndarray, sigma: float, phi: np.ndarray) -> float:
+        """max N over the box and the tangent half-space of sigma at lam.
+
+        By LP duality this is int r + min over mu >= 0 of
+        mu*slack + sum((c - mu*g)^+), a convex piecewise-linear function of
+        mu with its minimum at mu = 0 or at a breakpoint c_i/g_i.  Past its
+        breakpoint a node with c > 0 leaves the sum and one with c < 0
+        enters it, so both change the sum by |c_i| - mu*|g_i|.
+        """
+        score = self.beta * phi * phi
+        g = self.c * score                              # d sigma / d lam
+        slack = float(g @ lam) - sigma + self.opts.feas_tol
+        up = self.c > 0
+        order = np.argsort(score)[::-1]
+        mu = 1.0 / score[order]
+        at_zero = float(self.c[up].sum())
+        values = (mu * (slack - g[up].sum() + np.cumsum(np.abs(g[order])))
+                  + at_zero - np.cumsum(np.abs(self.c[order])))
+        return self.base + min(at_zero, float(values.min()))
+
+    def level_step(self, lam: np.ndarray, phi: np.ndarray, scores: np.ndarray,
+                   radius: np.ndarray):
+        """The trust-region move to the largest feasible level of ``scores``,
+        as (lam, sigma, phi), or None; the node crossing the level is
+        completed."""
+        ft = self.opts.feas_tol
+        order = np.argsort(scores, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        # a node's target below and above its level; raising the level from
+        # one to the other raises the node's potential
+        below = lam + np.clip((self.gap < 0) - lam, -radius, radius)
+        above = lam + np.clip((self.gap > 0) - lam, -radius, radius)
+
+        def trial(k):
+            return np.where(rank < k, above, below)
+
+        lo, hi = 0, order.size
+        top = self.sigma(trial(hi), phi)
+        if top[0] <= ft:
+            return trial(hi), *top
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self.sigma(trial(mid), phi)[0] <= ft:
+                lo = mid
+            else:
+                hi = mid
+        return self.complete(trial(lo), rank == lo)
+
+    def complete(self, lam: np.ndarray, free: np.ndarray):
+        """Values of the ``free`` nodes at which sigma is at its aim and
+        beta*phi^2 is level on them: the KKT conditions of nodes strictly
+        inside [0, 1], which the bang-bang steps only approach.
+
+        With phi = beta^(-1/2) on the free nodes, the eigen equation on the
+        other nodes is one tridiagonal solve for phi there, and the equation
+        at a free node then gives its potential.  A free node whose value
+        leaves [0, 1] is fixed at the bound and the solve repeated.  Returns
+        (lam, sigma, phi), or None if no feasible point results.
+        """
+        d, L = self.d_I, self.laplacian
+        target = _AIM * self.opts.feas_tol
+        free = free & (self.gap != 0)
+        x = lam.copy()
+        while free.any():
+            fixed = ~free
+            diag = d * L.diag + self.beta * x * self.gap - target
+            A = TridiagonalMatrix(np.where(fixed[1:], d * L.lower, 0.0),
+                                  np.where(fixed, diag, 1.0),
+                                  np.where(fixed[:-1], d * L.upper, 0.0))
+            try:
+                psi = solve_tridiagonal(A.factor(), np.where(fixed, 0.0, self.beta ** -0.5))
+            except TridiagonalSolveError:
+                return None
+            if psi.min() <= 0:
+                return None
+            value = (target - d * L.matvec(psi) / psi)[free] / (self.beta * self.gap)[free]
+            x[free] = np.clip(value, 0.0, 1.0)
+            inside = (value >= 0) & (value <= 1)
+            if inside.all():
+                sigma, phi = self.sigma(x, psi)
+                return (x, sigma, phi) if sigma <= self.opts.feas_tol else None
+            free[np.flatnonzero(free)[~inside]] = False
+        return None
 
 
 def critical_population(S0: Field, r: Field, beta: Field, d_I: float,
@@ -106,173 +181,57 @@ def critical_population(S0: Field, r: Field, beta: Field, d_I: float,
     if d_I <= 0:
         raise ValueError("infected dispersal rate must be positive")
     opts = opts or OptimizerOptions()
-    prob = _ConstrainedProblem(S0, r, beta, d_I, opts.eig_tol)
+    prob = _Problem(S0, r, beta, d_I, opts)
     grid = S0.grid
 
-    lower = prob.base
-    upper = quadrature(grid, np.maximum(np.asarray(S0.values), np.asarray(r.values)))
-
+    lam0 = np.zeros(grid.nx)
+    sigma0, phi0 = prob.sigma(lam0, None)            # lam = 0 is always feasible
+    best = (prob.objective(lam0), lam0, sigma0)
+    bound = prob.dual_bound(lam0, sigma0, phi0)
     rng = np.random.default_rng(opts.seed)
-    starts = [np.zeros(grid.nx), (prob.gap > 0).astype(float)]
-    starts += [rng.uniform(0.0, 1.0, grid.nx) for _ in range(opts.random_starts)]
+    iterations = 0
 
-    best_lam = np.zeros(grid.nx)
-    best_obj = prob.objective(best_lam)      # lam = 0 is always feasible
-    best_sigma = prob.sigma(best_lam)[0]
-    any_converged = False
-    total_iters = 0
+    def certified():
+        return bound - best[0] <= opts.tol * best[0]
 
-    for start in starts:
-        lam, obj, sig, converged, iters = _ascend(prob, start, opts)
-        total_iters += iters
-        any_converged = any_converged or converged
-        if sig <= opts.feas_tol and obj > best_obj:
-            best_lam, best_obj, best_sigma = lam, obj, sig
+    for start in range(1 + opts.random_starts):
+        if certified():
+            break
+        lam, phi, n = lam0, phi0, prob.base
+        scores = prob.beta * phi * phi if start == 0 else rng.uniform(size=grid.nx)
+        radius = np.ones(grid.nx)
+        heading = np.zeros(grid.nx)
+        for _ in range(opts.max_iter):
+            if certified():
+                break
+            iterations += 1
+            step = prob.level_step(lam, phi, scores, radius)
+            if step is None or prob.objective(step[0]) <= n:
+                radius *= 0.5
+                continue
+            # a node that turns back halves its radius, so nodes oscillating
+            # about a singular arc settle; the others double theirs, up to 1
+            move = np.sign(step[0] - lam)
+            radius = np.where(move * heading < 0, 0.5 * radius, np.minimum(2.0 * radius, 1.0))
+            heading = np.where(move != 0, move, heading)
+            lam, sigma, phi = step
+            arc = prob.complete(lam, (lam > 0) & (lam < 1))
+            if arc is not None and prob.objective(arc[0]) > prob.objective(lam):
+                lam, sigma, phi = arc
+            n = prob.objective(lam)
+            bound = min(bound, prob.dual_bound(lam, sigma, phi))
+            if n > best[0]:
+                best = (n, lam, sigma)
+            scores = prob.beta * phi * phi
 
+    n_star, lam, sigma = best
     return ThresholdResult(
-        n_star=best_obj,
-        lambda_star=Field(grid, best_lam),
-        sigma_at_opt=best_sigma,
-        lower_bound=lower,
-        upper_bound=upper,
-        converged=any_converged,
-        iterations=total_iters,
+        n_star=n_star,
+        lambda_star=Field(grid, lam),
+        sigma_at_opt=sigma,
+        lower_bound=prob.base,
+        upper_bound=quadrature(grid, np.maximum(S0.values, r.values)),
+        dual_bound=bound,
+        converged=certified(),
+        iterations=iterations,
     )
-
-
-def _ascend(prob: _ConstrainedProblem, lam0: np.ndarray, opts: OptimizerOptions):
-    lam = np.clip(lam0, 0.0, 1.0)
-    sig, grad_sigma = prob.sigma(lam)
-    rho = 10.0 * max(1.0, _multiplier_guess(prob, grad_sigma))
-    converged = False
-    iters = 0
-    step = 1.0 / (float(np.abs(prob.grad_objective).max()) or 1.0)
-
-    for _ in range(opts.penalty_rounds):
-        lam, sig, grad_sigma, converged, step, used = _penalty_loop(
-            prob, lam, sig, grad_sigma, rho, step, opts)
-        iters += used
-        if sig <= opts.feas_tol:
-            break
-        rho *= 10.0
-
-    lam, sig = _restore_feasibility(prob, lam, sig, opts)
-    # The exact penalty stalls in a zigzag at its kink; finish with gradient
-    # projection along the active constraint (tangent step + first-order
-    # restoration), which the convexity of the feasible set makes reliable.
-    lam, sig, polish_converged, used = _tangent_polish(prob, lam, opts)
-    iters += used
-    return lam, prob.objective(lam), sig, converged or polish_converged, iters
-
-
-def _tangent_polish(prob: _ConstrainedProblem, lam: np.ndarray,
-                    opts: OptimizerOptions):
-    sig, grad_sigma = prob.sigma(lam)
-    best_obj = prob.objective(lam)
-    scale = float(np.abs(prob.grad_objective).max()) or 1.0
-    t = 0.5 / scale
-    converged = False
-    it = 0
-    for it in range(1, opts.max_iter + 1):
-        residual = prob.kkt_residual(lam, sig, grad_sigma)
-        if residual < opts.tol and sig <= opts.feas_tol:
-            converged = True
-            break
-        mu = _active_multiplier(prob, lam, grad_sigma) if sig >= -opts.feas_tol else 0.0
-        direction = prob.grad_objective - mu * grad_sigma
-        direction = np.where((lam <= 0.0) & (direction < 0.0), 0.0, direction)
-        direction = np.where((lam >= 1.0) & (direction > 0.0), 0.0, direction)
-        if float(np.abs(direction).max()) <= opts.tol * scale:
-            converged = sig <= opts.feas_tol
-            break
-        moved = False
-        while t > 1e-12 / scale:
-            cand = np.clip(lam + t * direction, 0.0, 1.0)
-            cand_sig, _ = prob.sigma(cand)
-            cand, cand_sig = _restore_feasibility(prob, cand, cand_sig, opts)
-            cand_obj = prob.objective(cand)
-            if cand_obj > best_obj + 1e-14 * max(1.0, abs(best_obj)):
-                lam, sig = cand, cand_sig
-                best_obj = cand_obj
-                sig, grad_sigma = prob.sigma(lam)
-                t = min(t * 1.5, 1e3 / scale)
-                moved = True
-                break
-            t *= 0.5
-        if not moved:
-            break
-    return lam, sig, converged, it
-
-
-def _active_multiplier(prob: _ConstrainedProblem, lam: np.ndarray,
-                       grad_sigma: np.ndarray) -> float:
-    free = (lam > 1e-12) & (lam < 1.0 - 1e-12)
-    sel = free if free.any() else np.ones_like(lam, dtype=bool)
-    denom = float(grad_sigma[sel] @ grad_sigma[sel])
-    if denom == 0.0:
-        return 0.0
-    return max(0.0, float(prob.grad_objective[sel] @ grad_sigma[sel]) / denom)
-
-
-def _penalty_loop(prob, lam, sig, grad_sigma, rho, step, opts):
-    def penalized(obj, sigma):
-        return obj - rho * max(sigma, 0.0)
-
-    obj = prob.objective(lam)
-    value = penalized(obj, sig)
-    converged = False
-    it = 0
-    for it in range(1, opts.max_iter + 1):
-        direction = prob.grad_objective - (rho if sig > 0 else 0.0) * grad_sigma
-        moved = False
-        for _ in range(30):
-            cand = np.clip(lam + step * direction, 0.0, 1.0)
-            gain_ref = float(direction @ (cand - lam))
-            if gain_ref <= 0.0:
-                break
-            cand_sig, cand_grad = prob.sigma(cand)
-            cand_obj = prob.objective(cand)
-            cand_val = penalized(cand_obj, cand_sig)
-            if cand_val >= value + 1e-4 * gain_ref:
-                lam, sig, grad_sigma = cand, cand_sig, cand_grad
-                obj, value = cand_obj, cand_val
-                step = min(step * 1.5, 1e6)
-                moved = True
-                break
-            step *= 0.5
-        residual = prob.kkt_residual(lam, sig, grad_sigma)
-        if residual < opts.tol and sig <= opts.feas_tol:
-            converged = True
-            break
-        if not moved and step < 1e-14:
-            break
-        if not moved:
-            # direction was uphill in the penalty model but rejected; the
-            # kink of the exact penalty is pinning the iterate
-            break
-    return lam, sig, grad_sigma, converged, step, it
-
-
-def _restore_feasibility(prob, lam, sig, opts):
-    # First-order corrections along the eigenvalue gradient restore
-    # sigma <= 0; the eigenvalue is smooth in lam so this converges fast.
-    for _ in range(50):
-        if sig <= opts.feas_tol:
-            return lam, sig
-        _, grad_sigma = prob.sigma(lam)
-        denom = float(grad_sigma @ grad_sigma)
-        if denom == 0.0:
-            break
-        lam = np.clip(lam - (sig + opts.feas_tol) * grad_sigma / denom, 0.0, 1.0)
-        sig, _ = prob.sigma(lam)
-    if sig > opts.feas_tol:
-        lam = np.zeros_like(lam)
-        sig, _ = prob.sigma(lam)
-    return lam, sig
-
-
-def _multiplier_guess(prob, grad_sigma) -> float:
-    denom = float(grad_sigma @ grad_sigma)
-    if denom == 0.0:
-        return 1.0
-    return abs(float(prob.grad_objective @ grad_sigma)) / denom

@@ -1,10 +1,12 @@
-"""The names other code binds: the package's public API and every function
-the benchmark's tracer wraps.  A refactor that drops a traced binding, or
-routes the work around it, fails here instead of silently zeroing that
-layer's benchmark metrics."""
+"""The names other code binds: the package's public API, every function
+the benchmark's tracer wraps, and the calls the benchmark's workloads make.
+A refactor that drops a traced binding, routes the work around it, or
+changes a signature a workload uses fails here instead of silently zeroing
+that layer's benchmark metrics or failing only the benchmark."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,12 +16,13 @@ from sislab import models, operators, spectral
 from sislab.config import preset_config
 from sislab.mesh import build_grid, eval_expression
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
@@ -41,13 +44,20 @@ def test_public_api_is_pinned():
 
 
 @pytest.mark.parametrize("module_name, path", [
-    (target[0], target[1]) for target in _load_tracing().TARGETS
+    (target[0], target[1]) for target in _load_bench("tracing").TARGETS
 ])
 def test_every_traced_binding_resolves(module_name, path):
     owner = importlib.import_module(module_name)
     for part in path.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+@pytest.mark.parametrize("name", sorted(_load_bench("workloads").WORKLOADS))
+def test_every_benchmark_workload_sets_up(name, tmp_path):
+    workload = _load_bench("workloads").WORKLOADS[name]
+    workload.setup(seed=1, smoke=True, workdir=tmp_path)
+    assert workload.plan(1)
 
 
 @pytest.fixture
@@ -76,7 +86,7 @@ def test_a_run_factors_once_and_traces_every_crank_nicolson_solve(
         factorizations, overrides, dispersing):
     cfg = preset_config("sim1b", nx=41, T=0.05, **overrides)
     spec, _, S0, I0 = cfg.build()
-    tracer = _load_tracing().Tracer()
+    tracer = _load_bench("tracing").Tracer()
     with tracer.installed():
         traj = models.run(spec, S0, I0, **cfg.run_kwargs())
     steps = round(traj.final.t / cfg.dt)
@@ -88,7 +98,7 @@ def test_a_run_factors_once_and_traces_every_crank_nicolson_solve(
 
 def test_eigen_solves_factor_once_and_trace_every_iteration(factorizations):
     grid = build_grid(0, 1, 101)
-    tracer = _load_tracing().Tracer()
+    tracer = _load_bench("tracing").Tracer()
     with tracer.installed():
         res = spectral.principal_eigenvalue(0.1, eval_expression(grid, "cos(2*pi*x)"))
         assert _span_count(tracer, "operators.solve_tridiagonal") == res.iterations

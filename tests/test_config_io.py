@@ -295,11 +295,31 @@ class TestCli:
         assert rc == 0
         assert "R0" in capsys.readouterr().out
 
+    def test_eigen_of_locked_infecteds_reports_the_small_dispersal_limits(self, capsys):
+        rc = main(["eigen", "--preset", "sim2b", "--set", "nx=41"])
+        assert rc == 0
+        r0_line, sigma_line = capsys.readouterr().out.splitlines()
+        assert r0_line.endswith("(d_I -> 0 limit: max beta/gamma)")
+        assert sigma_line.endswith("(d_I -> 0 limit: max(beta - gamma))")
+        r0, sigma = (float(line.split(" = ")[1].split()[0])
+                     for line in (r0_line, sigma_line))
+        assert r0 == pytest.approx(1 / (4 - np.pi), rel=1e-12)
+        assert sigma == pytest.approx(np.pi - 3, rel=1e-12)
+
     def test_threshold_subcommand(self, capsys):
         rc = main(["threshold", "--preset", "sim1b", "--set", "nx=41"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "critical population" in out
+
+    def test_threshold_prints_its_certificate(self, capsys):
+        rc = main(["threshold", "--preset", "sim1c", "--set", "nx=41"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "converged=True" in out
+        certificate = next(line for line in out.splitlines()
+                           if line.startswith("certified: N* <= dual bound = "))
+        assert float(certificate.split()[-1]) <= 1e-6
 
     def test_sweep_subcommand(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"

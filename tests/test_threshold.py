@@ -1,21 +1,27 @@
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
-from sislab.mesh import Field, build_grid, eval_expression, integrate
+from sislab.config import preset_config
+from sislab.mesh import Field, build_grid, eval_expression, integrate, quadrature
 from sislab.spectral import principal_eigenvalue
-from sislab.threshold import critical_population, sigma_sensitivity
+from sislab.threshold import OptimizerOptions, critical_population, sigma_sensitivity
+
+
+def _strict(nx):
+    # nonconstant transmission rate with a sign-changing susceptible excess:
+    # the optimum trades feasibility bought on the right for objective on
+    # the left, so the threshold sits strictly between its two bounds
+    g = build_grid(0, 1, nx)
+    return (eval_expression(g, "1 + 0.9*cos(pi*x)"), Field.constant(g, 1.0),
+            eval_expression(g, "0.5*(1 + x)"), 1.0)
 
 
 @pytest.fixture(scope="module")
 def strict_instance():
-    # nonconstant transmission rate with a sign-changing susceptible excess:
-    # the optimum trades feasibility bought on the right for objective on
-    # the left, so the threshold sits strictly between its two bounds
-    g = build_grid(0, 1, 201)
-    S0 = eval_expression(g, "1 + 0.9*cos(pi*x)")
-    r = Field.constant(g, 1.0)
-    beta = eval_expression(g, "0.5*(1 + x)")
-    return g, S0, r, beta
+    S0, r, beta, _ = _strict(201)
+    return S0.grid, S0, r, beta
 
 
 class TestSensitivity:
@@ -94,3 +100,80 @@ class TestCriticalPopulation:
         with pytest.raises(ValueError):
             critical_population(Field.constant(g, 1.0), Field.constant(g, 1.0),
                                 Field.constant(g, 1.0), d_I=0.0)
+
+
+def _sim1c(nx, **overrides):
+    spec, _, S0, _ = preset_config("sim1c", nx=nx, **overrides).build()
+    return S0, spec.risk_ratio(), spec.beta, spec.d_I
+
+
+def _slsqp_threshold(S0, r, beta, d_I):
+    """Reference optimum from a general-purpose SQP solver on the same program."""
+    g = S0.grid
+    gap = S0.values - r.values
+    c = g.weights * gap
+
+    def constraint(lam):
+        eig = principal_eigenvalue(d_I, Field(g, beta.values * lam * gap))
+        return -eig.sigma, -g.weights * beta.values * gap * eig.phi.values ** 2
+
+    res = scipy.optimize.minimize(
+        lambda lam: -c @ lam, np.zeros(g.nx), jac=lambda lam: -c, method="SLSQP",
+        bounds=[(0.0, 1.0)] * g.nx, options={"ftol": 1e-14, "maxiter": 1000},
+        constraints=[{"type": "ineq", "fun": lambda lam: constraint(lam)[0],
+                      "jac": lambda lam: constraint(lam)[1]}])
+    assert res.success, res.message
+    assert constraint(res.x)[0] >= -1e-12
+    return quadrature(g, r.values) + float(c @ res.x)
+
+
+class TestCertifiedOptimum:
+    @pytest.mark.parametrize("instance", [_strict, _sim1c], ids=["strict", "sim1c"])
+    def test_matches_a_general_purpose_solver(self, instance):
+        args = instance(41)
+        res = critical_population(*args)
+        reference = _slsqp_threshold(*args)
+        assert res.n_star == pytest.approx(reference, rel=1e-6)
+        assert res.converged
+
+    def test_sim1c_is_certified_and_independent_of_the_seed(self):
+        results = [critical_population(*_sim1c(201), OptimizerOptions(seed=seed))
+                   for seed in range(4)]
+        res = results[0]
+        assert res.converged
+        assert res.dual_bound - res.n_star <= 1e-6 * res.n_star
+        assert res.n_star >= 2.8673
+        assert res.sigma_at_opt <= 1e-8
+        assert [r.n_star for r in results] == [res.n_star] * 4
+
+    def test_an_unfinished_ascent_says_so_and_stays_feasible(self):
+        S0, r, beta, _ = _strict(201)
+        res = critical_population(S0, r, beta, 0.5, OptimizerOptions(max_iter=1))
+        assert not res.converged
+        assert res.dual_bound - res.n_star > 1e-6 * res.n_star
+        assert res.sigma_at_opt <= 1e-8
+        h = Field(S0.grid, beta.values * res.lambda_star.values * (S0.values - r.values))
+        assert principal_eigenvalue(0.5, h).sigma <= 1e-8
+        assert critical_population(S0, r, beta, 0.5).converged
+
+
+def _smooth(grid, coeffs, floor):
+    v = sum(a * np.cos(k * np.pi * grid.nodes) for k, a in enumerate(coeffs, 1))
+    return Field(grid, v - v.min() + floor)
+
+
+_coeffs = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+
+
+@given(nx=st.integers(17, 41), s0=_coeffs, r=_coeffs, beta=_coeffs,
+       floors=st.tuples(st.floats(0.0, 1.0), st.floats(0.05, 1.0), st.floats(0.05, 1.0)),
+       d_I=st.floats(0.2, 2.0))
+@settings(max_examples=40, deadline=None)
+def test_random_smooth_instances_are_certified(nx, s0, r, beta, floors, d_I):
+    g = build_grid(0, 1, nx)
+    S0, r, beta = (_smooth(g, c, f) for c, f in zip((s0, r, beta), floors))
+    res = critical_population(S0, r, beta, d_I)
+    assert res.converged
+    assert res.sigma_at_opt <= 1e-8
+    assert res.lower_bound - 1e-9 <= res.n_star <= res.upper_bound + 1e-9
+    assert res.n_star <= res.dual_bound
