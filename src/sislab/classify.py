@@ -21,11 +21,13 @@ import numpy as np
 
 from .mesh import Field, RiskMode, quadrature, risk_sets, rmin_set
 from .models import ModelSpec, Trajectory, Variant
-from .diagnostics import concentration_fraction
+from .diagnostics import CONCENTRATION_RADIUS, concentration_fraction
 from .threshold import critical_population
 
 RECIPROCAL_CAP = 1e12
 DIVERGENCE_GROWTH = 2.0
+# share of the infected mass a point-mass limit must gather near its target
+CONCENTRATION_MIN = 0.9
 
 
 class Regime(enum.Enum):
@@ -62,15 +64,14 @@ class OutcomeReport:
     notes: list[str] = dataclass_field(default_factory=list)
 
 
-def predict_regime(spec: ModelSpec, S0: Field, I0: Field,
-                   compute_threshold: bool = True) -> RegimePrediction:
+def predict_regime(spec: ModelSpec, S0: Field, I0: Field) -> RegimePrediction:
     """Decision table over the four degenerate systems."""
     if spec.variant is Variant.FULL:
         raise ValueError("regime prediction covers only the degenerate systems")
     grid = spec.grid
     N = quadrature(grid, np.asarray(S0.values) + np.asarray(I0.values))
     if spec.variant is Variant.MASS_ACTION_DS0:
-        return _predict_mass_ds0(spec, S0, I0, N, compute_threshold)
+        return _predict_mass_ds0(spec, S0, I0, N)
     if spec.variant is Variant.MASS_ACTION_DI0:
         return _predict_mass_di0(spec, S0, I0, N)
     if spec.variant is Variant.STD_INCIDENCE_DS0:
@@ -78,7 +79,7 @@ def predict_regime(spec: ModelSpec, S0: Field, I0: Field,
     return _predict_std_di0(spec, I0, N)
 
 
-def _predict_mass_ds0(spec, S0, I0, N, compute_threshold):
+def _predict_mass_ds0(spec, S0, I0, N):
     grid = spec.grid
     r = spec.risk_ratio()
     int_r = quadrature(grid, np.asarray(r.values))
@@ -100,14 +101,13 @@ def _predict_mass_ds0(spec, S0, I0, N, compute_threshold):
         return RegimePrediction(Regime.T32_ENDEMIC_UNIFORM, predicted_S=r,
                                 predicted_I=endemic_I, predicted_I_mass=N - int_r,
                                 notes=notes)
-    if compute_threshold:
-        res = critical_population(S0, r, spec.beta, spec.d_I)
-        notes.append(f"critical population N*={res.n_star:.6g} "
-                     f"(bounds [{res.lower_bound:.6g}, {res.upper_bound:.6g}])")
-        if N > res.n_star:
-            return RegimePrediction(Regime.T32_ENDEMIC_UNIFORM, predicted_S=r,
-                                    predicted_I=endemic_I, predicted_I_mass=N - int_r,
-                                    notes=notes)
+    res = critical_population(S0, r, spec.beta, spec.d_I)
+    notes.append(f"critical population N*={res.n_star:.6g} "
+                 f"(bounds [{res.lower_bound:.6g}, {res.upper_bound:.6g}])")
+    if N > res.n_star:
+        return RegimePrediction(Regime.T32_ENDEMIC_UNIFORM, predicted_S=r,
+                                predicted_I=endemic_I, predicted_I_mass=N - int_r,
+                                notes=notes)
     notes.append("population lies in the undecided band above int r")
     return RegimePrediction(Regime.INDETERMINATE, notes=notes)
 
@@ -156,7 +156,8 @@ def _predict_std_ds0(spec, N):
     if divergent:
         return RegimePrediction(Regime.T43_SUBSEQ_EXTINCTION, predicted_I=0.0,
                                 notes=notes)
-    notes.append("reciprocal risk gap looks integrable; no decision rule applies")
+    if divergent is False:
+        notes.append("reciprocal risk gap looks integrable; no decision rule applies")
     return RegimePrediction(Regime.INDETERMINATE, notes=notes)
 
 
@@ -173,6 +174,7 @@ def _predict_std_di0(spec, I0, N):
     notes.append(detail)
     if divergent:
         notes.append("reciprocal risk gap blows up on the active high-risk set")
+    if divergent is not False:
         return RegimePrediction(Regime.INDETERMINATE, high_mask=high, notes=notes)
     bv, gv = np.asarray(spec.beta.values), np.asarray(spec.gamma.values)
     excess = np.where(high, np.maximum(bv - gv, 0.0) / gv, 0.0)
@@ -185,8 +187,10 @@ def _predict_std_di0(spec, I0, N):
                             high_mask=high, notes=notes)
 
 
-def _reciprocal_gap_divergent(spec: ModelSpec, mask: np.ndarray | None) -> tuple[bool, str]:
-    """Capped-quadrature growth test for 1/(beta-gamma) on an optional mask."""
+def _reciprocal_gap_divergent(spec: ModelSpec, mask: np.ndarray | None
+                              ) -> tuple[Optional[bool], str]:
+    """Capped-quadrature growth test for 1/(beta-gamma) on an optional mask;
+    None when the grid has no quarter-resolution subsample to compare with."""
     grid = spec.grid
     gap = np.asarray(spec.beta.values) - np.asarray(spec.gamma.values)
     if mask is None:
@@ -202,9 +206,8 @@ def _reciprocal_gap_divergent(spec: ModelSpec, mask: np.ndarray | None) -> tuple
         vals[sub_mask] = np.minimum(1.0 / sub_gap[sub_mask], RECIPROCAL_CAP)
         return float(w @ vals)
 
-    strides = [s for s in (4, 2, 1) if (grid.nx - 1) % s == 0]
-    if 4 not in strides or 1 not in strides:
-        return False, "grid not 4x-subsamplable; assuming integrable"
+    if (grid.nx - 1) % 4:
+        return None, "grid not 4x-subsamplable (nx - 1 not divisible by 4); cannot tell"
     coarse = capped_quadrature(4)
     fine = capped_quadrature(1)
     if coarse <= 0:
@@ -228,14 +231,13 @@ def estimate_lambda_star(traj: Trajectory, r: Field, beta: Field) -> Field:
     return Field(r.grid, np.exp(-np.asarray(beta.values) * J))
 
 
-def verify_outcome(traj: Trajectory, pred: RegimePrediction, tol: float,
-                   eps_radius: float = 0.05, conc_min: float = 0.9) -> OutcomeReport:
+def verify_outcome(traj: Trajectory, pred: RegimePrediction, tol: float) -> OutcomeReport:
     """Measure the trajectory against the predicted limit.
 
     Errors are normalized (relative to the predicted scale, or to the mean
     density N/|domain| for extinction checks) so the single tolerance
     applies across checks; the concentration shortfall is judged against
-    ``conc_min`` instead because the point-mass limit is subsequential.
+    ``CONCENTRATION_MIN`` instead because the point-mass limit is subsequential.
     Indeterminate predictions are reported without a verdict.
     """
     errors: dict[str, float] = {}
@@ -267,7 +269,7 @@ def verify_outcome(traj: Trajectory, pred: RegimePrediction, tol: float,
         errors["S_uniform_rel"] = float(np.abs(Sv - level).max()) / level
         errors["I_mass_rel"] = quadrature(grid, Iv) / traj.N
     elif regime is Regime.T37_CONCENTRATION:
-        best = _best_concentration_snapshot(traj, pred, eps_radius)
+        best = _best_concentration_snapshot(traj, pred)
         errors["I_mass_rel"] = abs(best["mass"] - pred.predicted_I_mass) \
             / pred.predicted_I_mass
         errors["concentration_shortfall"] = 1.0 - best["fraction"]
@@ -295,20 +297,19 @@ def verify_outcome(traj: Trajectory, pred: RegimePrediction, tol: float,
             errors["I_off_rel"] = float(Iv[off].max()) / scale
 
     passed = all(
-        err <= (1.0 - conc_min if name == "concentration_shortfall" else tol)
+        err <= (1.0 - CONCENTRATION_MIN if name == "concentration_shortfall" else tol)
         for name, err in errors.items()
     )
     return OutcomeReport(pred, errors, passed, tol, notes)
 
 
-def _best_concentration_snapshot(traj: Trajectory, pred: RegimePrediction,
-                                 eps_radius: float) -> dict:
+def _best_concentration_snapshot(traj: Trajectory, pred: RegimePrediction) -> dict:
     grid = traj.spec.grid
     best = None
     for state in traj.trailing():
         Iv = np.asarray(state.I.values)
         mass = quadrature(grid, Iv)
-        frac = (concentration_fraction(state.I, pred.min_indices, eps_radius)
+        frac = (concentration_fraction(state.I, pred.min_indices, CONCENTRATION_RADIUS)
                 if mass > 0 else 0.0)
         s_err = float(np.abs(np.asarray(state.S.values) - pred.r_tilde_min).max())
         score = frac - abs(mass - pred.predicted_I_mass) / max(pred.predicted_I_mass, 1e-300)

@@ -19,7 +19,7 @@ from .config import PRESETS, ConfigError, RunConfig, load_config, load_sweep_con
 from .mesh import Field, build_grid, eval_expression
 from .models import MassConservationError
 from .operators import TridiagonalSolveError
-from .output import emit_csv, emit_svg, emit_sweep_svg, trajectory_from_csv
+from .output import SVG_KINDS, emit_csv, emit_svg, emit_sweep_svg, trajectory_from_csv
 from .spectral import EigenConvergenceError, basic_reproduction_number, principal_eigenvalue
 from .sweep import run_sweep
 from .threshold import critical_population
@@ -76,15 +76,27 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+# The flags that describe a --h potential: its dispersal rate and grid, with
+# their defaults and the run key that sets each for a configured run.
+_POTENTIAL_FLAGS = {"d": (1.0, "d_I"), "nx": (201, "nx"), "x_min": (0.0, "x_min"),
+                    "x_max": (1.0, "x_max")}
+
+
 def _cmd_eigen(args) -> int:
+    given = {k: getattr(args, k) for k in _POTENTIAL_FLAGS if getattr(args, k) is not None}
     if args.h is not None:
-        grid = build_grid(args.x_min, args.x_max, args.nx)
-        h = eval_expression(grid, args.h)
-        result = principal_eigenvalue(args.d, h, tol=args.tol)
-        print(f"sigma({args.d:g}, {args.h}) = {result.sigma!r}")
+        d, nx, x_min, x_max = (given.get(k, default)
+                               for k, (default, _) in _POTENTIAL_FLAGS.items())
+        h = eval_expression(build_grid(x_min, x_max, nx), args.h)
+        result = principal_eigenvalue(d, h, tol=args.tol)
+        print(f"sigma({d:g}, {args.h}) = {result.sigma!r}")
         print(f"iterations={result.iterations} residual={result.residual:.3e} "
               f"min phi={result.phi.min():.3e}")
         return 0
+    if given:
+        flags = ", ".join("--" + k.replace("_", "-") for k in given)
+        sets = ", ".join(f"--set {_POTENTIAL_FLAGS[k][1]}=..." for k in given)
+        raise ConfigError(f"{flags}: used only with --h; for a configured run give {sets}")
     cfg = _resolve_config(args)
     spec, grid, _, _ = cfg.build()
     beta, gamma = spec.beta.values, spec.gamma.values
@@ -176,19 +188,17 @@ def main(argv=None) -> int:
     p_sim = sub.add_parser("simulate", help="integrate a model and emit CSVs")
     _add_common(p_sim)
     p_sim.add_argument("--out", help="output directory (default: config output_dir)")
-    p_sim.add_argument("--svg", choices=["final_profiles", "mass_series",
-                                         "lyapunov_series"],
-                       help="also write this plot")
+    p_sim.add_argument("--svg", choices=SVG_KINDS, help="also write this plot")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_eig = sub.add_parser("eigen", help="principal eigenvalue / reproduction number")
     _add_common(p_eig)
-    p_eig.add_argument("--d", type=float, default=1.0, help="diffusion rate")
     p_eig.add_argument("--h", help="potential expression; omit to compute R0 "
                                    "from the configured coefficients")
-    p_eig.add_argument("--nx", type=int, default=201)
-    p_eig.add_argument("--x-min", type=float, default=0.0)
-    p_eig.add_argument("--x-max", type=float, default=1.0)
+    p_eig.add_argument("--d", type=float, help="diffusion rate for --h (default 1)")
+    p_eig.add_argument("--nx", type=int, help="grid nodes for --h (default 201)")
+    p_eig.add_argument("--x-min", type=float, help="left end for --h (default 0)")
+    p_eig.add_argument("--x-max", type=float, help="right end for --h (default 1)")
     p_eig.add_argument("--tol", type=float, default=1e-12)
     p_eig.set_defaults(func=_cmd_eigen)
 

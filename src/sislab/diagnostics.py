@@ -11,6 +11,10 @@ import numpy as np
 from .mesh import Field, RiskMode, incidence_quotient, quadrature, risk_sets, rmin_set
 from .operators import gradient_energy_values
 
+# radius of the window around the minimum set that the concentration
+# diagnostic and the point-mass verdict measure
+CONCENTRATION_RADIUS = 0.05
+
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
@@ -51,8 +55,7 @@ def lyapunov_mass_action_di0(S: Field, I: Field, beta: Field, r: Field,
 
 
 def lyapunov_std_ds0(S: Field, I: Field, beta: Field, gamma: Field, d_I: float,
-                     eps_reg: float = 1e-12, tol_zero: float | None = None
-                     ) -> tuple[float, float]:
+                     eps_reg: float = 1e-12) -> tuple[float, float]:
     """Energy V = int(kappa*S^2 + I^2)/2 with kappa = (beta-gamma)/gamma.
 
     Only defined where transmission dominates recovery everywhere; rejects
@@ -63,8 +66,7 @@ def lyapunov_std_ds0(S: Field, I: Field, beta: Field, gamma: Field, d_I: float,
     """
     grid = S.grid
     bv, gv = np.asarray(beta.values), np.asarray(gamma.values)
-    if tol_zero is None:
-        tol_zero = 1e-9 * float(np.abs(bv - gv).max(initial=1.0))
+    tol_zero = 1e-9 * float(np.abs(bv - gv).max(initial=1.0))
     if float((bv - gv).min()) < -tol_zero:
         raise ValueError("this energy requires beta >= gamma at every node")
     kappa = np.maximum(bv - gv, 0.0) / gv
@@ -128,8 +130,7 @@ class DiagnosticsContext:
     component the Harnack ratio tracks, and the concentration target for
     point-mass limits."""
 
-    def __init__(self, spec, I0: Field, eps_radius: float = 0.05):
-        self.eps_radius = eps_radius
+    def __init__(self, spec, I0: Field):
         variant = spec.variant
         self.harnack_on_s = variant.locks_i
         self.min_indices = None
@@ -161,7 +162,7 @@ class DiagnosticsContext:
         V, dissipation = (None, None) if self.energy is None else self.energy(S, I)
         conc = None
         if self.min_indices is not None and quadrature(I.grid, np.asarray(I.values)) > 0:
-            conc = concentration_fraction(I, self.min_indices, self.eps_radius)
+            conc = concentration_fraction(I, self.min_indices, CONCENTRATION_RADIUS)
 
         return DiagnosticsRecord(
             t=state.t,

@@ -5,29 +5,31 @@ constants); binary ``+ - * / ^``; unary ``-``; one-argument functions
 ``sin cos abs exp sqrt`` and two-argument ``min max``; parentheses.
 Whitespace is insignificant.  Everything evaluates in double precision,
 vectorized over the sample points.
+
+With ``^`` read as ``**`` the grammar is a subset of Python's expression
+grammar with the same precedence and associativity, so CPython's parser
+builds the tree and a whitelist rejects every node outside the grammar.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
+import string
 from typing import Mapping
 
 import numpy as np
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
-)
+_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_CHARACTERS = frozenset(string.ascii_letters + string.digits + "_.+-*/^(),")
 
-_UNARY_FUNCTIONS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "abs": np.abs,
-    "exp": np.exp,
-    "sqrt": np.sqrt,
-}
-_BINARY_FUNCTIONS = {"min": np.minimum, "max": np.maximum}
+# each function's arity is its ufunc's ``nin``
+_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "abs": np.abs, "exp": np.exp, "sqrt": np.sqrt,
+              "min": np.minimum, "max": np.maximum}
+# / and ^ carry domain checks of their own in Expression._eval
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+              ast.Div: None, ast.Pow: None}
 
 
 class ExpressionError(ValueError):
@@ -42,136 +44,28 @@ class ExpressionDomainError(ValueError):
     """Expression is syntactically fine but undefined at a sample point."""
 
 
-class _Token:
-    __slots__ = ("kind", "value", "pos")
-
-    def __init__(self, kind: str, value: str, pos: int):
-        self.kind = kind
-        self.value = value
-        self.pos = pos
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            stripped = text[i:].lstrip()
-            if not stripped:
-                break
-            at = i + (len(text) - i - len(stripped))
-            raise ExpressionError(f"unexpected character {stripped[0]!r}", at)
-        if m.group("num") is not None:
-            tokens.append(_Token("num", m.group("num"), m.start("num")))
-        elif m.group("name") is not None:
-            tokens.append(_Token("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(_Token("op", m.group("op"), m.start("op")))
-        i = m.end()
-    tokens.append(_Token("end", "", len(text)))
-    return tokens
-
-
-# AST nodes are plain tuples: ("num", v), ("sym", name, pos),
-# ("call", name, args, pos), ("bin", op, lhs, rhs, pos), ("neg", operand, pos).
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str) -> _Token:
-        tok = self.next()
-        if tok.kind != "op" or tok.value != op:
-            raise ExpressionError(f"expected {op!r}", tok.pos)
-        return tok
-
-    def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExpressionError(f"unexpected trailing input {tok.value!r}", tok.pos)
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().value in "+-":
-            tok = self.next()
-            node = ("bin", tok.value, node, self.term(), tok.pos)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek().kind == "op" and self.peek().value in "*/":
-            tok = self.next()
-            node = ("bin", tok.value, node, self.factor(), tok.pos)
-        return node
-
-    def factor(self):
-        tok = self.peek()
-        if tok.kind == "op" and tok.value == "-":
-            self.next()
-            return ("neg", self.factor(), tok.pos)
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.value == "^":
-            self.next()
-            # right-associative; allow a signed exponent
-            node = ("bin", "^", node, self.factor(), tok.pos)
-        return node
-
-    def atom(self):
-        tok = self.next()
-        if tok.kind == "num":
-            return ("num", float(tok.value))
-        if tok.kind == "name":
-            if self.peek().kind == "op" and self.peek().value == "(":
-                self.next()
-                args = [self.expr()]
-                while self.peek().kind == "op" and self.peek().value == ",":
-                    self.next()
-                    args.append(self.expr())
-                self.expect_op(")")
-                return self._check_call(tok, args)
-            return ("sym", tok.value, tok.pos)
-        if tok.kind == "op" and tok.value == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExpressionError(
-            "expected a number, symbol, function or '('"
-            if tok.kind != "end"
-            else "unexpected end of expression",
-            tok.pos,
-        )
-
-    def _check_call(self, tok: _Token, args: list):
-        name = tok.value
-        if name in _UNARY_FUNCTIONS:
-            arity = 1
-        elif name in _BINARY_FUNCTIONS:
-            arity = 2
-        else:
-            raise ExpressionError(f"unknown function {name!r}", tok.pos)
-        if len(args) != arity:
-            raise ExpressionError(
-                f"{name} takes {arity} argument(s), got {len(args)}", tok.pos
-            )
-        return ("call", name, args, tok.pos)
+def _python_source(text: str) -> tuple[str, list[int]]:
+    """``text`` as one line of ASCII Python source (``^`` as ``**``, any
+    whitespace a space, leading whitespace dropped, a decimal digit of any
+    script as ``float`` reads it), and the offset into ``text`` of every
+    source character plus the end."""
+    source: list[str] = []
+    offsets: list[int] = []
+    for i, ch in enumerate(text):
+        if ch.isspace():
+            if not source:
+                continue
+            ch = " "
+        elif ch.isdecimal():
+            ch = str(int(ch))
+        elif ch not in _CHARACTERS:
+            raise ExpressionError(f"unexpected character {ch!r}", i)
+        elif ch == "^":
+            ch = "**"
+        source.append(ch)
+        offsets += [i] * len(ch)
+    offsets.append(len(text))
+    return "".join(source), offsets
 
 
 class Expression:
@@ -179,10 +73,52 @@ class Expression:
 
     def __init__(self, text: str):
         self.text = text
-        self._ast = _Parser(text).parse()
+        if "**" in text:
+            raise ExpressionError("unexpected '*'", text.index("**") + 1)
+        source, self._offsets = _python_source(text)
+        try:
+            self._ast = ast.parse(source, mode="eval").body
+        except SyntaxError as exc:
+            at = min(max((exc.offset or 1) - 1, 0), len(source))
+            raise ExpressionError(exc.msg, self._offsets[at]) from None
+        self._check(self._ast, source)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Expression({self.text!r})"
+
+    def _check(self, node: ast.expr, source: str) -> None:
+        """Reject every node outside the grammar; literals become floats."""
+        pos = self._offsets[node.col_offset]
+        if isinstance(node, ast.Constant):
+            literal = source[node.col_offset:node.end_col_offset]
+            if not _NUMBER_RE.fullmatch(literal):
+                raise ExpressionError(f"unsupported literal {literal!r}", pos)
+            node.value = float(literal)
+        elif isinstance(node, ast.Name):
+            # a non-ASCII digit ends a name in the grammar, not in Python
+            if self.text[pos:pos + len(node.id)] != node.id:
+                raise ExpressionError(f"unexpected trailing input after {node.id!r}", pos)
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            self._check(node.operand, source)
+        elif isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+            self._check(node.left, source)
+            self._check(node.right, source)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and source[node.func.end_col_offset:].lstrip().startswith("(")):
+            name = node.func.id
+            if name not in _FUNCTIONS:
+                raise ExpressionError(f"unknown function {name!r}", pos)
+            # keyword and ** arguments cannot get here: '=' and '**' are rejected
+            if len(node.args) != _FUNCTIONS[name].nin:
+                raise ExpressionError(f"{name} takes {_FUNCTIONS[name].nin} argument(s), "
+                                      f"got {len(node.args)}", pos)
+            if "," in source[node.args[-1].end_col_offset:node.end_col_offset]:
+                raise ExpressionError(f"trailing comma in the call of {name}", pos)
+            for arg in node.args:
+                self._check(arg, source)
+        else:
+            end = self._offsets[node.end_col_offset]
+            raise ExpressionError(f"not part of the grammar: {self.text[pos:end]!r}", pos)
 
     def evaluate(self, x, params: Mapping[str, float] | None = None) -> np.ndarray:
         """Evaluate at the points ``x`` (scalar or array), returning float64."""
@@ -190,52 +126,44 @@ class Expression:
         out = self._eval(self._ast, x, params or {})
         return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
 
-    def _eval(self, node, x: np.ndarray, params: Mapping[str, float]):
-        kind = node[0]
-        if kind == "num":
-            return node[1]
-        if kind == "sym":
-            name = node[1]
+    def _eval(self, node: ast.expr, x: np.ndarray, params: Mapping[str, float]):
+        if isinstance(node, ast.Constant):
+            return node.value
+        if isinstance(node, ast.Name):
+            name = node.id
             if name == "x":
                 return x
             if name == "pi":
                 return np.pi
             if name in params:
                 return float(params[name])
-            raise ExpressionError(f"unknown symbol {name!r}", node[2])
-        if kind == "neg":
-            return -self._eval(node[1], x, params)
-        if kind == "call":
-            name, args = node[1], node[2]
-            vals = [self._eval(a, x, params) for a in args]
+            raise ExpressionError(f"unknown symbol {name!r}", self._offsets[node.col_offset])
+        if isinstance(node, ast.UnaryOp):
+            return -self._eval(node.operand, x, params)
+        if isinstance(node, ast.Call):
+            name = node.func.id
+            vals = [self._eval(a, x, params) for a in node.args]
             if name == "sqrt":
                 if np.any(np.asarray(vals[0]) < 0):
                     raise ExpressionDomainError(
                         self._where(x, np.asarray(vals[0]) < 0, "sqrt of a negative value")
                     )
                 return np.sqrt(vals[0])
-            fn = _UNARY_FUNCTIONS.get(name) or _BINARY_FUNCTIONS[name]
-            result = fn(*vals)
+            result = _FUNCTIONS[name](*vals)
             return self._require_finite(result, x, f"{name}() overflowed")
-        # binary operator
-        op, lhs, rhs = node[1], node[2], node[3]
-        a = self._eval(lhs, x, params)
-        b = self._eval(rhs, x, params)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
+        a = self._eval(node.left, x, params)
+        b = self._eval(node.right, x, params)
+        op = type(node.op)
+        if op is ast.Div:
             bad = np.asarray(b) == 0
             if np.any(bad):
                 raise ExpressionDomainError(self._where(x, bad, "division by zero"))
             return a / b
-        # op == "^"
-        with np.errstate(all="ignore"):
-            result = np.power(np.asarray(a, dtype=float), b)
-        return self._require_finite(result, x, "undefined power")
+        if op is ast.Pow:
+            with np.errstate(all="ignore"):
+                result = np.power(np.asarray(a, dtype=float), b)
+            return self._require_finite(result, x, "undefined power")
+        return _OPERATORS[op](a, b)
 
     def _require_finite(self, result, x: np.ndarray, what: str):
         bad = ~np.isfinite(np.asarray(result, dtype=float))

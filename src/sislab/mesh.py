@@ -148,8 +148,7 @@ def _index_mask(indices: np.ndarray, n: int) -> np.ndarray:
     return mask
 
 
-def risk_sets(beta: Field, gamma: Field, N: float | None, mode: RiskMode,
-              tol_zero: float | None = None) -> RiskProfile:
+def risk_sets(beta: Field, gamma: Field, N: float | None, mode: RiskMode) -> RiskProfile:
     """Classify every node by the sign of the local infection indicator."""
     _require_same_grid(beta, gamma)
     if beta.min() <= 0 or gamma.min() <= 0:
@@ -160,15 +159,14 @@ def risk_sets(beta: Field, gamma: Field, N: float | None, mode: RiskMode,
         indicator = (N / beta.grid.length) * beta.values - gamma.values
     else:
         indicator = beta.values - gamma.values
-    if tol_zero is None:
-        tol_zero = 1e-9 * float(np.abs(indicator).max())
+    tol_zero = 1e-9 * float(np.abs(indicator).max())
     plus = np.flatnonzero(indicator > tol_zero)
     minus = np.flatnonzero(indicator < -tol_zero)
     zero = np.flatnonzero(np.abs(indicator) <= tol_zero)
     return RiskProfile(mode, plus, zero, minus, float(tol_zero), _frozen(indicator))
 
 
-def rmin_set(r: Field, I0: Field, tol_zero: float | None = None) -> tuple[float, np.ndarray]:
+def rmin_set(r: Field, I0: Field) -> tuple[float, np.ndarray]:
     """Minimum of the risk ratio over the support of I0, and where it is attained.
 
     Returns ``(r_min, indices)`` where the indices are restricted to the grid
@@ -181,8 +179,7 @@ def rmin_set(r: Field, I0: Field, tol_zero: float | None = None) -> tuple[float,
     if not support.any():
         raise ValueError("initial infected density is identically zero")
     r_min = float(r.values[support].min())
-    if tol_zero is None:
-        tol_zero = 1e-9 * max(1.0, float(np.abs(r.values).max()))
+    tol_zero = 1e-9 * max(1.0, float(np.abs(r.values).max()))
     closure = support.copy()
     closure[1:] |= support[:-1]
     closure[:-1] |= support[1:]

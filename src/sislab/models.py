@@ -28,6 +28,10 @@ from .mesh import Field, Grid, incidence_quotient, quadrature
 from .operators import TridiagonalMatrix, neumann_laplacian, solve_tridiagonal as solve_shifted
 
 
+# consecutive slow snapshots that declare a run steady
+STEADY_WINDOW = 10
+
+
 class Variant(enum.Enum):
     """The nondegenerate system plus the four lockdown variants.
 
@@ -263,14 +267,12 @@ def step(spec: ModelSpec, state: State, dt: float) -> State:
 
 
 def run(spec: ModelSpec, S0: Field, I0: Field, dt: float, T: float,
-        snapshot_every: float = 0.5, steady_tol: float = 1e-7,
-        eps_radius: float = 0.05, record_diagnostics: bool = True,
-        steady_window: int = 10) -> Trajectory:
+        snapshot_every: float = 0.5, steady_tol: float = 1e-7) -> Trajectory:
     """Integrate to time T or until the state stops changing.
 
     Snapshots (with diagnostics) are recorded every ``snapshot_every`` time
     units; steadiness is declared when the per-unit-time sup-norm change
-    rate stays below ``steady_tol`` over ``steady_window`` consecutive
+    rate stays below ``steady_tol`` over ``STEADY_WINDOW`` consecutive
     snapshots.
     """
     grid = spec.grid
@@ -284,7 +286,7 @@ def run(spec: ModelSpec, S0: Field, I0: Field, dt: float, T: float,
         raise ValueError("T and dt must be positive")
 
     kernel = _Kernel(spec, dt)
-    context = diag_mod.DiagnosticsContext(spec, I0, eps_radius) if record_diagnostics else None
+    context = diag_mod.DiagnosticsContext(spec, I0)
 
     S = np.array(S0.values)
     I = np.array(I0.values)
@@ -295,9 +297,7 @@ def run(spec: ModelSpec, S0: Field, I0: Field, dt: float, T: float,
     n_steps = round(T / dt)
 
     snapshots = [State(0.0, Field(grid, S), Field(grid, I), Field(grid, J))]
-    records = []
-    if context is not None:
-        records.append(context.record(None, snapshots[0], math.inf))
+    records = [context.record(None, snapshots[0], math.inf)]
 
     warnings: list[str] = []
     steady = False
@@ -328,11 +328,10 @@ def run(spec: ModelSpec, S0: Field, I0: Field, dt: float, T: float,
             rate = max(np.abs(S - prev_S).max(), np.abs(I - prev_I).max()) / dt_snap
             prev_S, prev_I = S.copy(), I.copy()
             snapshots.append(state)
-            if context is not None:
-                records.append(context.record(snapshots[-2], state, rate))
+            records.append(context.record(snapshots[-2], state, rate))
             rates.append(rate)
-            if len(rates) >= steady_window and all(
-                r < steady_tol for r in rates[-steady_window:]
+            if len(rates) >= STEADY_WINDOW and all(
+                r < steady_tol for r in rates[-STEADY_WINDOW:]
             ):
                 steady = True
                 break

@@ -95,7 +95,7 @@ def trajectory_from_csv(spec, profiles_path, diagnostics_path=None) -> Trajector
 # ---------------------------------------------------------------------------
 # SVG plotting: static standalone line plots, no drawing dependencies.
 
-SVG_KINDS = ("final_profiles", "mass_series", "lyapunov_series", "sweep_curve")
+SVG_KINDS = ("final_profiles", "mass_series", "lyapunov_series")  # of a trajectory
 
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 70, 20, 30, 50
@@ -181,7 +181,7 @@ def _svg_document(series, x_label, y_label, title, annotations=()) -> str:
 
 def emit_svg(traj: Trajectory, path, kind: str) -> Path:
     """Render one of the standard plots for a finished trajectory."""
-    if kind not in ("final_profiles", "mass_series", "lyapunov_series"):
+    if kind not in SVG_KINDS:
         raise ValueError(f"unknown plot kind {kind!r} for a trajectory")
     if not traj.snapshots:
         raise ValueError("empty trajectory")

@@ -52,18 +52,6 @@ class ThresholdResult:
     iterations: int              # ascent steps over all starts
 
 
-def sigma_sensitivity(d: float, h: Field, tol: float = 1e-12) -> Field:
-    """First-order sensitivity of the principal eigenvalue to the potential.
-
-    Returns the squared eigenfunction (unit weighted norm); the derivative
-    of sigma with respect to the potential value at node i is the node's
-    quadrature weight times this field.
-    """
-    eig = principal_eigenvalue(d, h, tol=tol)
-    phi = np.asarray(eig.phi.values)
-    return Field(h.grid, phi * phi)
-
-
 class _Problem:
     def __init__(self, S0: Field, r: Field, beta: Field, d_I: float,
                  opts: OptimizerOptions):

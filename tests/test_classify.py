@@ -8,6 +8,7 @@ from sislab.classify import (
     predict_regime,
     verify_outcome,
 )
+from sislab.config import preset_config
 from sislab.mesh import Field, build_grid, integrate
 from sislab.models import ModelSpec, Variant
 from sislab.spectral import principal_eigenvalue
@@ -31,7 +32,7 @@ class TestPredictions:
     @pytest.mark.parametrize("name,regime", sorted(EXPECTED_REGIMES.items()))
     def test_preset_regimes(self, preset_setup, name, regime):
         spec, grid, S0, I0 = preset_setup(name)
-        pred = predict_regime(spec, S0, I0, compute_threshold=False)
+        pred = predict_regime(spec, S0, I0)
         assert pred.regime is regime
 
     def test_endemic_level_for_the_large_population_case(self, preset_setup):
@@ -79,7 +80,7 @@ class TestPredictions:
 
     def test_small_population_beats_threshold_logic(self, preset_setup):
         spec, grid, S0, I0 = preset_setup("sim1a")
-        pred = predict_regime(spec, S0, I0, compute_threshold=False)
+        pred = predict_regime(spec, S0, I0)
         assert pred.regime is Regime.T32_EXTINCTION
 
     def test_undecided_band_is_indeterminate(self, preset_setup):
@@ -90,6 +91,16 @@ class TestPredictions:
         pred = predict_regime(spec, S0, small_I0)
         assert pred.regime is Regime.INDETERMINATE
         assert any("critical population" in n for n in pred.notes)
+
+    @pytest.mark.parametrize("nx", [201, 202, 203])
+    def test_non_integrable_reciprocal_gap_is_indeterminate_at_every_nx(self, nx):
+        # 1/(beta - gamma) = 1/|x - 0.5|^2 is not integrable, so no T46 limit
+        # exists; a grid without a quarter-resolution subsample cannot tell
+        # and must not fall back to "integrable"
+        cfg = preset_config("sim4b").with_overrides(
+            beta_expr="1.5 + abs(x - 0.5)^2", gamma_expr="1.5", nx=nx)
+        spec, grid, S0, I0 = cfg.build()
+        assert predict_regime(spec, S0, I0).regime is Regime.INDETERMINATE
 
     def test_decision_table_is_total_on_random_inputs(self):
         g = build_grid(0, 1, 41)
@@ -108,7 +119,7 @@ class TestPredictions:
             I0 = Field(g, np.maximum(rng.uniform(-0.5, 1.0, g.nx), 0.0))
             if not (I0.values > 0).any():
                 continue
-            pred = predict_regime(spec, S0, I0, compute_threshold=False)
+            pred = predict_regime(spec, S0, I0)
             assert isinstance(pred.regime, Regime)
 
 

@@ -295,6 +295,18 @@ class TestCli:
         assert rc == 0
         assert "R0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag,value,key", [("--d", "0.01", "d_I"), ("--nx", "41", "nx"),
+                                                ("--x-min", "0.1", "x_min"),
+                                                ("--x-max", "2", "x_max")])
+    def test_eigen_of_a_configured_run_rejects_the_potential_flags(self, capsys, flag,
+                                                                   value, key):
+        rc = main(["eigen", "--preset", "sim3b", "--set", "nx=41", flag, value])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {flag}: used only with --h; for a configured "
+                                f"run give --set {key}=...\n")
+
     def test_eigen_of_locked_infecteds_reports_the_small_dispersal_limits(self, capsys):
         rc = main(["eigen", "--preset", "sim2b", "--set", "nx=41"])
         assert rc == 0

@@ -56,7 +56,8 @@ def test_min_max_are_pointwise():
 def test_whitespace_is_insignificant():
     a = ev("4-pi*sin(pi*x)", 0.3)
     b = ev("  4 -  pi * sin( pi*x )  ", 0.3)
-    assert a == b
+    c = ev("\n4\t-\npi *\n sin(\npi*x)\n", 0.3)
+    assert a == b == c
 
 
 def test_named_parameters():
@@ -67,12 +68,23 @@ def test_named_parameters():
 
 @pytest.mark.parametrize(
     "text",
-    ["2 +", "sin()", "sin(1, 2)", "min(1)", "foo(2)", "(1", "1 2", "* 3", "+5"],
+    ["2 +", "sin()", "sin(1, 2)", "min(1)", "foo(2)", "(1", "1 2", "* 3", "+5", "",
+     # Python expressions outside the grammar: power and unary plus spelled
+     # the Python way, non-decimal and other literals, attributes,
+     # subscripts, comparisons, tuples, keyword and starred arguments, a
+     # trailing comma, a parenthesized callee, strings, lambdas,
+     # conditionals, boolean operators, comments and line continuations
+     "2**3", "x ** 2", "+x", "0x1f", "0o17", "0b101", "1_000", "1j", "True", "False",
+     "None", "...", "x.real", "x[0]", "x < 1", "x == 1", "(1, 2)", "1, 2", "()",
+     "sin(x=1)", "max(*x)", "sin(x, )", "max(x, 1,)", "(sin)(x)", "'x'", "lambda: 1",
+     "lambda x: x", "x if x else 1", "not x", "x and 1", "1 # note", "1 +\\\n2",
+     "x @ x", "x % 2", "[x]"],
 )
 def test_parse_errors_carry_a_position(text):
     with pytest.raises(ExpressionError) as info:
         parse_expression(text).evaluate(np.zeros(3))
     assert "position" in str(info.value)
+    assert 0 <= info.value.position <= len(text)
 
 
 def test_unexpected_character_position():
@@ -107,3 +119,125 @@ def test_expression_reusable_across_inputs():
 def test_arithmetic_matches_python(a, b):
     got = ev(f"({a!r}) + ({b!r})*x", np.array([1.0]))[0]
     assert got == pytest.approx(a + b, rel=1e-15, abs=1e-15)
+
+
+def test_leading_zero_integers_are_rejected():
+    # CPython's literal rule; zeros before a decimal point stay valid
+    with pytest.raises(ExpressionError):
+        parse_expression("007")
+    assert ev("00") == 0.0
+    assert ev("00.5") == 0.5
+
+
+# Grammar trees: ("num", literal), ("sym", name), ("neg", t), ("bin", op, l, r),
+# ("call", name, args).  The binding level of a node and the level each slot
+# needs follow the grammar: expr 0, term 1, factor 2, power 3, atom 4.
+_LEVEL = {"+": 0, "-": 0, "*": 1, "/": 1, "^": 3}
+_SLOTS = {"+": (0, 1), "-": (0, 1), "*": (1, 2), "/": (1, 2), "^": (4, 2)}
+_NUMPY = {"sin": np.sin, "cos": np.cos, "abs": np.abs, "exp": np.exp, "sqrt": np.sqrt,
+          "min": np.minimum, "max": np.maximum}
+_X = np.array([-1.5, -0.5, 0.0, 0.25, 1.0, 2.0])
+_A = 0.75
+
+
+class _Undefined(Exception):
+    pass
+
+
+def _trees():
+    literal = st.one_of(
+        st.sampled_from(["0", "1", "2", "3", "0.5", ".25", "2.", "1e-3", "2.5E+1", "00.5"]),
+        st.floats(0, 10).map(repr))
+    leaves = st.one_of(st.tuples(st.just("num"), literal),
+                       st.tuples(st.just("sym"), st.sampled_from(["x", "pi", "a"])))
+
+    def extend(kids):
+        return st.one_of(
+            st.tuples(st.just("neg"), kids),
+            st.tuples(st.just("bin"), st.sampled_from("+-*/^"), kids, kids),
+            st.tuples(st.just("call"), st.sampled_from(["sin", "cos", "abs", "exp", "sqrt"]),
+                      st.lists(kids, min_size=1, max_size=1)),
+            st.tuples(st.just("call"), st.sampled_from(["min", "max"]),
+                      st.lists(kids, min_size=2, max_size=2)))
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+def _render(tree, slot, draw):
+    """Text for ``tree`` in a slot that needs binding level ``slot``, with
+    random whitespace and parentheses only where the grammar needs them
+    (plus, now and then, redundant ones)."""
+    ws = lambda: draw(st.sampled_from(["", "", " ", "  ", "\n", "\t", " \n "]))
+    kind = tree[0]
+    if kind in ("num", "sym"):
+        text, level = tree[1], 4
+    elif kind == "neg":
+        text, level = "-" + ws() + _render(tree[1], 2, draw), 2
+    elif kind == "call":
+        args = ("," + ws()).join(_render(a, 0, draw) + ws() for a in tree[2])
+        text, level = tree[1] + ws() + "(" + ws() + args + ")", 4
+    else:
+        op, left, right = tree[1:]
+        lslot, rslot = _SLOTS[op]
+        text = _render(left, lslot, draw) + ws() + op + ws() + _render(right, rslot, draw)
+        level = _LEVEL[op]
+    if level < slot or draw(st.integers(0, 9)) == 0:
+        text = "(" + ws() + text + ws() + ")"
+    return text
+
+
+def _compose(tree, x):
+    """The tree evaluated directly with numpy under the grammar's domain rules."""
+    kind = tree[0]
+    if kind == "num":
+        return float(tree[1])
+    if kind == "sym":
+        return {"x": x, "pi": np.pi, "a": _A}[tree[1]]
+    if kind == "neg":
+        return -_compose(tree[1], x)
+    if kind == "call":
+        args = [_compose(a, x) for a in tree[2]]
+        if tree[1] == "sqrt":
+            if np.any(np.asarray(args[0]) < 0):
+                raise _Undefined
+            return np.sqrt(args[0])
+        with np.errstate(all="ignore"):
+            out = _NUMPY[tree[1]](*args)
+        if not np.all(np.isfinite(out)):
+            raise _Undefined
+        return out
+    op, a, b = tree[1], _compose(tree[2], x), _compose(tree[3], x)
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if op == "/":
+        if np.any(np.asarray(b) == 0):
+            raise _Undefined
+        return a / b
+    with np.errstate(all="ignore"):
+        out = np.power(np.asarray(a, dtype=float), b)
+    if not np.all(np.isfinite(out)):
+        raise _Undefined
+    return out
+
+
+@given(_trees(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_rendered_trees_evaluate_like_the_tree(tree, data):
+    # precedence, right-associative ^, unary minus outside the power and
+    # insignificant whitespace, checked bit for bit against numpy
+    text = _render(tree, 0, data.draw)
+    expr = parse_expression(text)
+    try:
+        with np.errstate(all="ignore"):
+            want = np.broadcast_to(np.asarray(_compose(tree, _X), dtype=float), _X.shape)
+    except _Undefined:
+        with pytest.raises(ExpressionDomainError):
+            expr.evaluate(_X, {"a": _A})
+        return
+    with np.errstate(all="ignore"):
+        got = expr.evaluate(_X, {"a": _A})
+    assert got.tobytes() == want.tobytes(), text

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from sislab.config import preset_config
 from sislab.mesh import Field, build_grid, eval_expression, integrate, quadrature
 from sislab.spectral import principal_eigenvalue
-from sislab.threshold import OptimizerOptions, critical_population, sigma_sensitivity
+from sislab.threshold import OptimizerOptions, critical_population
 
 
 def _strict(nx):
@@ -27,27 +27,27 @@ def strict_instance():
 class TestSensitivity:
     def test_constant_potential_gives_uniform_sensitivity(self):
         g = build_grid(0, 1, 51)
-        sens = sigma_sensitivity(1.0, Field.constant(g, 2.0))
-        assert sens.values == pytest.approx(1.0, rel=1e-9)
+        sens = principal_eigenvalue(1.0, Field.constant(g, 2.0)).phi.values ** 2
+        assert sens == pytest.approx(1.0, rel=1e-9)
 
     def test_matches_central_differences(self):
         g = build_grid(0, 1, 33)
         rng = np.random.default_rng(42)
         hv = rng.uniform(-1.0, 1.0, g.nx)
-        sens = sigma_sensitivity(0.8, Field(g, hv))
+        sens = principal_eigenvalue(0.8, Field(g, hv)).phi.values ** 2
         eps = 1e-5
         for i in range(0, g.nx, 4):
             hp = hv.copy(); hp[i] += eps
             hm = hv.copy(); hm[i] -= eps
             fd = (principal_eigenvalue(0.8, Field(g, hp)).sigma
                   - principal_eigenvalue(0.8, Field(g, hm)).sigma) / (2 * eps)
-            assert abs(fd - g.weights[i] * sens.values[i]) <= 1e-6
+            assert abs(fd - g.weights[i] * sens[i]) <= 1e-6
 
     def test_nonnegative_and_sums_to_one(self):
         g = build_grid(0, 1, 33)
-        sens = sigma_sensitivity(0.5, eval_expression(g, "sin(3*x)"))
+        sens = principal_eigenvalue(0.5, eval_expression(g, "sin(3*x)")).phi.values ** 2
         assert sens.min() >= 0
-        assert g.weights @ sens.values == pytest.approx(1.0, abs=1e-12)
+        assert g.weights @ sens == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCriticalPopulation:
