@@ -191,9 +191,15 @@ class SweepConfig:
             raise ConfigError(f"unknown sweep parameter {self.parameter!r}; "
                               f"choose from {', '.join(allowed)}")
 
+    @property
+    def varies_params(self) -> bool:
+        """Whether the points differ only in an expression constant, so that
+        they share the grid, the variant and the Crank-Nicolson matrices."""
+        return self.parameter not in _SWEEPABLE_FIELDS
+
     def point(self, value: float) -> RunConfig:
         """The base run with the swept parameter set to ``value``."""
-        if self.parameter in _SWEEPABLE_FIELDS:
+        if not self.varies_params:
             return self.base.with_overrides(**{self.parameter: value})
         return self.base.with_overrides(params={**self.base.params, self.parameter: value})
 

@@ -157,7 +157,7 @@ class DiagnosticsContext:
 
             self.energy = energy
 
-    def record(self, prev_state, state, sup_change_rate: float) -> DiagnosticsRecord:
+    def record(self, state, sup_change_rate: float) -> DiagnosticsRecord:
         S, I = state.S, state.I
         V, dissipation = (None, None) if self.energy is None else self.energy(S, I)
         conc = None

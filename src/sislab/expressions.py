@@ -17,6 +17,7 @@ import ast
 import operator
 import re
 import string
+import warnings
 from typing import Mapping
 
 import numpy as np
@@ -77,7 +78,11 @@ class Expression:
             raise ExpressionError("unexpected '*'", text.index("**") + 1)
         source, self._offsets = _python_source(text)
         try:
-            self._ast = ast.parse(source, mode="eval").body
+            # CPython's tokenizer warns about some inputs, such as "1or 2",
+            # before parsing or rejecting them; the ExpressionError is the report
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                self._ast = ast.parse(source, mode="eval").body
         except SyntaxError as exc:
             at = min(max((exc.offset or 1) - 1, 0), len(source))
             raise ExpressionError(exc.msg, self._offsets[at]) from None

@@ -11,6 +11,10 @@ same closed form that drives the update.  Standard-incidence reaction steps
 use a Heun update on the infected increment; the susceptible node takes the
 negated increment, so the reaction transfer is antisymmetric in floating
 point and total mass is conserved exactly by construction.
+
+Runs that share the grid, variant and dispersal rates share the
+Crank-Nicolson matrices; ``run_batch`` advances them as the rows of one
+state, and ``run`` is its one-run case.
 """
 
 from __future__ import annotations
@@ -137,7 +141,6 @@ class Trajectory:
     diagnostics: list["diag_mod.DiagnosticsRecord"]
     N: float
     steady_detected: bool = False
-    reached_final_time: bool = False
     warnings: list[str] = dataclass_field(default_factory=list)
 
     @property
@@ -149,25 +152,54 @@ class Trajectory:
         return self.snapshots[-k:]
 
 
-class _Kernel:
-    """Precomputed arrays and substeps for one model spec and step size."""
+def _rows(fields: list[Field]) -> np.ndarray:
+    """The fields' values: one (nx,) array when every row shares them, else
+    the (K, nx) stack."""
+    first = np.asarray(fields[0].values)
+    if all(np.array_equal(f.values, first) for f in fields[1:]):
+        return first
+    return np.stack([f.values for f in fields])
 
-    def __init__(self, spec: ModelSpec, dt: float):
-        self.spec = spec
-        self.grid = spec.grid
+
+class _Kernel:
+    """Precomputed arrays and substeps for one step size.
+
+    ``spec`` is one ModelSpec, whose state is a pair of (nx,) arrays, or a
+    list of K specs, whose states are the rows of (K, nx) arrays.  The specs
+    of a list share the grid, variant, dispersal rates and ``eps_reg``, so
+    they share the Crank-Nicolson matrices; their coefficients stay (nx,)
+    when equal and are (K, nx) otherwise.  Every substep is nodewise or acts
+    along the last axis, so each row advances exactly as it would alone.
+    """
+
+    def __init__(self, spec: ModelSpec | list[ModelSpec], dt: float):
+        batch = isinstance(spec, list)
+        specs = spec if batch else [spec]
+        self.spec = specs[0]
+        self.grid = self.spec.grid
         self.dt = dt
-        self.beta = np.asarray(spec.beta.values)
-        self.gamma = np.asarray(spec.gamma.values)
+        self.beta = _rows([s.beta for s in specs])
+        self.gamma = _rows([s.gamma for s in specs])
         self.r = self.gamma / self.beta
         self.L = neumann_laplacian(self.grid)
-        self.clipped_mass = 0.0
-        self.reaction_half = (self._std_incidence_heun if spec.variant.std_incidence
+        # mass moved by positivity clipping, per row of a list's state
+        self.clipped_mass = np.zeros(len(specs)) if batch else 0.0
+        self.reaction_half = (self._std_incidence_heun if self.spec.variant.std_incidence
                               else self._mass_action_flow)
-        self._diffuse_S = self._crank_nicolson(spec.d_S)
-        self._diffuse_I = self._crank_nicolson(spec.d_I)
+        self._diffuse_S = self._crank_nicolson(self.spec.d_S)
+        self._diffuse_I = self._crank_nicolson(self.spec.d_I)
 
     def dt_max(self, S: np.ndarray, I: np.ndarray) -> float:
+        """The step-size bound of the row that binds hardest."""
         return 0.5 / float((self.beta * (S + I) + self.gamma).max())
+
+    def keep_rows(self, keep: list[int]) -> None:
+        """Restrict a list's kernel to the rows ``keep`` of its state."""
+        for name in ("beta", "gamma", "r"):
+            values = getattr(self, name)
+            if values.ndim == 2:
+                setattr(self, name, values[keep])
+        self.clipped_mass = self.clipped_mass[keep]
 
     # -- reaction ----------------------------------------------------------
 
@@ -209,7 +241,10 @@ class _Kernel:
         if neg_i.any() or neg_s.any():
             tot = S + I
             moved = np.where(neg_i, -I_new, 0.0) + np.where(neg_s, -S_new, 0.0)
-            self.clipped_mass += quadrature(self.grid, moved)
+            if moved.ndim == 1:
+                self.clipped_mass += quadrature(self.grid, moved)
+            else:  # row by row, so each row sums as it would alone
+                self.clipped_mass += [quadrature(self.grid, row) for row in moved]
             S_new = np.where(neg_i, tot, np.where(neg_s, 0.0, S_new))
             I_new = np.where(neg_i, 0.0, np.where(neg_s, tot, I_new))
         dJ = 0.5 * tau * (I + I_new)
@@ -235,7 +270,8 @@ class _Kernel:
         L = self.L
         c = 0.5 * d * self.dt
         lu = TridiagonalMatrix(-c * L.lower, 1.0 - c * L.diag, -c * L.upper).factor()
-        return lambda u: u + solve_shifted(lu, (2.0 * c) * L.matvec(u))
+        # The rows of a (K, nx) state are the K columns of one dgttrs call.
+        return lambda u: u + solve_shifted(lu, ((2.0 * c) * L.matvec(u)).T).T
 
     # -- one full step -----------------------------------------------------
 
@@ -275,35 +311,98 @@ def run(spec: ModelSpec, S0: Field, I0: Field, dt: float, T: float,
     rate stays below ``steady_tol`` over ``STEADY_WINDOW`` consecutive
     snapshots.
     """
-    grid = spec.grid
-    if S0.grid.nx != grid.nx or I0.grid.nx != grid.nx:
-        raise ValueError("initial data must live on the model grid")
-    if S0.min() < 0 or I0.min() < 0:
-        raise ValueError("initial densities must be nonnegative")
-    if not (np.asarray(I0.values) > 0).any():
-        raise ValueError("initial infected density is identically zero")
+    return run_batch([spec], [S0], [I0], dt, T, snapshot_every, steady_tol)[0]
+
+
+class _Recorder:
+    """One run's snapshots, diagnostics, warnings and steady stop."""
+
+    def __init__(self, spec: ModelSpec, S0: Field, I0: Field):
+        grid = spec.grid
+        self.spec = spec
+        self.context = diag_mod.DiagnosticsContext(spec, I0)
+        S, I = np.asarray(S0.values), np.asarray(I0.values)
+        self.N = quadrature(grid, S + I)
+        self.snapshots = [State(0.0, Field(grid, S), Field(grid, I),
+                                Field.constant(grid, 0.0))]
+        self.records = [self.context.record(self.snapshots[0], math.inf)]
+        self.rates: list[float] = []
+        self.warnings: list[str] = []
+        self.clipped = 0.0
+        self.steady = False
+
+    def snapshot(self, t: float, S, I, J, clipped: float, dt_snap: float,
+                 steady_tol: float) -> bool:
+        """Check and record the state at time t; True once the run is steady."""
+        grid = self.spec.grid
+        mass = quadrature(grid, S + I)
+        if abs(mass - self.N) > 1e-8 * self.N:
+            raise MassConservationError(
+                f"total mass drifted to {mass!r} (started at {self.N!r}) by t={t:g}"
+            )
+        clip_new = clipped - self.clipped
+        if clip_new > 1e-8 * self.N:
+            self.warnings.append(f"positivity clipping moved {clip_new:.3e} mass near t={t:g}")
+        self.clipped = clipped
+        prev = self.snapshots[-1]
+        rate = max(np.abs(S - prev.S.values).max(), np.abs(I - prev.I.values).max()) / dt_snap
+        state = State(t, Field(grid, S), Field(grid, I), Field(grid, J))
+        self.snapshots.append(state)
+        self.records.append(self.context.record(state, rate))
+        self.rates.append(rate)
+        self.steady = len(self.rates) >= STEADY_WINDOW and all(
+            r < steady_tol for r in self.rates[-STEADY_WINDOW:])
+        return self.steady
+
+    def trajectory(self, T: float) -> Trajectory:
+        if not self.steady:
+            self.warnings.append(f"steady detection did not trigger by T={T:g}")
+        return Trajectory(spec=self.spec, snapshots=self.snapshots, diagnostics=self.records,
+                          N=self.N, steady_detected=self.steady, warnings=self.warnings)
+
+
+def run_batch(specs: list[ModelSpec], S0s: list[Field], I0s: list[Field], dt: float,
+              T: float, snapshot_every: float = 0.5,
+              steady_tol: float = 1e-7) -> list[Trajectory]:
+    """``run`` for K models that share one Crank-Nicolson matrix, advanced as
+    the rows of one (K, nx) state; one model runs on (nx,) arrays.
+
+    The specs must share the grid, variant, dispersal rates and ``eps_reg``;
+    coefficients and initial data may differ.  Every row keeps its own
+    snapshots, diagnostics, warnings and steady stop, and equals its own
+    ``run`` bit for bit.  A row that goes steady leaves the state.  Any
+    row's error is raised for the whole batch.
+    """
+    def shared(s: ModelSpec) -> tuple:
+        return s.grid.a, s.grid.b, s.grid.nx, s.variant, s.d_S, s.d_I, s.eps_reg
+
+    spec = specs[0]
+    if any(shared(row_spec) != shared(spec) for row_spec in specs[1:]):
+        raise ValueError("batched specs must share the grid, variant, dispersal rates "
+                         "and eps_reg")
+    for row_spec, S0, I0 in zip(specs, S0s, I0s):
+        if S0.grid.nx != row_spec.grid.nx or I0.grid.nx != row_spec.grid.nx:
+            raise ValueError("initial data must live on the model grid")
+        if S0.min() < 0 or I0.min() < 0:
+            raise ValueError("initial densities must be nonnegative")
+        if not (np.asarray(I0.values) > 0).any():
+            raise ValueError("initial infected density is identically zero")
     if T <= 0 or dt <= 0:
         raise ValueError("T and dt must be positive")
 
-    kernel = _Kernel(spec, dt)
-    context = diag_mod.DiagnosticsContext(spec, I0)
-
-    S = np.array(S0.values)
-    I = np.array(I0.values)
-    J = np.zeros(grid.nx)
-    N = quadrature(grid, S + I)
+    if len(specs) == 1:
+        kernel = _Kernel(spec, dt)
+        S, I = np.array(S0s[0].values), np.array(I0s[0].values)
+    else:
+        kernel = _Kernel(list(specs), dt)
+        S, I = np.stack([f.values for f in S0s]), np.stack([f.values for f in I0s])
+    J = np.zeros_like(S)
+    recorders = [_Recorder(*row) for row in zip(specs, S0s, I0s)]
+    active = list(recorders)
 
     steps_per_snap = max(1, round(snapshot_every / dt))
+    dt_snap = steps_per_snap * dt
     n_steps = round(T / dt)
-
-    snapshots = [State(0.0, Field(grid, S), Field(grid, I), Field(grid, J))]
-    records = [context.record(None, snapshots[0], math.inf)]
-
-    warnings: list[str] = []
-    steady = False
-    rates: list[float] = []
-    prev_S, prev_I = S.copy(), I.copy()
-    prev_clip = 0.0
 
     k = 0
     while k < n_steps:
@@ -311,40 +410,15 @@ def run(spec: ModelSpec, S0: Field, I0: Field, dt: float, T: float,
         S, I, J = kernel.strang_step(S, I, J, t)
         k += 1
         if k % steps_per_snap == 0 or k == n_steps:
-            t_snap = k * dt
-            state = State(t_snap, Field(grid, S), Field(grid, I), Field(grid, J))
-            mass = quadrature(grid, S + I)
-            if abs(mass - N) > 1e-8 * N:
-                raise MassConservationError(
-                    f"total mass drifted to {mass!r} (started at {N!r}) by t={t_snap:g}"
-                )
-            clip_new = kernel.clipped_mass - prev_clip
-            if clip_new > 1e-8 * N:
-                warnings.append(
-                    f"positivity clipping moved {clip_new:.3e} mass near t={t_snap:g}"
-                )
-            prev_clip = kernel.clipped_mass
-            dt_snap = steps_per_snap * dt
-            rate = max(np.abs(S - prev_S).max(), np.abs(I - prev_I).max()) / dt_snap
-            prev_S, prev_I = S.copy(), I.copy()
-            snapshots.append(state)
-            records.append(context.record(snapshots[-2], state, rate))
-            rates.append(rate)
-            if len(rates) >= STEADY_WINDOW and all(
-                r < steady_tol for r in rates[-STEADY_WINDOW:]
-            ):
-                steady = True
-                break
+            steady = [rec.snapshot(k * dt, *row, dt_snap, steady_tol) for rec, *row in zip(
+                active, np.atleast_2d(S), np.atleast_2d(I), np.atleast_2d(J),
+                np.atleast_1d(kernel.clipped_mass))]
+            if any(steady):
+                keep = [i for i, done in enumerate(steady) if not done]
+                if not keep:
+                    break
+                active = [active[i] for i in keep]
+                S, I, J = S[keep], I[keep], J[keep]
+                kernel.keep_rows(keep)
 
-    traj = Trajectory(
-        spec=spec,
-        snapshots=snapshots,
-        diagnostics=records,
-        N=N,
-        steady_detected=steady,
-        reached_final_time=not steady,
-        warnings=warnings,
-    )
-    if not steady:
-        traj.warnings.append(f"steady detection did not trigger by T={T:g}")
-    return traj
+    return [rec.trajectory(T) for rec in recorders]

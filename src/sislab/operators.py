@@ -28,9 +28,10 @@ class TridiagonalMatrix:
     upper: np.ndarray  # super-diagonal, length n-1
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
+        """A v for an (n,) vector, or for every row of a (K, n) array."""
         out = self.diag * v
-        out[:-1] += self.upper * v[1:]
-        out[1:] += self.lower * v[:-1]
+        out[..., :-1] += self.upper * v[..., 1:]
+        out[..., 1:] += self.lower * v[..., :-1]
         return out
 
     def factor(self) -> "TridiagonalLU":
@@ -59,7 +60,8 @@ class TridiagonalLU(NamedTuple):
 
 
 def solve_tridiagonal(lu: TridiagonalLU, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs from A's factorization (LAPACK ``dgttrs``)."""
+    """Solve A x = rhs from A's factorization (LAPACK ``dgttrs``); an (n, K)
+    ``rhs`` solves for its K columns in one call."""
     return dgttrs(*lu, rhs)[0]
 
 

@@ -1,5 +1,6 @@
-"""Parameter sweep driver: one simulation per parameter value, a sorted
-table of observables, and knee detection by the largest second difference."""
+"""Parameter sweep driver: one simulation per parameter value (points that
+share the model's matrices run as the rows of one batch), a sorted table of
+observables, and knee detection by the largest second difference."""
 
 from __future__ import annotations
 
@@ -32,8 +33,28 @@ class SweepResult:
         return [(p.parameter, p.value, p.error) for p in self.points]
 
 
-def _evaluate_point(payload) -> tuple[float, float | None, str | None]:
-    sweep_cfg, value = payload
+def _evaluate_point(payload) -> list[tuple[float, float | None, str | None]]:
+    """(value, observable, error) for each point of a chunk of the sweep.
+
+    A chunk of points that differ only in an expression constant runs as one
+    ``run_batch``.  If the batch raises, its points rerun one at a time, so
+    a failing point records its own error and the others still succeed.
+    """
+    sweep_cfg, values = payload
+    if sweep_cfg.varies_params and len(values) > 1:
+        try:
+            cfgs = [sweep_cfg.point(value) for value in values]
+            specs, _, S0s, I0s = zip(*(cfg.build() for cfg in cfgs))
+            trajs = models.run_batch(list(specs), list(S0s), list(I0s),
+                                     **cfgs[0].run_kwargs())
+            return [(value, _extract_observable(traj, sweep_cfg.observable), None)
+                    for value, traj in zip(values, trajs)]
+        except Exception:  # each point's own run reports what went wrong
+            pass
+    return [_evaluate_one(sweep_cfg, value) for value in values]
+
+
+def _evaluate_one(sweep_cfg, value: float) -> tuple[float, float | None, str | None]:
     cfg = sweep_cfg.point(value)
     try:
         spec, grid, S0, I0 = cfg.build()
@@ -59,14 +80,20 @@ def _extract_observable(traj: models.Trajectory, observable: str) -> float:
 
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
-    """Run the sweep, optionally across processes; the table stays sorted."""
-    payloads = [(cfg, float(v)) for v in cfg.values()]
+    """Run the sweep, optionally across processes; the table stays sorted.
+
+    A sweep over an expression constant goes in at most ``jobs`` contiguous
+    chunks, each one batch; any other sweep runs one point per task.
+    """
+    values = [float(v) for v in cfg.values()]
+    size = math.ceil(len(values) / max(jobs, 1)) if cfg.varies_params else 1
+    payloads = [(cfg, values[i:i + size]) for i in range(0, len(values), size)]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_evaluate_point, payloads))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
+            chunks = list(pool.map(_evaluate_point, payloads))
     else:
-        rows = [_evaluate_point(p) for p in payloads]
-    rows.sort(key=lambda r: r[0])
+        chunks = [_evaluate_point(p) for p in payloads]
+    rows = sorted((row for chunk in chunks for row in chunk), key=lambda r: r[0])
     points = [SweepPoint(*row) for row in rows]
     knee = detect_knee([(p.parameter, p.value) for p in points])
     return SweepResult(cfg.observable, cfg.parameter, points, knee)

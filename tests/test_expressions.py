@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,18 @@ def test_parse_errors_carry_a_position(text):
         parse_expression(text).evaluate(np.zeros(3))
     assert "position" in str(info.value)
     assert 0 <= info.value.position <= len(text)
+
+
+@pytest.mark.parametrize("text", ["1or 2", "0x1for"])
+def test_rejected_inputs_raise_without_python_warnings(text, capfd):
+    # CPython's tokenizer warns about these before they are rejected; only
+    # the ExpressionError may reach the user
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ExpressionError):
+            Expression(text)
+    assert caught == []
+    assert capfd.readouterr().err == ""
 
 
 def test_unexpected_character_position():

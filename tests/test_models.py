@@ -130,6 +130,28 @@ class TestStep:
         assert S2 + I2 == pytest.approx(S + I, abs=1e-15)
         assert S2.min() >= 0 and I2.min() >= 0
 
+    def test_batched_rows_advance_as_their_own_kernels(self):
+        # rows with their own coefficients, one of them clipped by an
+        # oversized Heun step, then the row left after the other finishes
+        specs = [make_spec(Variant.STD_INCIDENCE_DS0, beta=beta, gamma="1.5", nx=11)[0]
+                 for beta in ("2 - sin(pi*x)", "3")]
+        S = np.stack([np.zeros(11), np.full(11, 2.0)])
+        I = np.stack([np.ones(11), np.full(11, 0.5)])
+        batch = _Kernel(specs, 1e-3)
+        got = batch.reaction_half(S, I, np.zeros_like(S), 2.0)
+        clipped = batch.clipped_mass.copy()
+        for k, spec in enumerate(specs):
+            single = _Kernel(spec, 1e-3)
+            want = single.reaction_half(S[k], I[k], np.zeros(11), 2.0)
+            for a, b in zip(got, want):
+                assert np.array_equal(a[k], b)
+            assert clipped[k] == single.clipped_mass
+        assert clipped[0] > 0 and clipped[1] == 0
+        batch.keep_rows([1])
+        kept = batch.reaction_half(S[1:], I[1:], np.zeros((1, 11)), 2.0)
+        for a, b in zip(kept, got):
+            assert np.array_equal(a[0], b[1])
+
     def test_pure_diffusion_conserves_mass_exactly(self):
         # reaction disabled: drive only the diffusion substep
         spec, g = make_spec(Variant.FULL, beta="1", gamma="1", d_S=1.0, d_I=0.7)
@@ -224,7 +246,6 @@ class TestRun:
         I0 = eval_expression(g, "1.5 + cos(pi*x)")
         traj = run(spec, S0, I0, dt=1e-3, T=60.0, snapshot_every=0.5)
         assert traj.steady_detected
-        assert not traj.reached_final_time
         short = run(spec, S0, I0, dt=1e-3, T=1.0, snapshot_every=0.5)
         assert not short.steady_detected
         assert any("steady detection" in w for w in short.warnings)

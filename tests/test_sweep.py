@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sislab import models
 from sislab.config import SweepConfig, preset_config
 from sislab.sweep import detect_knee, run_sweep
 
@@ -63,3 +64,75 @@ class TestRunSweep:
         res = run_sweep(cfg)
         assert all(p.error is None for p in res.points)
         assert all(p.value <= 1e-3 for p in res.points)
+
+
+def _batched_and_single_runs(cfg):
+    """Every point of the sweep run as one batch and one at a time."""
+    cfgs = [cfg.point(float(v)) for v in cfg.values()]
+    specs, _, S0s, I0s = zip(*(c.build() for c in cfgs))
+    batched = models.run_batch(list(specs), list(S0s), list(I0s), **cfgs[0].run_kwargs())
+    singles = [models.run(spec, S0, I0, **c.run_kwargs())
+               for spec, S0, I0, c in zip(specs, S0s, I0s, cfgs)]
+    return specs, batched, singles
+
+
+def _assert_bitwise_equal(batched, single):
+    assert [s.t for s in batched.snapshots] == [s.t for s in single.snapshots]
+    for a, b in zip(batched.snapshots, single.snapshots):
+        for name in "SIJ":
+            assert np.array_equal(getattr(a, name).values, getattr(b, name).values)
+    assert batched.diagnostics == single.diagnostics
+    assert batched.steady_detected == single.steady_detected
+    assert batched.warnings == single.warnings
+    assert batched.N == single.N
+
+
+class TestBatchedRows:
+    """A batch's rows advance as one state; each must be its own run bit for bit."""
+
+    def test_knee_sweep_rows_going_steady_at_different_times(self):
+        base = preset_config("sim1c", nx=41, T=40.0, dt=4e-3, steady_tol=1e-4)
+        cfg = SweepConfig(base=base, parameter="a", lo=-0.5, hi=1.5, count=5,
+                          observable="I_mass_at_T")
+        _, batched, singles = _batched_and_single_runs(cfg)
+        ends = [traj.final.t for traj in batched]
+        assert len(set(ends)) >= 4 and max(ends) == 40.0 and min(ends) < 40.0
+        for b, s in zip(batched, singles):
+            _assert_bitwise_equal(b, s)
+        res = run_sweep(cfg)
+        for point, single in zip(res.points, singles):
+            assert point.error is None
+            assert point.value == float(single.final.I.values @ single.spec.grid.weights)
+
+    def test_rows_with_their_own_coefficients(self):
+        base = preset_config("sim1c", nx=41, T=2.0, dt=2e-3, beta_expr="b*(1 + x)",
+                             params={"a": 1.5, "b": 0.5})
+        cfg = SweepConfig(base=base, parameter="b", lo=0.3, hi=0.9, count=4,
+                          observable="I_mass_at_T")
+        specs, batched, singles = _batched_and_single_runs(cfg)
+        assert not np.array_equal(specs[0].beta.values, specs[1].beta.values)
+        for b, s in zip(batched, singles):
+            _assert_bitwise_equal(b, s)
+
+    def test_standard_incidence_rows_with_their_own_initial_data(self):
+        base = preset_config("sim4b", nx=41, T=2.0, I0_expr="c + cos(pi*x)",
+                             params={"c": 1.5})
+        cfg = SweepConfig(base=base, parameter="c", lo=1.0, hi=2.0, count=3,
+                          observable="I_mass_at_T")
+        _, batched, singles = _batched_and_single_runs(cfg)
+        for b, s in zip(batched, singles):
+            _assert_bitwise_equal(b, s)
+
+    def test_failing_points_in_a_batch_keep_their_errors(self):
+        # a = -3 and a = -1.5 drive the initial infected data to zero
+        base = preset_config("sim1c", nx=41, T=1.0, dt=2e-3)
+        cfg = SweepConfig(base=base, parameter="a", lo=-3.0, hi=1.5, count=4,
+                          observable="I_mass_at_T")
+        res = run_sweep(cfg)
+        zero = "ValueError: initial infected density is identically zero"
+        assert [p.error for p in res.points] == [zero, zero, None, None]
+        assert [p.value for p in res.points[:2]] == [None, None]
+        for point in res.points[2:]:
+            spec, _, S0, I0 = cfg.point(point.parameter).build()
+            single = models.run(spec, S0, I0, **base.run_kwargs())
+            assert point.value == float(single.final.I.values @ spec.grid.weights)
