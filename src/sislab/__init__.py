@@ -19,7 +19,7 @@ from .mesh import (
     risk_sets,
     rmin_set,
 )
-from .models import ModelSpec, State, Trajectory, Variant, run, step
+from .models import ModelSpec, State, Trajectory, Variant, run
 from .spectral import (
     EigenResult,
     basic_reproduction_number,
@@ -54,7 +54,6 @@ __all__ = [
     "Trajectory",
     "Variant",
     "run",
-    "step",
     "EigenResult",
     "basic_reproduction_number",
     "principal_eigenvalue",

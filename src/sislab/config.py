@@ -14,8 +14,8 @@ from .models import ModelSpec, Variant
 # I0 = 1.5 + cos(pi x) (total population 3.5); sim1c swaps in a movable
 # infected amplitude `a` for bifurcation sweeps.  Two presets override the
 # default horizon/step: sim2c concentrates onto near-single-node spikes,
-# which tightens the reaction stability bound, and sim4a approaches its
-# limit only algebraically, which needs a longer horizon.
+# whose accuracy (not any stability bound) needs the smaller step, and sim4a
+# approaches its limit only algebraically, which needs a longer horizon.
 _COMMON = {
     "S0_expr": "2 + cos(pi*x)",
     "I0_expr": "1.5 + cos(pi*x)",

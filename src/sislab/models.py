@@ -4,13 +4,17 @@ Scheme: Strang splitting.  Each step runs a half reaction step, a full
 Crank-Nicolson diffusion step for every component with a positive dispersal
 rate, then another half reaction step.
 
-The mass-action reaction pair is a nodewise logistic system and is advanced
-by its exact flow, which keeps the locked component positive without any
-clipping and accumulates the per-node exposure integral J = int I dt in the
-same closed form that drives the update.  Standard-incidence reaction steps
-use a Heun update on the infected increment; the susceptible node takes the
-negated increment, so the reaction transfer is antisymmetric in floating
-point and total mass is conserved exactly by construction.
+Both reactions are nodewise logistic systems, since S + I is constant at a
+node while only the reaction acts, and each is advanced by its exact flow.
+The flows keep both densities nonnegative for every step size, conserve the
+node's S + I to roundoff, and accumulate the per-node exposure integral
+J = int I dt in the same closed form that drives the update.  Exact flows
+compose, R(tau) R(tau) = R(2 tau), so between two snapshots the half
+reactions that meet between consecutive steps run as one flow over dt.
+
+Crank-Nicolson is unconditionally stable but not positivity preserving: on
+rough data at large d*dt/dx^2 it can overshoot below zero.  That is the one
+thing that still bounds dt, and it is checked after every solve.
 
 Runs that share the grid, variant and dispersal rates share the
 Crank-Nicolson matrices; ``run_batch`` advances them as the rows of one
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import diagnostics as diag_mod
-from .mesh import Field, Grid, incidence_quotient, quadrature
+from .mesh import Field, Grid, quadrature
 # The tridiagonal solve is bound as `solve_shifted`, the name the
 # Crank-Nicolson solve is traced under (bench/tracing.py).
 from .operators import TridiagonalMatrix, neumann_laplacian, solve_tridiagonal as solve_shifted
@@ -76,13 +80,21 @@ class Variant(enum.Enum):
                          + ", ".join(v.value for v in Variant))
 
 
+# A Crank-Nicolson step may leave a density below zero by roundoff; below
+# -CN_OVERSHOOT_TOL times the component's maximum it is the scheme's own
+# overshoot on data too rough for dt.  Smooth data stay far above it: no
+# preset at its own dt leaves a negative value after any solve.
+CN_OVERSHOOT_TOL = 1e-10
+
+
 class StepSizeError(ValueError):
-    def __init__(self, dt: float, dt_max: float, t: float):
-        super().__init__(
-            f"dt={dt:g} exceeds the positivity-stability bound {dt_max:g} at t={t:g}"
-        )
-        self.dt = dt
-        self.dt_max = dt_max
+    """A Crank-Nicolson step overshot below zero: dt is too large for how
+    rough the data are.  ``partial`` holds the trajectories recorded before
+    the failure (empty when raised by ``step``)."""
+
+    def __init__(self, message: str, partial: list["Trajectory"] | None = None):
+        super().__init__(message)
+        self.partial = partial or []
 
 
 class MassConservationError(RuntimeError):
@@ -173,8 +185,7 @@ class _Kernel:
     """
 
     def __init__(self, spec: ModelSpec | list[ModelSpec], dt: float):
-        batch = isinstance(spec, list)
-        specs = spec if batch else [spec]
+        specs = spec if isinstance(spec, list) else [spec]
         self.spec = specs[0]
         self.grid = self.spec.grid
         self.dt = dt
@@ -182,16 +193,12 @@ class _Kernel:
         self.gamma = _rows([s.gamma for s in specs])
         self.r = self.gamma / self.beta
         self.L = neumann_laplacian(self.grid)
-        # mass moved by positivity clipping, per row of a list's state
-        self.clipped_mass = np.zeros(len(specs)) if batch else 0.0
-        self.reaction_half = (self._std_incidence_heun if self.spec.variant.std_incidence
+        # the reaction flow over tau, called with tau = dt/2 and tau = dt
+        self.reaction_half = (self._std_incidence_flow if self.spec.variant.std_incidence
                               else self._mass_action_flow)
-        self._diffuse_S = self._crank_nicolson(self.spec.d_S)
-        self._diffuse_I = self._crank_nicolson(self.spec.d_I)
-
-    def dt_max(self, S: np.ndarray, I: np.ndarray) -> float:
-        """The step-size bound of the row that binds hardest."""
-        return 0.5 / float((self.beta * (S + I) + self.gamma).max())
+        self._std_factors_by_tau: dict[float, tuple] = {}
+        self._diffuse_S = self._crank_nicolson(self.spec.d_S, "S")
+        self._diffuse_I = self._crank_nicolson(self.spec.d_I, "I")
 
     def keep_rows(self, keep: list[int]) -> None:
         """Restrict a list's kernel to the rows ``keep`` of its state."""
@@ -199,7 +206,7 @@ class _Kernel:
             values = getattr(self, name)
             if values.ndim == 2:
                 setattr(self, name, values[keep])
-        self.clipped_mass = self.clipped_mass[keep]
+        self._std_factors_by_tau = {}
 
     # -- reaction ----------------------------------------------------------
 
@@ -228,37 +235,45 @@ class _Kernel:
         I_new = C - S_new
         return S_new, I_new, J + dJ
 
-    def _std_incidence_heun(self, S, I, J, tau):
-        k1 = self._std_rate(S, I)
-        S_mid = np.maximum(S - tau * k1, 0.0)
-        I_mid = np.maximum(I + tau * k1, 0.0)
-        k2 = self._std_rate(S_mid, I_mid)
-        dI = 0.5 * tau * (k1 + k2)
-        I_new = I + dI
-        S_new = S - dI
-        neg_i = I_new < 0.0
-        neg_s = S_new < 0.0
-        if neg_i.any() or neg_s.any():
-            tot = S + I
-            moved = np.where(neg_i, -I_new, 0.0) + np.where(neg_s, -S_new, 0.0)
-            if moved.ndim == 1:
-                self.clipped_mass += quadrature(self.grid, moved)
-            else:  # row by row, so each row sums as it would alone
-                self.clipped_mass += [quadrature(self.grid, row) for row in moved]
-            S_new = np.where(neg_i, tot, np.where(neg_s, 0.0, S_new))
-            I_new = np.where(neg_i, 0.0, np.where(neg_s, tot, I_new))
-        dJ = 0.5 * tau * (I + I_new)
-        return S_new, I_new, J + dJ
+    def _std_incidence_flow(self, S, I, J, tau):
+        # Exact nodewise solution of I' = beta*S*I/C - gamma*I, S' = -I'.
+        # With C = S+I fixed this is I' = a*I - (beta/C)*I^2, a = beta-gamma:
+        # I(tau) = I*e^{a tau}/(1 + x) with x = beta*g*I/C, g = (e^{a tau}-1)/a,
+        # and int I dt = (C/beta)*log1p(x).  Where C <= eps_reg the incidence
+        # is exactly 0, so I only recovers: I*e^{-gamma tau}.
+        growth, beta_g, decay, recovered = self._std_factors(tau)
+        C = S + I
+        empty = C <= self.spec.eps_reg
+        if empty.any():
+            C_safe = np.where(empty, 1.0, C)
+            x = np.where(empty, 0.0, beta_g * I / C_safe)
+            I_new = np.where(empty, decay * I, growth * I / (1.0 + x))
+            dJ = np.where(empty, recovered * I, C_safe / self.beta * np.log1p(x))
+        else:
+            x = beta_g * I / C
+            I_new = growth * I / (1.0 + x)
+            dJ = C / self.beta * np.log1p(x)
+        return C - I_new, I_new, J + dJ
 
-    def _std_rate(self, S, I):
-        return incidence_quotient(self.beta * S * I, S, I, self.spec.eps_reg) - self.gamma * I
+    def _std_factors(self, tau):
+        """e^{a tau}, beta*g, e^{-gamma tau} and (1 - e^{-gamma tau})/gamma,
+        which depend on tau alone; g = tau where a = 0."""
+        factors = self._std_factors_by_tau.get(tau)
+        if factors is None:
+            a = self.beta - self.gamma
+            flat = a == 0.0
+            g = np.where(flat, tau, np.expm1(a * tau) / np.where(flat, 1.0, a))
+            factors = (np.exp(a * tau), self.beta * g, np.exp(-self.gamma * tau),
+                       -np.expm1(-self.gamma * tau) / self.gamma)
+            self._std_factors_by_tau[tau] = factors
+        return factors
 
     # -- diffusion ---------------------------------------------------------
 
     def diffuse(self, S, I):
         return self._diffuse_S(S), self._diffuse_I(I)
 
-    def _crank_nicolson(self, d):
+    def _crank_nicolson(self, d, name):
         """One CN step at dispersal rate d, or the identity when d = 0."""
         if d <= 0:
             return lambda u: u
@@ -270,24 +285,37 @@ class _Kernel:
         L = self.L
         c = 0.5 * d * self.dt
         lu = TridiagonalMatrix(-c * L.lower, 1.0 - c * L.diag, -c * L.upper).factor()
-        # The rows of a (K, nx) state are the K columns of one dgttrs call.
-        return lambda u: u + solve_shifted(lu, ((2.0 * c) * L.matvec(u)).T).T
 
-    # -- one full step -----------------------------------------------------
+        def cn_step(u):
+            # The rows of a (K, nx) state are the K columns of one dgttrs call.
+            u = u + solve_shifted(lu, ((2.0 * c) * L.matvec(u)).T).T
+            low = u.min(axis=-1)
+            if (low < 0.0).any() and (low < -CN_OVERSHOOT_TOL * u.max(axis=-1)).any():
+                raise StepSizeError(
+                    f"dt={self.dt:g} is too large for these data: a Crank-Nicolson "
+                    f"step drove {name} down to {low.min():.3e}")
+            return u
 
-    def strang_step(self, S, I, J, t):
+        return cn_step
+
+    # -- steps -------------------------------------------------------------
+
+    def advance(self, S, I, J, steps: int):
+        """``steps`` Strang steps.  The two half reactions that meet between
+        consecutive steps run as one flow over dt, which for exact flows is
+        the same scheme up to roundoff."""
         dt = self.dt
-        bound = self.dt_max(S, I)
-        if dt > bound:
-            raise StepSizeError(dt, bound, t)
         S, I, J = self.reaction_half(S, I, J, 0.5 * dt)
-        S, I = self.diffuse(S, I)
-        S, I, J = self.reaction_half(S, I, J, 0.5 * dt)
-        return S, I, J
+        for k in range(steps):
+            if k:
+                S, I, J = self.reaction_half(S, I, J, dt)
+            S, I = self.diffuse(S, I)
+        return self.reaction_half(S, I, J, 0.5 * dt)
 
 
 def step(spec: ModelSpec, state: State, dt: float) -> State:
-    """Advance one Strang step; rejects dt above the stability bound.
+    """Advance one Strang step; raises StepSizeError if the diffusion
+    overshoots below zero.
 
     A state without an exposure field (``J is None``) stays without one.
     """
@@ -296,8 +324,7 @@ def step(spec: ModelSpec, state: State, dt: float) -> State:
     grid = spec.grid
     kernel = _Kernel(spec, dt)
     J0 = np.zeros(grid.nx) if state.J is None else np.array(state.J.values)
-    S, I, J = kernel.strang_step(np.array(state.S.values), np.array(state.I.values),
-                                 J0, state.t)
+    S, I, J = kernel.advance(np.array(state.S.values), np.array(state.I.values), J0, 1)
     return State(state.t + dt, Field(grid, S), Field(grid, I),
                  None if state.J is None else Field(grid, J))
 
@@ -328,11 +355,9 @@ class _Recorder:
         self.records = [self.context.record(self.snapshots[0], math.inf)]
         self.rates: list[float] = []
         self.warnings: list[str] = []
-        self.clipped = 0.0
         self.steady = False
 
-    def snapshot(self, t: float, S, I, J, clipped: float, dt_snap: float,
-                 steady_tol: float) -> bool:
+    def snapshot(self, t: float, S, I, J, dt_snap: float, steady_tol: float) -> bool:
         """Check and record the state at time t; True once the run is steady."""
         grid = self.spec.grid
         mass = quadrature(grid, S + I)
@@ -340,10 +365,6 @@ class _Recorder:
             raise MassConservationError(
                 f"total mass drifted to {mass!r} (started at {self.N!r}) by t={t:g}"
             )
-        clip_new = clipped - self.clipped
-        if clip_new > 1e-8 * self.N:
-            self.warnings.append(f"positivity clipping moved {clip_new:.3e} mass near t={t:g}")
-        self.clipped = clipped
         prev = self.snapshots[-1]
         rate = max(np.abs(S - prev.S.values).max(), np.abs(I - prev.I.values).max()) / dt_snap
         state = State(t, Field(grid, S), Field(grid, I), Field(grid, J))
@@ -371,7 +392,8 @@ def run_batch(specs: list[ModelSpec], S0s: list[Field], I0s: list[Field], dt: fl
     coefficients and initial data may differ.  Every row keeps its own
     snapshots, diagnostics, warnings and steady stop, and equals its own
     ``run`` bit for bit.  A row that goes steady leaves the state.  Any
-    row's error is raised for the whole batch.
+    row's error is raised for the whole batch; a StepSizeError carries every
+    row's trajectory up to its last snapshot.
     """
     def shared(s: ModelSpec) -> tuple:
         return s.grid.a, s.grid.b, s.grid.nx, s.variant, s.d_S, s.d_I, s.eps_reg
@@ -406,19 +428,21 @@ def run_batch(specs: list[ModelSpec], S0s: list[Field], I0s: list[Field], dt: fl
 
     k = 0
     while k < n_steps:
-        t = k * dt
-        S, I, J = kernel.strang_step(S, I, J, t)
-        k += 1
-        if k % steps_per_snap == 0 or k == n_steps:
-            steady = [rec.snapshot(k * dt, *row, dt_snap, steady_tol) for rec, *row in zip(
-                active, np.atleast_2d(S), np.atleast_2d(I), np.atleast_2d(J),
-                np.atleast_1d(kernel.clipped_mass))]
-            if any(steady):
-                keep = [i for i, done in enumerate(steady) if not done]
-                if not keep:
-                    break
-                active = [active[i] for i in keep]
-                S, I, J = S[keep], I[keep], J[keep]
-                kernel.keep_rows(keep)
+        steps = min(steps_per_snap, n_steps - k)
+        try:
+            S, I, J = kernel.advance(S, I, J, steps)
+        except StepSizeError as exc:
+            raise StepSizeError(f"{exc} between t={k * dt:g} and t={(k + steps) * dt:g}",
+                                [rec.trajectory(T) for rec in recorders]) from None
+        k += steps
+        steady = [rec.snapshot(k * dt, *row, dt_snap, steady_tol) for rec, *row in zip(
+            active, np.atleast_2d(S), np.atleast_2d(I), np.atleast_2d(J))]
+        if any(steady):
+            keep = [i for i, done in enumerate(steady) if not done]
+            if not keep:
+                break
+            active = [active[i] for i in keep]
+            S, I, J = S[keep], I[keep], J[keep]
+            kernel.keep_rows(keep)
 
     return [rec.trajectory(T) for rec in recorders]

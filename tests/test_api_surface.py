@@ -31,7 +31,7 @@ def test_public_api_is_pinned():
     assert sislab.__all__ == [
         "Field", "Grid", "RiskMode", "RiskProfile", "build_grid", "eval_expression",
         "integrate", "risk_sets", "rmin_set",
-        "ModelSpec", "State", "Trajectory", "Variant", "run", "step",
+        "ModelSpec", "State", "Trajectory", "Variant", "run",
         "EigenResult", "basic_reproduction_number", "principal_eigenvalue",
         "OptimizerOptions", "ThresholdResult", "critical_population",
         "OutcomeReport", "Regime", "RegimePrediction", "estimate_lambda_star",

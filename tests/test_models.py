@@ -58,8 +58,19 @@ class TestReactionTerms:
         q = incidence_quotient(2.0 * S * I, S, I, eps)
         assert q[0] == 0.0 and q[2] == 0.0 and q[3] == 0.0  # S + I <= eps_reg
         assert q[1] == pytest.approx(1.0)
-        spec, g = make_spec(Variant.STD_INCIDENCE_DS0, beta="2 - sin(pi*x)", gamma="1.5")
-        assert np.all(_Kernel(spec, 1e-3)._std_rate(np.zeros(g.nx), np.zeros(g.nx)) == 0.0)
+        # the reaction flow on the same nodes: where S + I <= eps_reg the
+        # incidence is 0, so the infecteds only recover, I*e^{-gamma*tau}
+        spec, g = make_spec(Variant.STD_INCIDENCE_DS0, beta="2 - sin(pi*x)", gamma="1.5",
+                            nx=4)
+        tau = 0.3
+        S1, I1, J1 = _Kernel(spec, 1e-3).reaction_half(S, I, np.zeros(4), tau)
+        empty = np.array([True, False, True, False])
+        decay = np.exp(-1.5 * tau)
+        assert I1[empty] == pytest.approx(I[empty] * decay, rel=1e-15, abs=0.0)
+        assert J1[empty] == pytest.approx(I[empty] * (1.0 - decay) / 1.5, rel=1e-14, abs=0.0)
+        assert np.array_equal(S1, S + I - I1)
+        assert S1[0] == I1[0] == J1[0] == 0.0
+        assert (S1[3], I1[3], J1[3]) == (1.0, 0.0, 0.0)  # no infecteds, no exposure
 
     @given(
         S=st.floats(0, 10),
@@ -101,11 +112,33 @@ class TestModelSpecValidation:
 
 class TestStep:
     def test_rejects_oversized_steps(self):
-        spec, g = make_spec()
-        state = State(0.0, Field.constant(g, 2.0), Field.constant(g, 1.5),
-                      Field.constant(g, 0.0))
-        with pytest.raises(StepSizeError):
-            step(spec, state, 1.0)
+        # Crank-Nicolson at d*dt/dx^2 = 20 overshoots below zero on a
+        # one-node spike of the dispersing compartment
+        g = unit_grid(21)
+        spec = ModelSpec(Variant.MASS_ACTION_DS0, Field.constant(g, 1.0),
+                         Field.constant(g, 2.0), d_S=0.0, d_I=1.0)
+        spike = np.full(g.nx, 1e-3)
+        spike[10] = 1.0
+        state = State(0.0, Field.constant(g, 1.0), Field(g, spike), Field.constant(g, 0.0))
+        with pytest.raises(StepSizeError, match="drove I down to") as failed:
+            step(spec, state, 0.05)
+        assert failed.value.partial == []
+        # here the spike grows out of the reaction (S - r is 8 at the middle
+        # node and -1 elsewhere), and the run fails after five snapshots
+        S0 = np.ones(g.nx)
+        S0[10] = 10.0
+        S0, I0 = Field(g, S0), Field.constant(g, 1e-3)
+        with pytest.raises(StepSizeError, match="between t=1 and t=1.2") as failed:
+            run(spec, S0, I0, dt=0.05, T=4.0, snapshot_every=0.2, steady_tol=0.0)
+        partial, = failed.value.partial
+        clean = run(spec, S0, I0, dt=0.05, T=1.0, snapshot_every=0.2, steady_tol=0.0)
+        assert [s.t for s in partial.snapshots] == [s.t for s in clean.snapshots]
+        assert len(partial.snapshots) == 6
+        for a, b in zip(partial.snapshots, clean.snapshots):
+            for name in ("S", "I", "J"):
+                assert np.array_equal(getattr(a, name).values, getattr(b, name).values)
+        # the same data at a smaller step run clean
+        run(spec, S0, I0, dt=0.005, T=4.0, snapshot_every=0.2, steady_tol=0.0)
 
     def test_reaction_transfer_is_antisymmetric(self):
         # single node pair: S + I is conserved bitwise by the reaction flow
@@ -131,22 +164,21 @@ class TestStep:
         assert S2.min() >= 0 and I2.min() >= 0
 
     def test_batched_rows_advance_as_their_own_kernels(self):
-        # rows with their own coefficients, one of them clipped by an
-        # oversized Heun step, then the row left after the other finishes
+        # rows with their own coefficients, one of them with nodes where
+        # S + I <= eps_reg, then the row left after the other finishes
         specs = [make_spec(Variant.STD_INCIDENCE_DS0, beta=beta, gamma="1.5", nx=11)[0]
                  for beta in ("2 - sin(pi*x)", "3")]
-        S = np.stack([np.zeros(11), np.full(11, 2.0)])
-        I = np.stack([np.ones(11), np.full(11, 0.5)])
+        empty = np.arange(11) % 4 == 0
+        S = np.stack([np.where(empty, 0.0, 2.0), np.full(11, 2.0)])
+        I = np.stack([np.where(empty, 5e-13, 1.0), np.full(11, 0.5)])
         batch = _Kernel(specs, 1e-3)
         got = batch.reaction_half(S, I, np.zeros_like(S), 2.0)
-        clipped = batch.clipped_mass.copy()
         for k, spec in enumerate(specs):
             single = _Kernel(spec, 1e-3)
             want = single.reaction_half(S[k], I[k], np.zeros(11), 2.0)
             for a, b in zip(got, want):
                 assert np.array_equal(a[k], b)
-            assert clipped[k] == single.clipped_mass
-        assert clipped[0] > 0 and clipped[1] == 0
+        assert got[1][0][empty] == pytest.approx(5e-13 * np.exp(-1.5 * 2.0), rel=1e-15, abs=0.0)
         batch.keep_rows([1])
         kept = batch.reaction_half(S[1:], I[1:], np.zeros((1, 11)), 2.0)
         for a, b in zip(kept, got):
@@ -314,3 +346,120 @@ def test_exact_reaction_flow_matches_a_fine_ode_integration(S, I, beta, gamma, t
     assert S1[0] == pytest.approx(y[0], rel=1e-9, abs=1e-11)
     assert I1[0] == pytest.approx(total - y[0], rel=1e-9, abs=1e-11)
     assert J1[0] == pytest.approx(y[1], rel=1e-9, abs=1e-11)
+
+
+@given(
+    S=st.floats(0, 4),
+    I=st.floats(1e-6, 4),
+    beta=st.floats(0.1, 3),
+    gamma=st.floats(0.1, 3),
+    tau=st.floats(1e-5, 0.05),
+)
+@settings(max_examples=80, deadline=None)
+def test_exact_std_flow_matches_a_fine_ode_integration(S, I, beta, gamma, tau):
+    # the middle node has beta = gamma, where the logistic rate a vanishes
+    g = build_grid(0, 1, 3)
+    beta_v = np.full(3, beta)
+    gamma_v = np.array([gamma, beta, gamma])
+    spec = ModelSpec(Variant.STD_INCIDENCE_DS0, Field(g, beta_v), Field(g, gamma_v),
+                     d_S=0.0, d_I=1.0)
+    kernel = _Kernel(spec, 1e-3)
+    S1, I1, J1 = kernel.reaction_half(np.full(3, S), np.full(3, I), np.zeros(3), tau)
+
+    # independent oracle: 4th-order Runge-Kutta on the nodewise pair, with
+    # the exposure integral carried as an extra state component
+    total = S + I
+
+    def rhs(y):
+        i, j = y
+        return np.array([beta_v * (total - i) * i / total - gamma_v * i, i])
+
+    n = 1600
+    h = tau / n
+    y = np.array([np.full(3, I), np.zeros(3)])
+    for _ in range(n):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    assert I1 == pytest.approx(y[0], rel=1e-9, abs=1e-11)
+    assert S1 == pytest.approx(total - y[0], rel=1e-9, abs=1e-11)
+    assert J1 == pytest.approx(y[1], rel=1e-9, abs=1e-11)
+
+
+@given(
+    variant=st.sampled_from([Variant.MASS_ACTION_DS0, Variant.STD_INCIDENCE_DS0]),
+    S=st.lists(st.floats(0, 4), min_size=4, max_size=4),
+    I=st.lists(st.floats(0, 4), min_size=4, max_size=4),
+    beta=st.floats(0.1, 3),
+    gamma=st.floats(0.1, 3),
+    tau=st.floats(1e-5, 0.5),
+)
+@settings(max_examples=80, deadline=None)
+def test_reaction_flows_are_semigroups(variant, S, I, beta, gamma, tau):
+    # R(tau) R(tau) = R(2 tau) is what lets a run merge the two half
+    # reactions between steps; the last two nodes are a typical node and one
+    # with S + I <= eps_reg
+    g = build_grid(0, 1, 6)
+    spec = ModelSpec(variant, Field(g, np.linspace(beta, 2 * beta, 6)),
+                     Field.constant(g, gamma), d_S=0.0, d_I=1.0)
+    kernel = _Kernel(spec, 1e-3)
+    S = np.array(S + [2.0, 0.0])
+    I = np.array(I + [1.0, 5e-13])
+    twice = kernel.reaction_half(*kernel.reaction_half(S, I, np.zeros(6), tau), tau)
+    once = kernel.reaction_half(S, I, np.zeros(6), 2 * tau)
+    for a, b in zip(twice, once):
+        assert np.abs(a - b).max() <= 1e-13 * (S + I).max()
+
+
+@pytest.mark.parametrize("variant, beta, gamma", [
+    (Variant.MASS_ACTION_DS0, "2", "4 - pi*sin(pi*x)"),
+    (Variant.STD_INCIDENCE_DS0, "2.5 + sin(pi*x)", "1.5 + sin(pi*x)"),
+])
+def test_merged_reactions_change_only_roundoff(variant, beta, gamma):
+    # snapshot_every = dt runs every step's two half reactions on their own
+    spec, g = make_spec(variant, beta=beta, gamma=gamma, nx=101)
+    S0 = eval_expression(g, "2 + cos(pi*x)")
+    I0 = eval_expression(g, "1.5 + cos(pi*x)")
+    merged = run(spec, S0, I0, dt=1e-3, T=1.0, snapshot_every=0.5, steady_tol=0.0)
+    unmerged = run(spec, S0, I0, dt=1e-3, T=1.0, snapshot_every=1e-3, steady_tol=0.0)
+    shared = {round(s.t, 9): s for s in unmerged.snapshots}
+    assert len(merged.snapshots) == 3
+    for a in merged.snapshots:
+        b = shared[round(a.t, 9)]
+        for name in ("S", "I", "J"):
+            assert np.abs(getattr(a, name).values - getattr(b, name).values).max() <= 1e-12
+
+
+def _cosine_series(draw, grid, floor):
+    """A random smooth field floor + c0 + sum a_k cos(k pi x), k <= 3, that
+    stays above floor."""
+    amps = [draw(st.floats(-1, 1)) for _ in range(3)]
+    c0 = sum(abs(a) for a in amps) + draw(st.floats(0, 2))
+    x = (grid.nodes - grid.a) / (grid.b - grid.a)
+    return Field(grid, floor + c0 + sum(a * np.cos((k + 1) * np.pi * x)
+                                        for k, a in enumerate(amps)))
+
+
+@given(variant=st.sampled_from(list(Variant)), nx=st.integers(17, 65),
+       dt=st.sampled_from([1e-3, 5e-3]), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_random_smooth_runs_keep_their_invariants(variant, nx, dt, data):
+    g = unit_grid(nx)
+    d_S = 0.0 if variant.locks_s else data.draw(st.floats(0.01, 2))
+    d_I = 0.0 if variant.locks_i else data.draw(st.floats(0.01, 2))
+    spec = ModelSpec(variant, _cosine_series(data.draw, g, 0.1),
+                     _cosine_series(data.draw, g, 0.1), d_S=d_S, d_I=d_I)
+    S0 = _cosine_series(data.draw, g, 0.01)
+    I0 = _cosine_series(data.draw, g, 0.01)
+    # a StepSizeError here means the guard fired on smooth data
+    traj = run(spec, S0, I0, dt=dt, T=0.5, snapshot_every=0.1, steady_tol=0.0)
+    assert len(traj.snapshots) == 6
+    r = spec.risk_ratio().values
+    for s in traj.snapshots:
+        assert abs(s.total_mass() - traj.N) <= 1e-12 * traj.N
+        assert s.S.min() >= 0 and s.I.min() >= 0
+        if variant is Variant.MASS_ACTION_DS0:
+            locked = r + (S0.values - r) * np.exp(-spec.beta.values * s.J.values)
+            assert np.abs(s.S.values - locked).max() <= 1e-10 * S0.max()
