@@ -21,7 +21,7 @@ import numpy as np
 
 from .mesh import Field, RiskMode, quadrature, risk_sets, rmin_set
 from .models import ModelSpec, Trajectory, Variant
-from .diagnostics import CONCENTRATION_RADIUS, concentration_fraction
+from .diagnostics import concentration_fraction
 from .threshold import critical_population
 
 RECIPROCAL_CAP = 1e12
@@ -309,7 +309,7 @@ def _best_concentration_snapshot(traj: Trajectory, pred: RegimePrediction) -> di
     for state in traj.trailing():
         Iv = np.asarray(state.I.values)
         mass = quadrature(grid, Iv)
-        frac = (concentration_fraction(state.I, pred.min_indices, CONCENTRATION_RADIUS)
+        frac = (concentration_fraction(state.I, pred.min_indices)
                 if mass > 0 else 0.0)
         s_err = float(np.abs(np.asarray(state.S.values) - pred.r_tilde_min).max())
         score = frac - abs(mass - pred.predicted_I_mass) / max(pred.predicted_I_mass, 1e-300)

@@ -17,7 +17,7 @@ from . import models
 from .classify import predict_regime, verify_outcome
 from .config import PRESETS, ConfigError, RunConfig, load_config, load_sweep_config
 from .mesh import Field, build_grid, eval_expression
-from .models import MassConservationError
+from .models import MassConservationError, StepSizeError
 from .operators import TridiagonalSolveError
 from .output import SVG_KINDS, emit_csv, emit_svg, emit_sweep_svg, trajectory_from_csv
 from .spectral import EigenConvergenceError, basic_reproduction_number, principal_eigenvalue
@@ -52,24 +52,39 @@ def _resolve_config(args) -> RunConfig:
     return load_config(args.config, _overrides(args))
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _resolve_config(args)
-    spec, grid, S0, I0 = cfg.build()
-    traj = models.run(spec, S0, I0, **cfg.run_kwargs())
-    out = Path(args.out or cfg.output_dir)
-    profiles, diagnostics = emit_csv(traj, out)
-    if args.svg:
-        emit_svg(traj, out / f"{args.svg}.svg", args.svg)
+def _emit_run(cfg: RunConfig, traj: models.Trajectory, out: Path,
+              error: str | None = None):
+    """Write the run's CSVs and run.json, which names the error that ended a
+    failed run."""
+    paths = emit_csv(traj, out)
     summary = {
         "preset": cfg.preset,
-        "model": spec.variant.value,
+        "model": traj.spec.variant.value,
         "N": traj.N,
         "final_time": traj.final.t,
         "steady_detected": traj.steady_detected,
         "snapshots": len(traj.snapshots),
         "warnings": traj.warnings,
     }
+    if error is not None:
+        summary["error"] = error
     (out / "run.json").write_text(json.dumps(summary, indent=2) + "\n")
+    return paths
+
+
+def _cmd_simulate(args) -> int:
+    cfg = _resolve_config(args)
+    spec, grid, S0, I0 = cfg.build()
+    out = Path(args.out or cfg.output_dir)
+    try:
+        traj = models.run(spec, S0, I0, **cfg.run_kwargs())
+    except StepSizeError as exc:
+        # keep the snapshots recorded before the failure, then report it
+        _emit_run(cfg, exc.partial[0], out, error=str(exc))
+        raise
+    profiles, diagnostics = _emit_run(cfg, traj, out)
+    if args.svg:
+        emit_svg(traj, out / f"{args.svg}.svg", args.svg)
     print(f"wrote {profiles} and {diagnostics}")
     print(f"final t={traj.final.t:g}  sup S={traj.final.S.max():.6g}  "
           f"sup I={traj.final.I.max():.6g}  steady={traj.steady_detected}")

@@ -54,8 +54,8 @@ def lyapunov_mass_action_di0(S: Field, I: Field, beta: Field, r: Field,
     return V, dissipation
 
 
-def lyapunov_std_ds0(S: Field, I: Field, beta: Field, gamma: Field, d_I: float,
-                     eps_reg: float = 1e-12) -> tuple[float, float]:
+def lyapunov_std_ds0(S: Field, I: Field, beta: Field, gamma: Field,
+                     d_I: float) -> tuple[float, float]:
     """Energy V = int(kappa*S^2 + I^2)/2 with kappa = (beta-gamma)/gamma.
 
     Only defined where transmission dominates recovery everywhere; rejects
@@ -72,14 +72,13 @@ def lyapunov_std_ds0(S: Field, I: Field, beta: Field, gamma: Field, d_I: float,
     kappa = np.maximum(bv - gv, 0.0) / gv
     Sv, Iv = np.asarray(S.values), np.asarray(I.values)
     V = 0.5 * quadrature(grid, kappa * Sv * Sv + Iv * Iv)
-    reaction = incidence_quotient(gv * (kappa * Sv - Iv) ** 2 * Iv, Sv, Iv, eps_reg)
+    reaction = incidence_quotient(gv * (kappa * Sv - Iv) ** 2 * Iv, Sv, Iv)
     dissipation = d_I * gradient_energy_values(Iv, grid.dx) + quadrature(grid, reaction)
     return V, dissipation
 
 
 def lyapunov_std_di0(S: Field, I: Field, beta: Field, gamma: Field, d_S: float,
-                     high_mask: np.ndarray, eps_reg: float = 1e-12
-                     ) -> tuple[float, float, float, float]:
+                     high_mask: np.ndarray) -> tuple[float, float, float, float]:
     """Energy V = int(S^2 + kappa*I^2)/2, kappa = gamma/(beta-gamma) on the
     high-risk infected support, and the three terms of its rate.
 
@@ -96,12 +95,12 @@ def lyapunov_std_di0(S: Field, I: Field, beta: Field, gamma: Field, d_S: float,
 
     term_grad = d_S * gradient_energy_values(Sv, grid.dx)
 
-    incidence = incidence_quotient(bv * Sv * Iv, Sv, Iv, eps_reg)
+    incidence = incidence_quotient(bv * Sv * Iv, Sv, Iv)
     low = np.where(high_mask, 0.0, Sv * (-incidence + gv * Iv))
     term_lowrisk = quadrature(grid, low)
 
     high = np.where(high_mask, incidence_quotient(
-        np.maximum(bv - gv, 0.0) * (Sv - kappa * Iv) ** 2 * Iv, Sv, Iv, eps_reg), 0.0)
+        np.maximum(bv - gv, 0.0) * (Sv - kappa * Iv) ** 2 * Iv, Sv, Iv), 0.0)
     term_highrisk = quadrature(grid, high)
     return V, term_grad, term_lowrisk, term_highrisk
 
@@ -114,14 +113,15 @@ def harnack_ratio(I: Field) -> Optional[float]:
     return I.max() / lo
 
 
-def concentration_fraction(I: Field, min_indices, eps_radius: float) -> float:
-    """Share of the infected mass within ``eps_radius`` of the minimum set."""
+def concentration_fraction(I: Field, min_indices) -> float:
+    """Share of the infected mass within CONCENTRATION_RADIUS of the minimum set."""
     grid = I.grid
     Iv = np.asarray(I.values)
     total = quadrature(grid, Iv)
     if total <= 0:
         raise ValueError("concentration fraction needs positive infected mass")
-    mask = grid.window_mask(grid.nodes[np.asarray(min_indices, dtype=int)], eps_radius)
+    mask = grid.window_mask(grid.nodes[np.asarray(min_indices, dtype=int)],
+                            CONCENTRATION_RADIUS)
     return quadrature(grid, np.where(mask, Iv, 0.0)) / total
 
 
@@ -145,14 +145,14 @@ class DiagnosticsContext:
             gap = np.asarray(spec.beta.values) - np.asarray(spec.gamma.values)
             if float(gap.min()) >= -1e-9 * max(1.0, float(np.abs(gap).max())):
                 self.energy = lambda S, I: lyapunov_std_ds0(S, I, spec.beta, spec.gamma,
-                                                            spec.d_I, spec.eps_reg)
+                                                            spec.d_I)
         elif variant.std_incidence and variant.locks_i:
             profile = risk_sets(spec.beta, spec.gamma, None, RiskMode.STD_INCIDENCE)
             high_mask = profile.plus_mask() & (np.asarray(I0.values) > 0)
 
             def energy(S, I):
                 V, grad, low, high = lyapunov_std_di0(S, I, spec.beta, spec.gamma,
-                                                      spec.d_S, high_mask, spec.eps_reg)
+                                                      spec.d_S, high_mask)
                 return V, grad - low + high
 
             self.energy = energy
@@ -162,7 +162,7 @@ class DiagnosticsContext:
         V, dissipation = (None, None) if self.energy is None else self.energy(S, I)
         conc = None
         if self.min_indices is not None and quadrature(I.grid, np.asarray(I.values)) > 0:
-            conc = concentration_fraction(I, self.min_indices, CONCENTRATION_RADIUS)
+            conc = concentration_fraction(I, self.min_indices)
 
         return DiagnosticsRecord(
             t=state.t,

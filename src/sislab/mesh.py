@@ -102,12 +102,16 @@ def quadrature(grid: Grid, values: np.ndarray) -> float:
     return float(grid.weights @ values)
 
 
-def incidence_quotient(x: np.ndarray, S: np.ndarray, I: np.ndarray,
-                       eps_reg: float) -> np.ndarray:
-    """Nodewise x/(S+I) where S+I > eps_reg and exactly 0 elsewhere: the one
+# Standard incidence beta*S*I/(S+I) is undefined where S + I = 0; it is taken
+# as exactly 0 wherever S + I <= EPS_REG.
+EPS_REG = 1e-12
+
+
+def incidence_quotient(x: np.ndarray, S: np.ndarray, I: np.ndarray) -> np.ndarray:
+    """Nodewise x/(S+I) where S+I > EPS_REG and exactly 0 elsewhere: the one
     place standard incidence divides by the local population."""
     tot = S + I
-    positive = tot > eps_reg
+    positive = tot > EPS_REG
     return np.where(positive, x / np.where(positive, tot, 1.0), 0.0)
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import diagnostics as diag_mod
-from .mesh import Field, Grid, quadrature
+from .mesh import EPS_REG, Field, Grid, quadrature
 # The tridiagonal solve is bound as `solve_shifted`, the name the
 # Crank-Nicolson solve is traced under (bench/tracing.py).
 from .operators import TridiagonalMatrix, neumann_laplacian, solve_tridiagonal as solve_shifted
@@ -90,7 +90,7 @@ CN_OVERSHOOT_TOL = 1e-10
 class StepSizeError(ValueError):
     """A Crank-Nicolson step overshot below zero: dt is too large for how
     rough the data are.  ``partial`` holds the trajectories recorded before
-    the failure (empty when raised by ``step``)."""
+    the failure (empty when raised outside ``run_batch``)."""
 
     def __init__(self, message: str, partial: list["Trajectory"] | None = None):
         super().__init__(message)
@@ -110,7 +110,6 @@ class ModelSpec:
     gamma: Field
     d_S: float
     d_I: float
-    eps_reg: float = 1e-12
 
     def __post_init__(self):
         if self.beta.grid.nx != self.gamma.grid.nx:
@@ -159,9 +158,9 @@ class Trajectory:
     def final(self) -> State:
         return self.snapshots[-1]
 
-    def trailing(self, fraction: float = 0.5) -> list[State]:
-        k = max(1, int(len(self.snapshots) * fraction))
-        return self.snapshots[-k:]
+    def trailing(self) -> list[State]:
+        """The last half of the snapshots, at least one."""
+        return self.snapshots[-max(1, len(self.snapshots) // 2):]
 
 
 def _rows(fields: list[Field]) -> np.ndarray:
@@ -178,9 +177,9 @@ class _Kernel:
 
     ``spec`` is one ModelSpec, whose state is a pair of (nx,) arrays, or a
     list of K specs, whose states are the rows of (K, nx) arrays.  The specs
-    of a list share the grid, variant, dispersal rates and ``eps_reg``, so
-    they share the Crank-Nicolson matrices; their coefficients stay (nx,)
-    when equal and are (K, nx) otherwise.  Every substep is nodewise or acts
+    of a list share the grid, variant and dispersal rates, so they share the
+    Crank-Nicolson matrices; their coefficients stay (nx,) when equal and are
+    (K, nx) otherwise.  Every substep is nodewise or acts
     along the last axis, so each row advances exactly as it would alone.
     """
 
@@ -212,38 +211,25 @@ class _Kernel:
 
     def _mass_action_flow(self, S, I, J, tau):
         # Exact nodewise solution of S' = -beta*(S-r)*I, I' = -S'.
-        # With C = S+I and D = C-r, u = S-r obeys a logistic equation whose
-        # closed form also yields the exposure increment int I dt.
+        # With C = S+I and D = C-r, u = S-r obeys a logistic equation:
+        # u(tau) = u/(1 + I*g) with g = expm1(beta*tau*D)/D, whose limit at
+        # D = 0 is beta*tau, and int I dt = log1p(I*g)/beta.
         C = S + I
         D = C - self.r
-        u0 = S - self.r
-        E = np.expm1(self.beta * tau * D)
-        denom = D + I * E
-        degenerate = (D == 0.0) | (denom == 0.0)
-        if degenerate.any():
-            D_safe = np.where(degenerate, 1.0, D)
-            denom_safe = np.where(degenerate, 1.0, denom)
-            lin = 1.0 + self.beta * I * tau
-            u_new = np.where(degenerate, u0 / lin, D * u0 / denom_safe)
-            dJ = np.where(degenerate,
-                          np.log1p(self.beta * I * tau) / self.beta,
-                          np.log1p(I * E / D_safe) / self.beta)
-        else:
-            u_new = D * u0 / denom
-            dJ = np.log1p(I * E / D) / self.beta
-        S_new = self.r + u_new
-        I_new = C - S_new
-        return S_new, I_new, J + dJ
+        g = self.beta * np.full_like(D, tau)
+        g = np.divide(np.expm1(g * D), D, out=g, where=D != 0.0)
+        S_new = self.r + (S - self.r) / (1.0 + I * g)
+        return S_new, C - S_new, J + np.log1p(I * g) / self.beta
 
     def _std_incidence_flow(self, S, I, J, tau):
         # Exact nodewise solution of I' = beta*S*I/C - gamma*I, S' = -I'.
         # With C = S+I fixed this is I' = a*I - (beta/C)*I^2, a = beta-gamma:
         # I(tau) = I*e^{a tau}/(1 + x) with x = beta*g*I/C, g = (e^{a tau}-1)/a,
-        # and int I dt = (C/beta)*log1p(x).  Where C <= eps_reg the incidence
+        # and int I dt = (C/beta)*log1p(x).  Where C <= EPS_REG the incidence
         # is exactly 0, so I only recovers: I*e^{-gamma tau}.
         growth, beta_g, decay, recovered = self._std_factors(tau)
         C = S + I
-        empty = C <= self.spec.eps_reg
+        empty = C <= EPS_REG
         if empty.any():
             C_safe = np.where(empty, 1.0, C)
             x = np.where(empty, 0.0, beta_g * I / C_safe)
@@ -313,22 +299,6 @@ class _Kernel:
         return self.reaction_half(S, I, J, 0.5 * dt)
 
 
-def step(spec: ModelSpec, state: State, dt: float) -> State:
-    """Advance one Strang step; raises StepSizeError if the diffusion
-    overshoots below zero.
-
-    A state without an exposure field (``J is None``) stays without one.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    grid = spec.grid
-    kernel = _Kernel(spec, dt)
-    J0 = np.zeros(grid.nx) if state.J is None else np.array(state.J.values)
-    S, I, J = kernel.advance(np.array(state.S.values), np.array(state.I.values), J0, 1)
-    return State(state.t + dt, Field(grid, S), Field(grid, I),
-                 None if state.J is None else Field(grid, J))
-
-
 def run(spec: ModelSpec, S0: Field, I0: Field, dt: float, T: float,
         snapshot_every: float = 0.5, steady_tol: float = 1e-7) -> Trajectory:
     """Integrate to time T or until the state stops changing.
@@ -388,7 +358,7 @@ def run_batch(specs: list[ModelSpec], S0s: list[Field], I0s: list[Field], dt: fl
     """``run`` for K models that share one Crank-Nicolson matrix, advanced as
     the rows of one (K, nx) state; one model runs on (nx,) arrays.
 
-    The specs must share the grid, variant, dispersal rates and ``eps_reg``;
+    The specs must share the grid, variant and dispersal rates;
     coefficients and initial data may differ.  Every row keeps its own
     snapshots, diagnostics, warnings and steady stop, and equals its own
     ``run`` bit for bit.  A row that goes steady leaves the state.  Any
@@ -396,12 +366,11 @@ def run_batch(specs: list[ModelSpec], S0s: list[Field], I0s: list[Field], dt: fl
     row's trajectory up to its last snapshot.
     """
     def shared(s: ModelSpec) -> tuple:
-        return s.grid.a, s.grid.b, s.grid.nx, s.variant, s.d_S, s.d_I, s.eps_reg
+        return s.grid.a, s.grid.b, s.grid.nx, s.variant, s.d_S, s.d_I
 
     spec = specs[0]
     if any(shared(row_spec) != shared(spec) for row_spec in specs[1:]):
-        raise ValueError("batched specs must share the grid, variant, dispersal rates "
-                         "and eps_reg")
+        raise ValueError("batched specs must share the grid, variant and dispersal rates")
     for row_spec, S0, I0 in zip(specs, S0s, I0s):
         if S0.grid.nx != row_spec.grid.nx or I0.grid.nx != row_spec.grid.nx:
             raise ValueError("initial data must live on the model grid")

@@ -14,6 +14,7 @@ import numpy as np
 from .mesh import Field, quadrature
 from .operators import TridiagonalMatrix, neumann_laplacian, solve_tridiagonal
 
+# iteration cap of both solvers
 DEFAULT_MAX_ITER = 10_000
 
 
@@ -36,7 +37,6 @@ class EigenResult:
 
 
 def principal_eigenvalue(d: float, h: Field, tol: float = 1e-12,
-                         max_iter: int = DEFAULT_MAX_ITER,
                          start: np.ndarray | None = None) -> EigenResult:
     """Largest eigenvalue of d*L + diag(h) under zero-flux boundaries.
 
@@ -68,7 +68,7 @@ def principal_eigenvalue(d: float, h: Field, tol: float = 1e-12,
     # applied relative to that scale; the Rayleigh quotient is quadratically
     # accurate in the residual, which keeps eigenvalues far tighter.
     op_scale = max(1.0, float(np.abs(hv).max()) + 4.0 * d / grid.dx**2)
-    for it in range(1, max_iter + 1):
+    for it in range(1, DEFAULT_MAX_ITER + 1):
         v = solve_tridiagonal(lu, u)
         norm = np.sqrt(quadrature(grid, v * v))
         u = v / norm
@@ -78,12 +78,11 @@ def principal_eigenvalue(d: float, h: Field, tol: float = 1e-12,
         if residual <= tol * op_scale:
             phi = Field(grid, u if u.max() > 0 else -u)
             return EigenResult(sigma, phi, it, residual)
-    raise EigenConvergenceError("principal eigenvalue iteration", max_iter, residual)
+    raise EigenConvergenceError("principal eigenvalue iteration", DEFAULT_MAX_ITER, residual)
 
 
 def basic_reproduction_number(d_I: float, beta: Field, gamma: Field,
-                              tol: float = 1e-12,
-                              max_iter: int = DEFAULT_MAX_ITER) -> float:
+                              tol: float = 1e-12) -> float:
     """Spectral threshold quantity for disease invasion.
 
     Computed as the largest generalized eigenvalue of the pencil
@@ -105,7 +104,7 @@ def basic_reproduction_number(d_I: float, beta: Field, gamma: Field,
 
     u = np.full(grid.nx, 1.0 / np.sqrt(grid.length))
     rho = np.inf
-    for it in range(1, max_iter + 1):
+    for _ in range(DEFAULT_MAX_ITER):
         v = solve_tridiagonal(B_lu, bv * u)
         norm = np.sqrt(quadrature(grid, v * v))
         u = v / norm
@@ -116,7 +115,7 @@ def basic_reproduction_number(d_I: float, beta: Field, gamma: Field,
         residual = float(np.abs(bv * u - rho * Bu).max())
         if residual <= tol * op_scale:
             return float(rho)
-    raise EigenConvergenceError("reproduction number iteration", max_iter, residual)
+    raise EigenConvergenceError("reproduction number iteration", DEFAULT_MAX_ITER, residual)
 
 
 def dense_principal_eigenvalue(d: float, h: Field) -> tuple[float, np.ndarray]:

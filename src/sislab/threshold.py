@@ -1,7 +1,7 @@
 """Critical population size by eigenvalue-constrained maximization.
 
 Maximizes N(lam) = int(lam*S0 + (1-lam)*r) over nodewise lam in [0, 1]
-subject to sigma(d_I, beta*lam*gap) <= feas_tol, where gap = S0 - r.  The
+subject to sigma(d_I, beta*lam*gap) <= _FEAS_TOL, where gap = S0 - r.  The
 eigenvalue is a supremum of linear functionals of the potential, so the
 feasible set is convex and a KKT point of this linear objective is the
 global optimum: with phi the principal eigenfunction at lam, lam = 1 where
@@ -11,7 +11,7 @@ trust radius at the largest level whose true eigenvalue stays feasible; the
 nodes left between 0 and 1 are then solved for exactly, so every iterate is
 feasible.  The tangent plane of the convex eigenvalue at an iterate gives,
 by LP duality, an upper bound on N*; the ascent stops once that bound
-certifies the iterate to the relative gap ``tol``.
+certifies the iterate to the relative gap ``_TOL``.
 """
 
 from __future__ import annotations
@@ -25,19 +25,19 @@ from .operators import (TridiagonalMatrix, TridiagonalSolveError, neumann_laplac
                         solve_tridiagonal)
 from .spectral import principal_eigenvalue
 
-# The completion aims sigma at this fraction of feas_tol: the rest is room for
+_TOL = 1e-6                      # certified relative gap (dual_bound - N*) / N*
+_FEAS_TOL = 1e-8                 # allowed eigenvalue at the returned point
+_RANDOM_STARTS = 1               # random first-step scores, tried only when
+                                 # the deterministic start does not certify
+# The completion aims sigma at this fraction of _FEAS_TOL: the rest is room for
 # the roundoff of its solve, and the certificate's slack is what remains.
 _AIM = 0.9
 
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    tol: float = 1e-6            # certified relative gap (dual_bound - N*) / N*
-    feas_tol: float = 1e-8       # allowed eigenvalue at the returned point
     max_iter: int = 200          # ascent steps per start
-    random_starts: int = 1       # random first-step scores, tried only when
-    seed: int = 0                # the deterministic start does not certify
-    eig_tol: float = 1e-12
+    seed: int = 0                # seeds the random starts
 
 
 @dataclass(frozen=True)
@@ -48,18 +48,16 @@ class ThresholdResult:
     lower_bound: float
     upper_bound: float
     dual_bound: float            # certified upper bound on the optimum
-    converged: bool              # dual_bound - n_star <= tol * n_star
+    converged: bool              # dual_bound - n_star <= _TOL * n_star
     iterations: int              # ascent steps over all starts
 
 
 class _Problem:
-    def __init__(self, S0: Field, r: Field, beta: Field, d_I: float,
-                 opts: OptimizerOptions):
+    def __init__(self, S0: Field, r: Field, beta: Field, d_I: float):
         self.grid = S0.grid
         self.gap = S0.values - r.values
         self.beta = beta.values
         self.d_I = d_I
-        self.opts = opts
         self.base = quadrature(self.grid, r.values)
         self.c = self.grid.weights * self.gap
         self.laplacian = neumann_laplacian(self.grid)
@@ -69,7 +67,7 @@ class _Problem:
 
     def sigma(self, lam: np.ndarray, warm: np.ndarray | None):
         h = Field(self.grid, self.beta * lam * self.gap)
-        eig = principal_eigenvalue(self.d_I, h, tol=self.opts.eig_tol, start=warm)
+        eig = principal_eigenvalue(self.d_I, h, start=warm)
         return eig.sigma, eig.phi.values
 
     def dual_bound(self, lam: np.ndarray, sigma: float, phi: np.ndarray) -> float:
@@ -83,7 +81,7 @@ class _Problem:
         """
         score = self.beta * phi * phi
         g = self.c * score                              # d sigma / d lam
-        slack = float(g @ lam) - sigma + self.opts.feas_tol
+        slack = float(g @ lam) - sigma + _FEAS_TOL
         up = self.c > 0
         order = np.argsort(score)[::-1]
         mu = 1.0 / score[order]
@@ -97,7 +95,6 @@ class _Problem:
         """The trust-region move to the largest feasible level of ``scores``,
         as (lam, sigma, phi), or None; the node crossing the level is
         completed."""
-        ft = self.opts.feas_tol
         order = np.argsort(scores, kind="stable")
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
@@ -111,11 +108,11 @@ class _Problem:
 
         lo, hi = 0, order.size
         top = self.sigma(trial(hi), phi)
-        if top[0] <= ft:
+        if top[0] <= _FEAS_TOL:
             return trial(hi), *top
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if self.sigma(trial(mid), phi)[0] <= ft:
+            if self.sigma(trial(mid), phi)[0] <= _FEAS_TOL:
                 lo = mid
             else:
                 hi = mid
@@ -133,7 +130,7 @@ class _Problem:
         (lam, sigma, phi), or None if no feasible point results.
         """
         d, L = self.d_I, self.laplacian
-        target = _AIM * self.opts.feas_tol
+        target = _AIM * _FEAS_TOL
         free = free & (self.gap != 0)
         x = lam.copy()
         while free.any():
@@ -153,7 +150,7 @@ class _Problem:
             inside = (value >= 0) & (value <= 1)
             if inside.all():
                 sigma, phi = self.sigma(x, psi)
-                return (x, sigma, phi) if sigma <= self.opts.feas_tol else None
+                return (x, sigma, phi) if sigma <= _FEAS_TOL else None
             free[np.flatnonzero(free)[~inside]] = False
         return None
 
@@ -169,7 +166,7 @@ def critical_population(S0: Field, r: Field, beta: Field, d_I: float,
     if d_I <= 0:
         raise ValueError("infected dispersal rate must be positive")
     opts = opts or OptimizerOptions()
-    prob = _Problem(S0, r, beta, d_I, opts)
+    prob = _Problem(S0, r, beta, d_I)
     grid = S0.grid
 
     lam0 = np.zeros(grid.nx)
@@ -180,9 +177,9 @@ def critical_population(S0: Field, r: Field, beta: Field, d_I: float,
     iterations = 0
 
     def certified():
-        return bound - best[0] <= opts.tol * best[0]
+        return bound - best[0] <= _TOL * best[0]
 
-    for start in range(1 + opts.random_starts):
+    for start in range(1 + _RANDOM_STARTS):
         if certified():
             break
         lam, phi, n = lam0, phi0, prob.base

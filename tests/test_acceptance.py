@@ -112,15 +112,15 @@ def test_criterion_06_point_concentration(preset_run, preset_setup):
     target = 3.5 - (4 - math.pi)
     best_frac, best_mass_err = 0.0, math.inf
     for snap in traj.trailing():
-        best_frac = max(best_frac, concentration_fraction(snap.I, center, 0.05))
+        best_frac = max(best_frac, concentration_fraction(snap.I, center))
         best_mass_err = min(best_mass_err, abs(integrate(snap.I) - target))
     ok_b = best_frac >= 0.9 and best_mass_err <= 0.05
 
     traj_c = preset_run("sim2c")
     grid_c = traj_c.spec.grid
     final_c = traj_c.final.I
-    w1 = concentration_fraction(final_c, [int(np.argmin(np.abs(grid_c.nodes - 0.125)))], 0.05)
-    w2 = concentration_fraction(final_c, [int(np.argmin(np.abs(grid_c.nodes - 0.625)))], 0.05)
+    w1 = concentration_fraction(final_c, [int(np.argmin(np.abs(grid_c.nodes - 0.125)))])
+    w2 = concentration_fraction(final_c, [int(np.argmin(np.abs(grid_c.nodes - 0.625)))])
     ok_c = w1 >= 0.15 and w2 >= 0.15 and (w1 + w2) >= 0.9
     report("6", ok_b and ok_c,
            f"sim2b: fraction {best_frac:.3f} (>=0.9), mass err {best_mass_err:.3f} "

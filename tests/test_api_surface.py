@@ -6,13 +6,15 @@ that layer's benchmark metrics or failing only the benchmark."""
 
 import importlib
 import importlib.util
+import inspect
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import sislab
-from sislab import models, operators, spectral
+from sislab import diagnostics, mesh, models, operators, spectral, threshold
 from sislab.config import preset_config
 from sislab.mesh import build_grid, eval_expression
 
@@ -41,6 +43,26 @@ def test_public_api_is_pinned():
     ]
     for name in sislab.__all__:
         assert hasattr(sislab, name), name
+
+
+def test_option_surface_is_pinned():
+    # each value below has one setting in use, so it is a module constant
+    # (mesh.EPS_REG, spectral.DEFAULT_MAX_ITER, diagnostics.CONCENTRATION_RADIUS,
+    # threshold's tolerances), not an option
+    def params(fn):
+        return tuple(inspect.signature(fn).parameters)
+
+    assert tuple(f.name for f in fields(threshold.OptimizerOptions)) == ("max_iter", "seed")
+    assert tuple(f.name for f in fields(models.ModelSpec)) == (
+        "variant", "beta", "gamma", "d_S", "d_I")
+    assert params(spectral.principal_eigenvalue) == ("d", "h", "tol", "start")
+    assert params(spectral.basic_reproduction_number) == ("d_I", "beta", "gamma", "tol")
+    assert params(mesh.incidence_quotient) == ("x", "S", "I")
+    assert params(diagnostics.lyapunov_std_ds0) == ("S", "I", "beta", "gamma", "d_I")
+    assert params(diagnostics.lyapunov_std_di0) == (
+        "S", "I", "beta", "gamma", "d_S", "high_mask")
+    assert params(diagnostics.concentration_fraction) == ("I", "min_indices")
+    assert params(models.Trajectory.trailing) == ("self",)
 
 
 @pytest.mark.parametrize("module_name, path", [

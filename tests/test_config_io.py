@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sislab import models
+from sislab import models, spectral
 from sislab.classify import estimate_lambda_star
 from sislab.cli import main
 from sislab.config import (
@@ -224,10 +224,12 @@ class TestCsvEmission:
         assert rebuilt.final.J is None
         with pytest.raises(ValueError, match="exposure field J"):
             estimate_lambda_star(rebuilt, spec.risk_ratio(), spec.beta)
-        # stepping on from a reloaded state works and stays without J
-        stepped = models.step(spec, rebuilt.final, 1e-3)
-        assert stepped.J is None
-        assert np.array_equal(stepped.S.values, models.step(spec, traj.final, 1e-3).S.values)
+        # stepping on from a reloaded state works
+        kernel = models._Kernel(spec, 1e-3)
+        J0 = np.zeros(spec.grid.nx)
+        stepped = kernel.advance(rebuilt.final.S.values, rebuilt.final.I.values, J0, 1)
+        assert np.array_equal(stepped[0],
+                              kernel.advance(traj.final.S.values, traj.final.I.values, J0, 1)[0])
 
 
 class TestSvgEmission:
@@ -379,3 +381,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: principal eigenvalue iteration did not converge")
         assert err.count("\n") == 1
+
+    def test_eigen_iteration_cap_is_one_error_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(spectral, "DEFAULT_MAX_ITER", 1)
+        rc = main(["eigen", "--h", "cos(2*pi*x)", "--d", "1e-3"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: principal eigenvalue iteration did not converge "
+                              "after 1 iterations")
+        assert err.count("\n") == 1
+
+    def test_simulate_keeps_the_snapshots_before_a_step_size_error(self, tmp_path, capsys):
+        # the sim1b spike of TestStep::test_rejects_oversized_steps fails
+        # between t = 1 and 1.2
+        run_dir = tmp_path / "out"
+        rc = main(["simulate", "--preset", "sim1b", "--set", "nx=21", "--set", "dt=0.05",
+                   "--set", "beta_expr=1", "--set", "gamma_expr=2",
+                   "--set", "S0_expr=1 + 9*exp(-((x-0.5)/0.005)^2)",
+                   "--set", "I0_expr=0.001", "--set", "T=4", "--set", "snapshot_every=0.2",
+                   "--out", str(run_dir)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: dt=0.05 is too large for these data")
+        assert err.count("\n") == 1
+        blocks = read_profiles_csv(run_dir / "profiles.csv")
+        assert [t for t, *_ in blocks] == pytest.approx([0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
+        assert len(read_diagnostics_csv(run_dir / "diagnostics.csv")) == 6
+        summary = json.loads((run_dir / "run.json").read_text())
+        assert summary["snapshots"] == 6
+        assert summary["error"] == err.removeprefix("error: ").rstrip("\n")

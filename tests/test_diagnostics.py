@@ -150,16 +150,16 @@ class TestHarnackAndConcentration:
 
     def test_point_mass_fraction(self, grid):
         I = Field(grid, np.where(grid.nodes == 0.5, 1.0, 0.0))
-        assert concentration_fraction(I, [100], 0.05) == pytest.approx(1.0)
+        assert concentration_fraction(I, [100]) == pytest.approx(1.0)
 
     def test_uniform_profile_window_fraction(self, grid):
         I = Field.constant(grid, 1.0)
-        frac = concentration_fraction(I, [100], 0.05)
+        frac = concentration_fraction(I, [100])
         assert frac == pytest.approx(0.1, abs=1e-12)
 
     def test_needs_positive_mass(self, grid):
         with pytest.raises(ValueError, match="positive infected mass"):
-            concentration_fraction(Field.constant(grid, 0.0), [3], 0.05)
+            concentration_fraction(Field.constant(grid, 0.0), [3])
 
     def test_late_time_concentration_on_the_point_mass_preset(self, preset_run):
         traj = preset_run("sim2b")

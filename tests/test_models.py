@@ -5,12 +5,10 @@ from hypothesis import given, settings, strategies as st
 from sislab.mesh import Field, build_grid, eval_expression, incidence_quotient, quadrature
 from sislab.models import (
     ModelSpec,
-    State,
     StepSizeError,
     Variant,
     _Kernel,
     run,
-    step,
 )
 
 
@@ -52,13 +50,12 @@ class TestReactionTerms:
         assert I1 == pytest.approx(I, rel=1e-15)
 
     def test_std_incidence_origin_and_arithmetic(self):
-        eps = 1e-12
         S = np.array([0.0, 1.0, 4e-13, 1.0])
         I = np.array([0.0, 1.0, 5e-13, 0.0])
-        q = incidence_quotient(2.0 * S * I, S, I, eps)
-        assert q[0] == 0.0 and q[2] == 0.0 and q[3] == 0.0  # S + I <= eps_reg
+        q = incidence_quotient(2.0 * S * I, S, I)
+        assert q[0] == 0.0 and q[2] == 0.0 and q[3] == 0.0  # S + I <= EPS_REG
         assert q[1] == pytest.approx(1.0)
-        # the reaction flow on the same nodes: where S + I <= eps_reg the
+        # the reaction flow on the same nodes: where S + I <= EPS_REG the
         # incidence is 0, so the infecteds only recover, I*e^{-gamma*tau}
         spec, g = make_spec(Variant.STD_INCIDENCE_DS0, beta="2 - sin(pi*x)", gamma="1.5",
                             nx=4)
@@ -80,7 +77,7 @@ class TestReactionTerms:
     @settings(max_examples=60, deadline=None)
     def test_std_incidence_bounded_by_the_smaller_density(self, S, I, beta):
         Sv, Iv = np.array([S]), np.array([I])
-        f = incidence_quotient(beta * Sv * Iv, Sv, Iv, 1e-12)[0]
+        f = incidence_quotient(beta * Sv * Iv, Sv, Iv)[0]
         assert f <= beta * min(S, I) + 1e-12
 
 
@@ -119,9 +116,8 @@ class TestStep:
                          Field.constant(g, 2.0), d_S=0.0, d_I=1.0)
         spike = np.full(g.nx, 1e-3)
         spike[10] = 1.0
-        state = State(0.0, Field.constant(g, 1.0), Field(g, spike), Field.constant(g, 0.0))
         with pytest.raises(StepSizeError, match="drove I down to") as failed:
-            step(spec, state, 0.05)
+            _Kernel(spec, 0.05).advance(np.ones(g.nx), spike, np.zeros(g.nx), 1)
         assert failed.value.partial == []
         # here the spike grows out of the reaction (S - r is 8 at the middle
         # node and -1 elsewhere), and the run fails after five snapshots
@@ -165,7 +161,7 @@ class TestStep:
 
     def test_batched_rows_advance_as_their_own_kernels(self):
         # rows with their own coefficients, one of them with nodes where
-        # S + I <= eps_reg, then the row left after the other finishes
+        # S + I <= EPS_REG, then the row left after the other finishes
         specs = [make_spec(Variant.STD_INCIDENCE_DS0, beta=beta, gamma="1.5", nx=11)[0]
                  for beta in ("2 - sin(pi*x)", "3")]
         empty = np.arange(11) % 4 == 0
@@ -204,15 +200,16 @@ class TestStep:
         # so the combined discrepancy is only required to shrink
         # superlinearly per halving and strongly per quartering.
         spec, g = make_spec()
-        S0 = eval_expression(g, "2 + cos(pi*x)")
-        I0 = eval_expression(g, "1.5 + cos(pi*x)")
-        st0 = State(0.0, S0, I0, Field.constant(g, 0.0))
+        S0 = eval_expression(g, "2 + cos(pi*x)").values
+        I0 = eval_expression(g, "1.5 + cos(pi*x)").values
+        J0 = np.zeros(g.nx)
 
         def discrepancy(dt):
-            one = step(spec, st0, dt)
-            half = step(spec, step(spec, st0, dt / 2), dt / 2)
-            return (np.abs(one.S.values - half.S.values).max(),
-                    np.abs(one.I.values - half.I.values).max())
+            one = _Kernel(spec, dt).advance(S0, I0, J0, 1)
+            kernel = _Kernel(spec, dt / 2)
+            half = kernel.advance(*kernel.advance(S0, I0, J0, 1), 1)
+            return (np.abs(one[0] - half[0]).max(),
+                    np.abs(one[1] - half[1]).max())
 
         vals = {dt: discrepancy(dt) for dt in (1.6e-2, 8e-3, 4e-3)}
         s_ratio = vals[1.6e-2][0] / vals[4e-3][0]
@@ -297,7 +294,7 @@ class TestRun:
         # ratio times the late-window extremes of the susceptible level
         spec, grid, S0, I0 = preset_setup("sim4a")
         traj = preset_run("sim4a")
-        late = traj.trailing(0.25)
+        late = traj.snapshots[-(len(traj.snapshots) // 4):]
         s_lo = min(s.S.min() for s in late)
         s_hi = max(s.S.max() for s in late)
         excess = np.maximum(spec.beta.values / spec.gamma.values - 1.0, 0.0)
@@ -400,7 +397,7 @@ def test_exact_std_flow_matches_a_fine_ode_integration(S, I, beta, gamma, tau):
 def test_reaction_flows_are_semigroups(variant, S, I, beta, gamma, tau):
     # R(tau) R(tau) = R(2 tau) is what lets a run merge the two half
     # reactions between steps; the last two nodes are a typical node and one
-    # with S + I <= eps_reg
+    # with S + I <= EPS_REG
     g = build_grid(0, 1, 6)
     spec = ModelSpec(variant, Field(g, np.linspace(beta, 2 * beta, 6)),
                      Field.constant(g, gamma), d_S=0.0, d_I=1.0)
