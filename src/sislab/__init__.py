@@ -11,12 +11,9 @@ and classifies and verifies the long-time regime.
 from .mesh import (
     Field,
     Grid,
-    RiskMode,
-    RiskProfile,
     build_grid,
     eval_expression,
     integrate,
-    risk_sets,
     rmin_set,
 )
 from .models import ModelSpec, State, Trajectory, Variant, run
@@ -42,12 +39,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Field",
     "Grid",
-    "RiskMode",
-    "RiskProfile",
     "build_grid",
     "eval_expression",
     "integrate",
-    "risk_sets",
     "rmin_set",
     "ModelSpec",
     "State",

@@ -19,7 +19,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .mesh import Field, RiskMode, quadrature, risk_sets, rmin_set
+from .mesh import Field, quadrature, risk_signs, rmin_set
 from .models import ModelSpec, Trajectory, Variant
 from .diagnostics import concentration_fraction
 from .threshold import critical_population
@@ -66,17 +66,11 @@ class OutcomeReport:
 
 def predict_regime(spec: ModelSpec, S0: Field, I0: Field) -> RegimePrediction:
     """Decision table over the four degenerate systems."""
-    if spec.variant is Variant.FULL:
+    predictor = _PREDICTORS.get(spec.variant)
+    if predictor is None:
         raise ValueError("regime prediction covers only the degenerate systems")
-    grid = spec.grid
-    N = quadrature(grid, np.asarray(S0.values) + np.asarray(I0.values))
-    if spec.variant is Variant.MASS_ACTION_DS0:
-        return _predict_mass_ds0(spec, S0, I0, N)
-    if spec.variant is Variant.MASS_ACTION_DI0:
-        return _predict_mass_di0(spec, S0, I0, N)
-    if spec.variant is Variant.STD_INCIDENCE_DS0:
-        return _predict_std_ds0(spec, N)
-    return _predict_std_di0(spec, I0, N)
+    N = quadrature(spec.grid, np.asarray(S0.values) + np.asarray(I0.values))
+    return predictor(spec, S0, I0, N)
 
 
 def _predict_mass_ds0(spec, S0, I0, N):
@@ -114,9 +108,9 @@ def _predict_mass_ds0(spec, S0, I0, N):
 
 def _predict_mass_di0(spec, S0, I0, N):
     grid = spec.grid
-    profile = risk_sets(spec.beta, spec.gamma, N, RiskMode.MASS_ACTION)
-    support = np.asarray(I0.values) > 0
-    active_high = profile.plus_mask() & support
+    signs = risk_signs((N / grid.length) * np.asarray(spec.beta.values)
+                       - np.asarray(spec.gamma.values))
+    active_high = (signs > 0) & (np.asarray(I0.values) > 0)
     r = spec.risk_ratio()
     r_min, min_idx = rmin_set(r, I0)
     notes = [f"high-risk nodes meeting the infected support: {int(active_high.sum())}"]
@@ -132,22 +126,22 @@ def _predict_mass_di0(spec, S0, I0, N):
                             r_tilde_min=r_min, notes=notes)
 
 
-def _predict_std_ds0(spec, N):
+def _predict_std_ds0(spec, S0, I0, N):
     grid = spec.grid
-    profile = risk_sets(spec.beta, spec.gamma, None, RiskMode.STD_INCIDENCE)
-    notes = [f"risk partition sizes +:{len(profile.h_plus)} 0:{len(profile.h_zero)} "
-             f"-:{len(profile.h_minus)}"]
-    if len(profile.h_minus) > 0:
+    bv, gv = np.asarray(spec.beta.values), np.asarray(spec.gamma.values)
+    signs = risk_signs(bv - gv)
+    notes = [f"risk partition sizes +:{np.count_nonzero(signs > 0)} "
+             f"0:{np.count_nonzero(signs == 0)} -:{np.count_nonzero(signs < 0)}"]
+    if (signs < 0).any():
         return RegimePrediction(Regime.T42_EXTINCTION, predicted_I=0.0, notes=notes)
-    if len(profile.h_plus) == grid.nx:
-        bv, gv = np.asarray(spec.beta.values), np.asarray(spec.gamma.values)
+    if (signs > 0).all():
         I_star = N / quadrature(grid, bv / (bv - gv))
         S_star = Field(grid, gv * I_star / (bv - gv))
         notes.append(f"endemic infected level {I_star:.6g}")
         return RegimePrediction(Regime.T42_ENDEMIC, predicted_S=S_star,
                                 predicted_I=I_star,
                                 predicted_I_mass=I_star * grid.length, notes=notes)
-    zero_measure = quadrature(grid, profile.zero_mask().astype(float))
+    zero_measure = quadrature(grid, (signs == 0).astype(float))
     notes.append(f"moderate-risk weight {zero_measure:.3g} vs 2*dx={2*grid.dx:.3g}")
     if zero_measure > 2 * grid.dx:
         return RegimePrediction(Regime.T43_EXTINCTION, predicted_I=0.0, notes=notes)
@@ -161,11 +155,10 @@ def _predict_std_ds0(spec, N):
     return RegimePrediction(Regime.INDETERMINATE, notes=notes)
 
 
-def _predict_std_di0(spec, I0, N):
+def _predict_std_di0(spec, S0, I0, N):
     grid = spec.grid
-    profile = risk_sets(spec.beta, spec.gamma, None, RiskMode.STD_INCIDENCE)
-    support = np.asarray(I0.values) > 0
-    high = profile.plus_mask() & support
+    bv, gv = np.asarray(spec.beta.values), np.asarray(spec.gamma.values)
+    high = (risk_signs(bv - gv) > 0) & (np.asarray(I0.values) > 0)
     notes = [f"high-risk infected-support nodes: {int(high.sum())}"]
     if not high.any():
         notes.append("no high-risk site meets the infected support")
@@ -176,7 +169,6 @@ def _predict_std_di0(spec, I0, N):
         notes.append("reciprocal risk gap blows up on the active high-risk set")
     if divergent is not False:
         return RegimePrediction(Regime.INDETERMINATE, high_mask=high, notes=notes)
-    bv, gv = np.asarray(spec.beta.values), np.asarray(spec.gamma.values)
     excess = np.where(high, np.maximum(bv - gv, 0.0) / gv, 0.0)
     S_star = N / (grid.length + quadrature(grid, excess))
     I_star = Field(grid, excess * S_star)
@@ -185,6 +177,14 @@ def _predict_std_di0(spec, I0, N):
                             predicted_I=I_star,
                             predicted_I_mass=quadrature(grid, np.asarray(I_star.values)),
                             high_mask=high, notes=notes)
+
+
+_PREDICTORS = {
+    Variant.MASS_ACTION_DS0: _predict_mass_ds0,
+    Variant.MASS_ACTION_DI0: _predict_mass_di0,
+    Variant.STD_INCIDENCE_DS0: _predict_std_ds0,
+    Variant.STD_INCIDENCE_DI0: _predict_std_di0,
+}
 
 
 def _reciprocal_gap_divergent(spec: ModelSpec, mask: np.ndarray | None
@@ -219,8 +219,8 @@ def _reciprocal_gap_divergent(spec: ModelSpec, mask: np.ndarray | None
     )
 
 
-def estimate_lambda_star(traj: Trajectory, r: Field, beta: Field) -> Field:
-    """Nodewise exp(-beta * final exposure); values always land in (0, 1]."""
+def estimate_lambda_star(traj: Trajectory) -> Field:
+    """Nodewise exp(-beta * final exposure) of the run; values land in (0, 1]."""
     if traj.spec.variant is not Variant.MASS_ACTION_DS0:
         raise ValueError("the exposure factor is defined for the susceptible-locked "
                          "mass-action system")
@@ -228,7 +228,7 @@ def estimate_lambda_star(traj: Trajectory, r: Field, beta: Field) -> Field:
         raise ValueError("the trajectory carries no exposure field J "
                          "(profiles reloaded from CSV do not record it)")
     J = np.asarray(traj.final.J.values)
-    return Field(r.grid, np.exp(-np.asarray(beta.values) * J))
+    return Field(traj.spec.grid, np.exp(-np.asarray(traj.spec.beta.values) * J))
 
 
 def verify_outcome(traj: Trajectory, pred: RegimePrediction, tol: float) -> OutcomeReport:

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .mesh import Field, RiskMode, incidence_quotient, quadrature, risk_sets, rmin_set
+from .mesh import Field, incidence_quotient, quadrature, risk_signs, rmin_set
 from .operators import gradient_energy_values
 
 # radius of the window around the minimum set that the concentration
@@ -54,6 +54,12 @@ def lyapunov_mass_action_di0(S: Field, I: Field, beta: Field, r: Field,
     return V, dissipation
 
 
+def _beta_dominates(beta: Field, gamma: Field) -> bool:
+    """beta >= gamma at every node, within 1e-9*max(1, max|beta - gamma|)."""
+    gap = np.asarray(beta.values) - np.asarray(gamma.values)
+    return float(gap.min()) >= -1e-9 * float(np.abs(gap).max(initial=1.0))
+
+
 def lyapunov_std_ds0(S: Field, I: Field, beta: Field, gamma: Field,
                      d_I: float) -> tuple[float, float]:
     """Energy V = int(kappa*S^2 + I^2)/2 with kappa = (beta-gamma)/gamma.
@@ -64,11 +70,10 @@ def lyapunov_std_ds0(S: Field, I: Field, beta: Field, gamma: Field,
     note the ratio is taken against gamma, which is what the dissipation
     form requires.
     """
+    if not _beta_dominates(beta, gamma):
+        raise ValueError("this energy requires beta >= gamma at every node")
     grid = S.grid
     bv, gv = np.asarray(beta.values), np.asarray(gamma.values)
-    tol_zero = 1e-9 * float(np.abs(bv - gv).max(initial=1.0))
-    if float((bv - gv).min()) < -tol_zero:
-        raise ValueError("this energy requires beta >= gamma at every node")
     kappa = np.maximum(bv - gv, 0.0) / gv
     Sv, Iv = np.asarray(S.values), np.asarray(I.values)
     V = 0.5 * quadrature(grid, kappa * Sv * Sv + Iv * Iv)
@@ -131,24 +136,25 @@ class DiagnosticsContext:
     point-mass limits."""
 
     def __init__(self, spec, I0: Field):
+        from .models import Variant     # models imports this module
+
         variant = spec.variant
         self.harnack_on_s = variant.locks_i
         self.min_indices = None
         # (S, I) -> (V, dissipation rate), or None when the variant has no energy
         self.energy = None
-        if variant.mass_action and variant.locks_i:
+        if variant is Variant.MASS_ACTION_DI0:
             r = spec.risk_ratio()
             _, self.min_indices = rmin_set(r, I0)
             self.energy = lambda S, I: lyapunov_mass_action_di0(S, I, spec.beta, r,
                                                                 spec.d_S)
-        elif variant.std_incidence and variant.locks_s:
-            gap = np.asarray(spec.beta.values) - np.asarray(spec.gamma.values)
-            if float(gap.min()) >= -1e-9 * max(1.0, float(np.abs(gap).max())):
+        elif variant is Variant.STD_INCIDENCE_DS0:
+            if _beta_dominates(spec.beta, spec.gamma):
                 self.energy = lambda S, I: lyapunov_std_ds0(S, I, spec.beta, spec.gamma,
                                                             spec.d_I)
-        elif variant.std_incidence and variant.locks_i:
-            profile = risk_sets(spec.beta, spec.gamma, None, RiskMode.STD_INCIDENCE)
-            high_mask = profile.plus_mask() & (np.asarray(I0.values) > 0)
+        elif variant is Variant.STD_INCIDENCE_DI0:
+            gap = np.asarray(spec.beta.values) - np.asarray(spec.gamma.values)
+            high_mask = (risk_signs(gap) > 0) & (np.asarray(I0.values) > 0)
 
             def energy(S, I):
                 V, grad, low, high = lyapunov_std_di0(S, I, spec.beta, spec.gamma,

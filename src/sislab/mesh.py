@@ -1,8 +1,7 @@
-"""Uniform 1D grid, grid functions, quadrature, and risk-set decompositions."""
+"""Uniform 1D grid, grid functions, quadrature, and the risk partition."""
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -115,59 +114,13 @@ def incidence_quotient(x: np.ndarray, S: np.ndarray, I: np.ndarray) -> np.ndarra
     return np.where(positive, x / np.where(positive, tot, 1.0), 0.0)
 
 
-class RiskMode(enum.Enum):
-    MASS_ACTION = "mass_action"
-    STD_INCIDENCE = "std_incidence"
-
-
-@dataclass(frozen=True)
-class RiskProfile:
-    """Partition of the nodes into high/moderate/low-risk sets.
-
-    The classification indicator is (N/|domain|)*beta - gamma under mass
-    action and beta - gamma under standard incidence; values within
-    ``tol_zero`` of zero land in the moderate set.
-    """
-
-    mode: RiskMode
-    h_plus: np.ndarray
-    h_zero: np.ndarray
-    h_minus: np.ndarray
-    tol_zero: float
-    indicator: np.ndarray = field(repr=False)
-
-    def plus_mask(self) -> np.ndarray:
-        return _index_mask(self.h_plus, self.indicator.shape[0])
-
-    def zero_mask(self) -> np.ndarray:
-        return _index_mask(self.h_zero, self.indicator.shape[0])
-
-    def minus_mask(self) -> np.ndarray:
-        return _index_mask(self.h_minus, self.indicator.shape[0])
-
-
-def _index_mask(indices: np.ndarray, n: int) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    mask[indices] = True
-    return mask
-
-
-def risk_sets(beta: Field, gamma: Field, N: float | None, mode: RiskMode) -> RiskProfile:
-    """Classify every node by the sign of the local infection indicator."""
-    _require_same_grid(beta, gamma)
-    if beta.min() <= 0 or gamma.min() <= 0:
-        raise ValueError("transmission and recovery rates must be positive at every node")
-    if mode is RiskMode.MASS_ACTION:
-        if N is None or N <= 0:
-            raise ValueError("mass-action risk sets need a positive total population N")
-        indicator = (N / beta.grid.length) * beta.values - gamma.values
-    else:
-        indicator = beta.values - gamma.values
+def risk_signs(indicator: np.ndarray) -> np.ndarray:
+    """+1/0/-1 at the high/moderate/low-risk nodes: the sign of the risk
+    indicator, (N/|domain|)*beta - gamma under mass action and beta - gamma
+    under standard incidence, taken as 0 within 1e-9 of its largest magnitude."""
+    indicator = np.asarray(indicator, dtype=float)
     tol_zero = 1e-9 * float(np.abs(indicator).max())
-    plus = np.flatnonzero(indicator > tol_zero)
-    minus = np.flatnonzero(indicator < -tol_zero)
-    zero = np.flatnonzero(np.abs(indicator) <= tol_zero)
-    return RiskProfile(mode, plus, zero, minus, float(tol_zero), _frozen(indicator))
+    return np.where(np.abs(indicator) > tol_zero, np.sign(indicator), 0.0).astype(int)
 
 
 def rmin_set(r: Field, I0: Field) -> tuple[float, np.ndarray]:

@@ -55,10 +55,6 @@ class Variant(enum.Enum):
     STD_INCIDENCE_DI0 = "std_incidence_di0"
 
     @property
-    def mass_action(self) -> bool:
-        return self in (Variant.MASS_ACTION_DS0, Variant.MASS_ACTION_DI0)
-
-    @property
     def std_incidence(self) -> bool:
         return self in (Variant.STD_INCIDENCE_DS0, Variant.STD_INCIDENCE_DI0)
 
@@ -213,12 +209,13 @@ class _Kernel:
         # Exact nodewise solution of S' = -beta*(S-r)*I, I' = -S'.
         # With C = S+I and D = C-r, u = S-r obeys a logistic equation:
         # u(tau) = u/(1 + I*g) with g = expm1(beta*tau*D)/D, whose limit at
-        # D = 0 is beta*tau, and int I dt = log1p(I*g)/beta.
+        # D = 0 is beta*tau, and int I dt = log1p(I*g)/beta.  Bounding S_new
+        # by C, as the exact flow is, keeps I_new >= 0 under roundoff.
         C = S + I
         D = C - self.r
         g = self.beta * np.full_like(D, tau)
         g = np.divide(np.expm1(g * D), D, out=g, where=D != 0.0)
-        S_new = self.r + (S - self.r) / (1.0 + I * g)
+        S_new = np.minimum(self.r + (S - self.r) / (1.0 + I * g), C)
         return S_new, C - S_new, J + np.log1p(I * g) / self.beta
 
     def _std_incidence_flow(self, S, I, J, tau):

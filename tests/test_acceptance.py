@@ -16,12 +16,11 @@ from sislab import models
 from sislab.config import SweepConfig, preset_config
 from sislab.mesh import (
     Field,
-    RiskMode,
     build_grid,
     eval_expression,
     integrate,
     quadrature,
-    risk_sets,
+    risk_signs,
 )
 from sislab.diagnostics import concentration_fraction
 from sislab.spectral import (
@@ -88,8 +87,8 @@ def test_criterion_05_persistence_profile_with_locked_infected(preset_run, prese
     traj = preset_run("sim4a")
     spec, grid, S0, I0 = preset_setup("sim4a")
     S_star = 3.3158
-    profile = risk_sets(spec.beta, spec.gamma, None, RiskMode.STD_INCIDENCE)
-    plus, minus = profile.plus_mask(), profile.minus_mask()
+    signs = risk_signs(spec.beta.values - spec.gamma.values)
+    plus, minus = signs > 0, signs < 0
     I_star = np.where(plus, np.maximum(spec.beta.values - spec.gamma.values, 0.0)
                       * S_star / spec.gamma.values, 0.0)
     Sv, Iv = traj.final.S.values, traj.final.I.values
@@ -161,8 +160,7 @@ def test_criterion_08_energy_monotonicity_and_balance(preset_run, preset_setup):
     from sislab.diagnostics import lyapunov_std_di0
 
     spec, grid, S0, I0 = preset_setup("sim4a")
-    profile = risk_sets(spec.beta, spec.gamma, None, RiskMode.STD_INCIDENCE)
-    high = profile.plus_mask() & (I0.values > 0)
+    high = (risk_signs(spec.beta.values - spec.gamma.values) > 0) & (I0.values > 0)
 
     def balance_residual(dt):
         traj = models.run(spec, S0, I0, dt=dt, T=0.5, snapshot_every=dt,

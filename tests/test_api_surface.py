@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import sislab
-from sislab import diagnostics, mesh, models, operators, spectral, threshold
+from sislab import classify, diagnostics, mesh, models, operators, spectral, threshold
 from sislab.config import preset_config
 from sislab.mesh import build_grid, eval_expression
 
@@ -31,8 +31,7 @@ def _load_bench(name):
 
 def test_public_api_is_pinned():
     assert sislab.__all__ == [
-        "Field", "Grid", "RiskMode", "RiskProfile", "build_grid", "eval_expression",
-        "integrate", "risk_sets", "rmin_set",
+        "Field", "Grid", "build_grid", "eval_expression", "integrate", "rmin_set",
         "ModelSpec", "State", "Trajectory", "Variant", "run",
         "EigenResult", "basic_reproduction_number", "principal_eigenvalue",
         "OptimizerOptions", "ThresholdResult", "critical_population",
@@ -43,6 +42,10 @@ def test_public_api_is_pinned():
     ]
     for name in sislab.__all__:
         assert hasattr(sislab, name), name
+    # the risk partition is one sign array; the incidence is the Variant's
+    for name in ("RiskMode", "RiskProfile", "risk_sets"):
+        assert not hasattr(mesh, name), name
+    assert not hasattr(models.Variant, "mass_action")
 
 
 def test_option_surface_is_pinned():
@@ -63,6 +66,9 @@ def test_option_surface_is_pinned():
         "S", "I", "beta", "gamma", "d_S", "high_mask")
     assert params(diagnostics.concentration_fraction) == ("I", "min_indices")
     assert params(models.Trajectory.trailing) == ("self",)
+    # each caller forms its own risk indicator, and a run carries its own r and beta
+    assert params(mesh.risk_signs) == ("indicator",)
+    assert params(classify.estimate_lambda_star) == ("traj",)
 
 
 @pytest.mark.parametrize("module_name, path", [

@@ -128,7 +128,7 @@ class TestLambdaStarEstimate:
         spec, grid, S0, I0 = preset_setup("sim1a")
         traj = preset_run("sim1a")
         r = spec.risk_ratio()
-        lam = estimate_lambda_star(traj, r, spec.beta)
+        lam = estimate_lambda_star(traj)
         assert 0.0 < lam.min() and lam.max() <= 1.0
         rebuilt = lam.values * S0.values + (1 - lam.values) * r.values
         assert np.abs(traj.final.S.values - rebuilt).max() <= 1e-10 * S0.max()
@@ -138,16 +138,15 @@ class TestLambdaStarEstimate:
         # constrained eigenvalue up to finite-horizon truncation
         spec, grid, S0, I0 = preset_setup("sim1a")
         traj = preset_run("sim1a")
-        lam = estimate_lambda_star(traj, spec.risk_ratio(), spec.beta)
+        lam = estimate_lambda_star(traj)
         h = Field(grid, spec.beta.values * lam.values
                   * (S0.values - spec.risk_ratio().values))
         assert principal_eigenvalue(spec.d_I, h).sigma <= 1e-3
 
-    def test_wrong_variant_is_rejected(self, preset_run, preset_setup):
-        spec, grid, S0, I0 = preset_setup("sim2b")
+    def test_wrong_variant_is_rejected(self, preset_run):
         traj = preset_run("sim2b")
         with pytest.raises(ValueError):
-            estimate_lambda_star(traj, spec.risk_ratio(), spec.beta)
+            estimate_lambda_star(traj)
 
 
 class TestVerifyOutcome:

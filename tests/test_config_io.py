@@ -219,11 +219,11 @@ class TestCsvEmission:
     def test_reloaded_run_has_no_exposure_factor(self, tiny_run, tmp_path):
         cfg, traj = tiny_run
         spec = traj.spec
-        assert estimate_lambda_star(traj, spec.risk_ratio(), spec.beta).max() < 1.0
+        assert estimate_lambda_star(traj).max() < 1.0
         rebuilt = trajectory_from_csv(spec, *emit_csv(traj, tmp_path))
         assert rebuilt.final.J is None
         with pytest.raises(ValueError, match="exposure field J"):
-            estimate_lambda_star(rebuilt, spec.risk_ratio(), spec.beta)
+            estimate_lambda_star(rebuilt)
         # stepping on from a reloaded state works
         kernel = models._Kernel(spec, 1e-3)
         J0 = np.zeros(spec.grid.nx)

@@ -9,7 +9,7 @@ from sislab.diagnostics import (
     lyapunov_std_di0,
     lyapunov_std_ds0,
 )
-from sislab.mesh import Field, RiskMode, build_grid, eval_expression, risk_sets
+from sislab.mesh import Field, build_grid, eval_expression, risk_signs
 from sislab.operators import gradient_energy_values
 
 
@@ -117,8 +117,7 @@ class TestStdIncidenceLockedInfectedEnergy:
 
     def test_cumulative_terms_stay_finite_along_a_run(self, preset_run, preset_setup):
         spec, grid, S0, I0 = preset_setup("sim4a")
-        prof = risk_sets(spec.beta, spec.gamma, None, RiskMode.STD_INCIDENCE)
-        high = prof.plus_mask() & (I0.values > 0)
+        high = (risk_signs(spec.beta.values - spec.gamma.values) > 0) & (I0.values > 0)
         traj = models.run(spec, S0, I0, dt=5e-3, T=40.0, snapshot_every=0.5,
                           steady_tol=0.0)
         lows, highs = 0.0, 0.0

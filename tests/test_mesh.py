@@ -6,11 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from sislab.mesh import (
     Field,
-    RiskMode,
     build_grid,
     eval_expression,
     integrate,
-    risk_sets,
+    risk_signs,
     rmin_set,
 )
 
@@ -96,58 +95,46 @@ class TestRiskSets:
         g = build_grid(0, 1, 13)
         beta = eval_expression(g, "1 + sin(pi*x)")
         gamma = Field.constant(g, 1.5)
-        prof = risk_sets(beta, gamma, None, RiskMode.STD_INCIDENCE)
-        zero_nodes = g.nodes[prof.h_zero]
+        signs = risk_signs(beta.values - gamma.values)
+        zero_nodes = g.nodes[signs == 0]
         assert zero_nodes == pytest.approx([1 / 6, 5 / 6], abs=1e-12)
-        interior = g.nodes[prof.h_plus]
+        interior = g.nodes[signs > 0]
         assert np.all((interior > 1 / 6) & (interior < 5 / 6))
 
     def test_constant_low_risk(self):
         g = build_grid(0, 1, 21)
-        prof = risk_sets(Field.constant(g, 0.5), Field.constant(g, 1.0),
-                         None, RiskMode.STD_INCIDENCE)
-        assert len(prof.h_minus) == g.nx
-        assert len(prof.h_plus) == 0
+        signs = risk_signs(Field.constant(g, 0.5).values - Field.constant(g, 1.0).values)
+        assert np.count_nonzero(signs < 0) == g.nx
+        assert np.count_nonzero(signs > 0) == 0
 
     def test_mass_action_two_bands(self):
         g = build_grid(0, 1, 401)
         beta = Field.constant(g, 2.0)
         gamma = eval_expression(g, "14 - 4*pi*sin(4*pi*x)")
-        prof = risk_sets(beta, gamma, 3.5, RiskMode.MASS_ACTION)
-        plus = g.nodes[prof.h_plus]
+        h_plus = np.flatnonzero(risk_signs((3.5 / g.length) * beta.values - gamma.values) > 0)
+        plus = g.nodes[h_plus]
         # indicator 7 - 14 + 4 pi sin(4 pi x) > 0 iff sin(4 pi x) > 7/(4 pi)
         expected = np.sin(4 * np.pi * g.nodes) > 7 / (4 * np.pi)
-        assert set(prof.h_plus) == set(np.flatnonzero(expected))
+        assert set(h_plus) == set(np.flatnonzero(expected))
         assert plus.min() > 0.0 and plus.max() < 0.75
         # two separated bands around 1/8 and 5/8
-        gaps = np.flatnonzero(np.diff(prof.h_plus) > 1)
+        gaps = np.flatnonzero(np.diff(h_plus) > 1)
         assert len(gaps) == 1
-
-    def test_requires_population_in_mass_action_mode(self):
-        g = build_grid(0, 1, 11)
-        with pytest.raises(ValueError, match="population"):
-            risk_sets(Field.constant(g, 1.0), Field.constant(g, 1.0),
-                      None, RiskMode.MASS_ACTION)
-
-    def test_rejects_nonpositive_rates(self):
-        g = build_grid(0, 1, 11)
-        with pytest.raises(ValueError):
-            risk_sets(Field.constant(g, 0.0), Field.constant(g, 1.0),
-                      None, RiskMode.STD_INCIDENCE)
 
     @given(
         amp=st.floats(-2, 2),
         shift=st.floats(-1, 1),
         n_pop=st.floats(0.5, 8),
-        mode=st.sampled_from(list(RiskMode)),
+        mass_action=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_partition_is_total(self, amp, shift, n_pop, mode):
+    def test_partition_is_total(self, amp, shift, n_pop, mass_action):
         g = build_grid(0, 1, 31)
         beta = Field(g, 1.5 + amp * np.sin(np.pi * g.nodes) * 0.4)
         gamma = Field(g, 1.5 + shift)
-        prof = risk_sets(beta, gamma, n_pop, mode)
-        union = np.concatenate([prof.h_plus, prof.h_zero, prof.h_minus])
+        scale = n_pop / g.length if mass_action else 1.0
+        signs = risk_signs(scale * beta.values - gamma.values)
+        union = np.concatenate([np.flatnonzero(signs == s) for s in (1, 0, -1)])
         assert sorted(union) == list(range(g.nx))
 
 

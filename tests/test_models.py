@@ -288,6 +288,12 @@ class TestRun:
         for s in traj.snapshots:
             assert s.S.max() <= bound + 1e-12
 
+    @pytest.mark.parametrize("name", ["sim2b", "sim2c"])
+    def test_mass_action_infected_stays_nonnegative(self, preset_run, name):
+        # I = C - S cancels where I is near 0; roundoff must not carry it below 0
+        for s in preset_run(name).snapshots:
+            assert s.I.min() >= 0
+
     def test_eventual_infected_bounds_for_locked_infected_incidence(
             self, preset_run, preset_setup):
         # late in the run, each infected node is pinched between the excess

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sislab.mesh import Field, build_grid, eval_expression, quadrature
 from sislab.operators import gradient_energy_values
@@ -14,6 +14,15 @@ from sislab.spectral import (
 @pytest.fixture(scope="module")
 def grid():
     return build_grid(0, 1, 201)
+
+
+_coeffs = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+
+
+def _smooth(grid, c0, coeffs):
+    """c0 + sum a_k cos(k pi x), k <= 3."""
+    return Field(grid, c0 + sum(a * np.cos(k * np.pi * grid.nodes)
+                                for k, a in enumerate(coeffs, 1)))
 
 
 class TestPrincipalEigenvalue:
@@ -81,6 +90,15 @@ class TestPrincipalEigenvalue:
         assert h.min() - 1e-9 <= res.sigma <= h.max() + 1e-9
         assert res.phi.min() > 0
 
+    @given(nx=st.integers(17, 65), c0=st.floats(-2, 2), coeffs=_coeffs,
+           d=st.floats(0.01, 20))
+    @settings(max_examples=40, deadline=None)
+    def test_bracketed_by_mean_and_max(self, nx, c0, coeffs, d):
+        # the constant is a trial function with Rayleigh quotient mean(h), since L*1 = 0
+        h = _smooth(build_grid(0, 1, nx), c0, coeffs)
+        slack = 1e-10 * max(1.0, float(np.abs(h.values).max()))
+        assert h.mean() - slack <= principal_eigenvalue(d, h).sigma <= h.max() + slack
+
 
 class TestMonotonicity:
     def test_strictly_decreasing_in_d(self, grid):
@@ -112,6 +130,19 @@ class TestReproductionNumber:
         r0 = basic_reproduction_number(1.0, beta, gamma)
         sig = principal_eigenvalue(1.0, Field(grid, beta.values - gamma.values)).sigma
         assert (r0 - 1.0) * sig > 0
+
+    @given(nx=st.integers(17, 65), beta=_coeffs, gamma=_coeffs,
+           floors=st.tuples(st.floats(0.05, 2), st.floats(0.05, 2)),
+           d_I=st.floats(0.01, 20))
+    @settings(max_examples=40, deadline=None)
+    def test_sign_agrees_with_the_eigenvalue_on_random_rates(self, nx, beta, gamma,
+                                                              floors, d_I):
+        g = build_grid(0, 1, nx)
+        beta, gamma = (_smooth(g, sum(map(abs, c)) + f, c)
+                       for c, f in zip((beta, gamma), floors))
+        sig = principal_eigenvalue(d_I, Field(g, beta.values - gamma.values)).sigma
+        assume(abs(sig) >= 1e-8)
+        assert np.sign(basic_reproduction_number(d_I, beta, gamma) - 1.0) == np.sign(sig)
 
     def test_matches_dense_generalized_solver(self):
         import scipy.linalg
