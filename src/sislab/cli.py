@@ -139,6 +139,8 @@ def _cmd_threshold(args) -> int:
           f"{(result.dual_bound - result.n_star) / result.n_star:.3e}")
     print(f"constraint eigenvalue at optimum = {result.sigma_at_opt:.3e}  "
           f"converged={result.converged}")
+    print(f"ascent steps = {result.iterations}  eigen solves = {result.eigen_solves}  "
+          f"eigen iterations = {result.eigen_iterations}")
     return 0
 
 

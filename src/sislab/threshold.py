@@ -50,6 +50,8 @@ class ThresholdResult:
     dual_bound: float            # certified upper bound on the optimum
     converged: bool              # dual_bound - n_star <= _TOL * n_star
     iterations: int              # ascent steps over all starts
+    eigen_solves: int            # principal_eigenvalue calls
+    eigen_iterations: int        # their iterations, summed
 
 
 class _Problem:
@@ -61,6 +63,8 @@ class _Problem:
         self.base = quadrature(self.grid, r.values)
         self.c = self.grid.weights * self.gap
         self.laplacian = neumann_laplacian(self.grid)
+        self.eigen_solves = 0
+        self.eigen_iterations = 0
 
     def objective(self, lam: np.ndarray) -> float:
         return self.base + float(self.c @ lam)
@@ -68,6 +72,8 @@ class _Problem:
     def sigma(self, lam: np.ndarray, warm: np.ndarray | None):
         h = Field(self.grid, self.beta * lam * self.gap)
         eig = principal_eigenvalue(self.d_I, h, start=warm)
+        self.eigen_solves += 1
+        self.eigen_iterations += eig.iterations
         return eig.sigma, eig.phi.values
 
     def dual_bound(self, lam: np.ndarray, sigma: float, phi: np.ndarray) -> float:
@@ -219,4 +225,6 @@ def critical_population(S0: Field, r: Field, beta: Field, d_I: float,
         dual_bound=bound,
         converged=certified(),
         iterations=iterations,
+        eigen_solves=prob.eigen_solves,
+        eigen_iterations=prob.eigen_iterations,
     )

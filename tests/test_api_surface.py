@@ -124,14 +124,33 @@ def test_a_run_factors_once_and_traces_every_crank_nicolson_solve(
     assert factorizations == [41] * dispersing
 
 
-def test_eigen_solves_factor_once_and_trace_every_iteration(factorizations):
+def test_eigen_solves_factor_and_trace_once_per_iteration(factorizations):
+    # each Noda step shifts, so it factors its own matrix and solves once
     grid = build_grid(0, 1, 101)
+    h = eval_expression(grid, "cos(2*pi*x)")
     tracer = _load_bench("tracing").Tracer()
     with tracer.installed():
-        res = spectral.principal_eigenvalue(0.1, eval_expression(grid, "cos(2*pi*x)"))
+        res = spectral.principal_eigenvalue(0.1, h)
+        assert res.iterations > 0
         assert _span_count(tracer, "operators.solve_tridiagonal") == res.iterations
-        assert factorizations == [101]
+        assert factorizations == [101] * res.iterations
+        # a start that already meets the tolerance factors nothing
+        assert spectral.principal_eigenvalue(0.1, h, start=res.phi.values).iterations == 0
+        assert factorizations == [101] * res.iterations
         spectral.basic_reproduction_number(1.0, eval_expression(grid, "2 - sin(pi*x)"),
                                            eval_expression(grid, "1.5"))
-    assert _span_count(tracer, "operators.solve_tridiagonal") > res.iterations
-    assert factorizations == [101, 101]
+    r0_iterations = _span_count(tracer, "operators.solve_tridiagonal") - res.iterations
+    assert r0_iterations > 0
+    assert factorizations == [101] * (res.iterations + r0_iterations)
+
+
+def test_threshold_counts_the_eigen_solves_the_benchmark_traces():
+    tracing = _load_bench("tracing")
+    spec, _, S0, _ = preset_config("sim1c").build()
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        res = threshold.critical_population(S0, spec.risk_ratio(), spec.beta, spec.d_I)
+    metrics = tracing.layer_metrics(tracer, [-1], jobs=1, untraced_wall_s=1.0)
+    assert res.eigen_solves == metrics["threshold.sigma_evals"][0] > 0
+    assert res.eigen_iterations == metrics["spectral.iterations"][0] > 0
+    assert res.iterations == metrics["threshold.iterations"][0]

@@ -335,6 +335,17 @@ class TestCli:
                            if line.startswith("certified: N* <= dual bound = "))
         assert float(certificate.split()[-1]) <= 1e-6
 
+    def test_threshold_prints_its_eigen_work_on_one_line(self, capsys):
+        rc = main(["threshold", "--preset", "sim1c", "--set", "nx=41"])
+        assert rc == 0
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("ascent steps = "))
+        steps, solves, iterations = (int(part.split(" = ")[1])
+                                     for part in line.split("  "))
+        assert steps >= 1
+        assert solves > steps
+        assert iterations >= solves
+
     def test_sweep_subcommand(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from sislab import spectral
 from sislab.mesh import Field, build_grid, eval_expression, quadrature
-from sislab.operators import gradient_energy_values
+from sislab.operators import gradient_energy_values, neumann_laplacian
 from sislab.spectral import (
+    EigenConvergenceError,
     basic_reproduction_number,
     dense_principal_eigenvalue,
     principal_eigenvalue,
@@ -23,6 +25,10 @@ def _smooth(grid, c0, coeffs):
     """c0 + sum a_k cos(k pi x), k <= 3."""
     return Field(grid, c0 + sum(a * np.cos(k * np.pi * grid.nodes)
                                 for k, a in enumerate(coeffs, 1)))
+
+
+# two bumps of almost equal height: the two largest eigenvalues nearly tie
+_NEAR_TIE = "0.2 + exp(-((x-0.2)/0.04)^2) + 1.001*exp(-((x-0.8)/0.04)^2)"
 
 
 class TestPrincipalEigenvalue:
@@ -97,7 +103,47 @@ class TestPrincipalEigenvalue:
         # the constant is a trial function with Rayleigh quotient mean(h), since L*1 = 0
         h = _smooth(build_grid(0, 1, nx), c0, coeffs)
         slack = 1e-10 * max(1.0, float(np.abs(h.values).max()))
-        assert h.mean() - slack <= principal_eigenvalue(d, h).sigma <= h.max() + slack
+        res = principal_eigenvalue(d, h)
+        assert h.mean() - slack <= res.sigma <= h.max() + slack
+        assert res.iterations <= 10
+
+
+class TestNodaIteration:
+    def test_near_tie_principal_eigenvalue(self):
+        g = build_grid(0, 1, 201)
+        h = eval_expression(g, _NEAR_TIE)
+        res = principal_eigenvalue(1e-3, h)
+        assert res.iterations <= 10
+        assert res.sigma == pytest.approx(dense_principal_eigenvalue(1e-3, h)[0], abs=1e-12)
+
+    def test_near_tie_reproduction_number(self):
+        import scipy.linalg
+
+        g = build_grid(0, 1, 61)
+        beta, gamma = eval_expression(g, _NEAR_TIE), Field.constant(g, 1.0)
+        L = neumann_laplacian(g)
+        B = (np.diag(gamma.values - 1e-3 * L.diag) + np.diag(-1e-3 * L.upper, 1)
+             + np.diag(-1e-3 * L.lower, -1))
+        dense = np.sort(scipy.linalg.eigvals(np.diag(beta.values), B).real)
+        assert dense[-2] / dense[-1] > 0.999
+        assert basic_reproduction_number(1e-3, beta, gamma) == pytest.approx(dense[-1],
+                                                                            rel=1e-12)
+
+    @pytest.mark.parametrize("nx", [201, 2001])
+    @pytest.mark.parametrize("d", [1e-5, 1e-3, 1.0])
+    @pytest.mark.parametrize("expr", ["x", "cos(2*pi*(x-0.45))"])
+    def test_unreachable_tolerance_ends_at_the_iteration_cap(self, nx, d, expr):
+        # the shift settles onto sigma; its margin keeps every factorization
+        # safe, so the solve runs to the cap instead of hitting a tiny pivot
+        h = eval_expression(build_grid(0, 1, nx), expr)
+        with pytest.raises(EigenConvergenceError, match="after 10000 iterations"):
+            principal_eigenvalue(d, h, tol=1e-300)
+
+    def test_unreachable_tolerance_ends_the_pencil_at_the_iteration_cap(self):
+        g = build_grid(0, 1, 201)
+        with pytest.raises(EigenConvergenceError, match="after 10000 iterations"):
+            basic_reproduction_number(1e-3, eval_expression(g, _NEAR_TIE),
+                                      Field.constant(g, 1.0), tol=1e-300)
 
 
 class TestMonotonicity:
@@ -142,7 +188,14 @@ class TestReproductionNumber:
                        for c, f in zip((beta, gamma), floors))
         sig = principal_eigenvalue(d_I, Field(g, beta.values - gamma.values)).sigma
         assume(abs(sig) >= 1e-8)
-        assert np.sign(basic_reproduction_number(d_I, beta, gamma) - 1.0) == np.sign(sig)
+        solves = []
+        solve = spectral.solve_tridiagonal
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "solve_tridiagonal",
+                       lambda lu, rhs: solves.append(1) or solve(lu, rhs))
+            r0 = basic_reproduction_number(d_I, beta, gamma)
+        assert np.sign(r0 - 1.0) == np.sign(sig)
+        assert len(solves) <= 10
 
     def test_matches_dense_generalized_solver(self):
         import scipy.linalg
