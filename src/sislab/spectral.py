@@ -1,6 +1,6 @@
 """Principal eigenvalue of d*Laplacian + h and the basic reproduction number.
 
-Both solvers use Noda iteration (T. Noda, Numer. Math. 17, 1971): inverse
+Both solvers run one Noda iteration (T. Noda, Numer. Math. 17, 1971): inverse
 iteration whose shift moves every step to the Collatz-Wielandt bound of the
 positive iterate, so each step factors its shifted tridiagonal matrix and
 solves once.  The shifts converge quadratically (L. Elsner, Linear Algebra
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Field, quadrature
+from .mesh import Field, Grid, quadrature
 from .operators import TridiagonalMatrix, neumann_laplacian, solve_tridiagonal
 
 # iteration cap of both solvers
@@ -47,49 +47,26 @@ def principal_eigenvalue(d: float, h: Field, tol: float = 1e-12,
                          start: np.ndarray | None = None) -> EigenResult:
     """Largest eigenvalue of d*L + diag(h) under zero-flux boundaries.
 
-    Each step shifts to max(A u / u), the Collatz-Wielandt upper bound on
-    sigma of the positive iterate u (never above the previous shift, which
-    starts at h_max + 1), factors (shift*Id - A) and solves once.  The
-    off-diagonals of A are nonnegative and the shift lies above sigma, so
-    the factored matrix is a nonsingular M-matrix and the next iterate is
-    positive.  ``iterations`` counts the solves: a start that already meets
-    the tolerance returns after none.  The d -> 0 limit is max(h); use that
-    directly instead of calling this with a tiny d.  ``start`` warm-starts
-    the iteration with a positive vector (used by the threshold optimizer).
+    The d -> 0 limit is max(h); use that directly instead of calling this
+    with a tiny d.  ``iterations`` counts the solves: a start that already
+    meets the tolerance returns after none.  ``start`` warm-starts the
+    iteration with a positive vector (used by the threshold optimizer).
     """
-    if d <= 0:
+    if not d > 0:
         raise ValueError("diffusion rate must be positive; the d->0 limit is max(h)")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     grid = h.grid
     hv = np.asarray(h.values)
-    L = neumann_laplacian(grid)
-    lower, diag, upper = -d * L.lower, d * L.diag + hv, -d * L.upper
-
-    if start is not None and np.asarray(start).min() > 0:
-        u = np.asarray(start, dtype=float)
-        u = u / np.sqrt(quadrature(grid, u * u))
-    else:
-        u = np.full(grid.nx, 1.0 / np.sqrt(grid.length))
     # The attainable max-norm residual scales with the operator norm (the
     # Laplacian amplifies solver roundoff by d/dx^2), so the tolerance is
     # applied relative to that scale; the Rayleigh quotient is quadratically
     # accurate in the residual, which keeps eigenvalues far tighter.
     op_scale = max(1.0, float(np.abs(hv).max()) + 4.0 * d / grid.dx**2)
-    shift = float(hv.max()) + 1.0
-    for it in range(DEFAULT_MAX_ITER + 1):
-        Au = d * L.matvec(u) + hv * u
-        sigma = float(quadrature(grid, u * Au))
-        residual = float(np.abs(Au - sigma * u).max())
-        if residual <= tol * op_scale:
-            return EigenResult(sigma, Field(grid, u), it, residual)
-        if it == DEFAULT_MAX_ITER:
-            break
-        shift = min(shift, max(float(_finite_ratios(Au, u).max()), sigma + _MARGIN * op_scale))
-        lu = TridiagonalMatrix(lower, shift - diag, upper).factor()
-        v = solve_tridiagonal(lu, u)
-        u = v / np.sqrt(quadrature(grid, v * v))
-    raise EigenConvergenceError("principal eigenvalue iteration", DEFAULT_MAX_ITER, residual)
+    if start is not None and np.asarray(start).min() > 0:
+        u = np.asarray(start, dtype=float)
+        u = u / np.sqrt(quadrature(grid, u * u))
+    else:
+        u = np.full(grid.nx, 1.0 / np.sqrt(grid.length))
+    return _noda("principal eigenvalue iteration", d, grid, hv, 1.0, u, op_scale, tol)
 
 
 def basic_reproduction_number(d_I: float, beta: Field, gamma: Field,
@@ -97,52 +74,68 @@ def basic_reproduction_number(d_I: float, beta: Field, gamma: Field,
     """Spectral threshold quantity for disease invasion.
 
     The largest generalized eigenvalue rho of the pencil
-    (diag(beta), B = -d_I*L + diag(gamma)), found as the smallest eigenvalue
-    mu = 1/rho of B u = mu*beta*u.  Each step raises mu to
-    min(B u / (beta*u)), the Collatz-Wielandt lower bound on 1/rho of the
-    positive iterate u (never below the previous mu, which starts at 0),
-    factors B - mu*diag(beta) and solves once against beta*u.  B has
-    nonpositive off-diagonals and is positive definite for d_I > 0 and
-    positive recovery rates, so for mu below 1/rho the factored matrix is a
-    nonsingular M-matrix and the next iterate is positive.
+    (diag(beta), B = -d_I*L + diag(gamma)).  B u = (1/rho)*beta*u is
+    (d_I*L - diag(gamma)) u = lambda*beta*u with lambda = -1/rho, and B is
+    positive definite for d_I > 0 and positive recovery rates, so rho is
+    -1/lambda for the largest lambda.
     """
-    if d_I <= 0:
+    if not d_I > 0:
         raise ValueError("diffusion rate must be positive")
     grid = beta.grid
     bv = np.asarray(beta.values)
     gv = np.asarray(gamma.values)
-    if bv.min() <= 0 or gv.min() <= 0:
+    if not (bv.min() > 0 and gv.min() > 0):
         raise ValueError("transmission and recovery rates must be positive")
-    L = neumann_laplacian(grid)
-    B = TridiagonalMatrix(-d_I * L.lower, gv - d_I * L.diag, -d_I * L.upper)
     op_scale = max(1.0, float(bv.max() + gv.max()) + 4.0 * d_I / grid.dx**2)
+    u = np.full(grid.nx, 1.0 / np.sqrt(quadrature(grid, bv)))
+    result = _noda("reproduction number iteration", d_I, grid, -gv, bv, u, op_scale, tol)
+    return float(-1.0 / result.sigma)
 
-    u = np.full(grid.nx, 1.0 / np.sqrt(grid.length))
-    mu = 0.0
+
+def _noda(what: str, d: float, grid: Grid, c: np.ndarray, w: float | np.ndarray,
+          u: np.ndarray, op_scale: float, tol: float) -> EigenResult:
+    """Largest lambda of (d*L + diag(c)) u = lambda*w*u for weights w > 0,
+    one per node or one for all.
+
+    Each step shifts to max(A u / (w*u)), the Collatz-Wielandt upper bound
+    on lambda of the positive iterate u (never above the previous shift,
+    which starts at max(c/w) + 1), factors (shift*diag(w) - A) and solves
+    once against w*u.  The off-diagonals of A are nonnegative and the shift
+    lies above lambda, so the factored matrix is a nonsingular M-matrix and
+    the next iterate is positive.  The start u is positive with
+    int(w*u^2) = 1, every iterate is normalized so, and convergence is
+    checked before each solve.
+    """
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
+    L = neumann_laplacian(grid)
+    lower, diag, upper = -d * L.lower, d * L.diag + c, -d * L.upper
+
+    # the margin is in units of lambda, hence the division by w
+    margin = _MARGIN * op_scale / float(np.min(w))
+    shift = float((c / w).max()) + 1.0
     for it in range(DEFAULT_MAX_ITER + 1):
-        bu = bv * u
-        Bu = B.matvec(u)
-        rho = quadrature(grid, bu * u) / quadrature(grid, u * Bu)
-        residual = float(np.abs(bu - rho * Bu).max())
+        Au = d * L.matvec(u) + c * u
+        wu = w * u
+        lam = float(quadrature(grid, u * Au))
+        residual = float(np.abs(Au - lam * wu).max())
         if residual <= tol * op_scale:
-            return float(rho)
+            return EigenResult(lam, Field(grid, u), it, residual)
         if it == DEFAULT_MAX_ITER:
             break
-        # the margin is in units of mu, hence the division by beta
-        cw = float(_finite_ratios(Bu, bu).min())
-        mu = max(mu, min(cw, 1.0 / rho - _MARGIN * op_scale / bv.min()))
-        lu = TridiagonalMatrix(B.lower, B.diag - mu * bv, B.upper).factor()
-        v = solve_tridiagonal(lu, bu)
-        u = v / np.sqrt(quadrature(grid, v * v))
-    raise EigenConvergenceError("reproduction number iteration", DEFAULT_MAX_ITER, residual)
+        shift = min(shift, max(_finite_max(Au, wu), lam + margin))
+        lu = TridiagonalMatrix(lower, shift * w - diag, upper).factor()
+        u = solve_tridiagonal(lu, wu)
+        u /= np.sqrt(quadrature(grid, w * u * u))
+    raise EigenConvergenceError(what, DEFAULT_MAX_ITER, residual)
 
 
-def _finite_ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """The finite entries of num/den: a component of den that underflowed to
-    0 makes its ratio inf or nan and carries no information."""
+def _finite_max(num: np.ndarray, den: np.ndarray) -> float:
+    """The largest finite entry of num/den: a component of den that
+    underflowed to 0 makes its ratio inf or nan and carries no information."""
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = num / den
-    return ratios[np.isfinite(ratios)]
+    return float(ratios.max(where=np.isfinite(ratios), initial=-np.inf))
 
 
 def dense_principal_eigenvalue(d: float, h: Field) -> tuple[float, np.ndarray]:

@@ -83,9 +83,15 @@ def test_every_traced_binding_resolves(module_name, path):
 
 @pytest.mark.parametrize("name", sorted(_load_bench("workloads").WORKLOADS))
 def test_every_benchmark_workload_sets_up(name, tmp_path):
-    workload = _load_bench("workloads").WORKLOADS[name]
+    # one smoke-sized pass, checked as the benchmark checks it: a result the
+    # benchmark would count as incorrect fails here first
+    workloads = _load_bench("workloads")
+    workload = workloads.WORKLOADS[name]
     workload.setup(seed=1, smoke=True, workdir=tmp_path)
-    assert workload.plan(1)
+    tasks = [workloads.call(*task) for task in workload.plan(1)]
+    assert tasks
+    assert [task.error for task in tasks if task.error] == []
+    assert workload.check(tasks) == {}
 
 
 @pytest.fixture

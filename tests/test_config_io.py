@@ -393,6 +393,15 @@ class TestCli:
         assert err.startswith("error: principal eigenvalue iteration did not converge")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("args", [["--preset", "sim1a", "--tol", "0"],
+                                      ["--preset", "sim1a", "--tol", "-1"],
+                                      ["--h", "x", "--tol", "nan"]])
+    def test_eigen_tolerance_must_be_positive(self, capsys, args):
+        assert main(["eigen", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: tolerance must be positive\n"
+        assert captured.out == ""
+
     def test_eigen_iteration_cap_is_one_error_line(self, capsys, monkeypatch):
         monkeypatch.setattr(spectral, "DEFAULT_MAX_ITER", 1)
         rc = main(["eigen", "--h", "cos(2*pi*x)", "--d", "1e-3"])

@@ -27,6 +27,10 @@ def _smooth(grid, c0, coeffs):
                                 for k, a in enumerate(coeffs, 1)))
 
 
+def _no_solve(lu, rhs):
+    raise AssertionError("an input check should have failed before any solve")
+
+
 # two bumps of almost equal height: the two largest eigenvalues nearly tie
 _NEAR_TIE = "0.2 + exp(-((x-0.2)/0.04)^2) + 1.001*exp(-((x-0.8)/0.04)^2)"
 
@@ -145,6 +149,28 @@ class TestNodaIteration:
             basic_reproduction_number(1e-3, eval_expression(g, _NEAR_TIE),
                                       Field.constant(g, 1.0), tol=1e-300)
 
+    @pytest.mark.parametrize("solve", [
+        lambda f: principal_eigenvalue(float("nan"), f),
+        lambda f: basic_reproduction_number(float("nan"), f, f),
+        lambda f: basic_reproduction_number(
+            1.0, Field(f.grid, np.where(f.grid.nodes < 0.5, 1.0, np.nan)), f),
+    ], ids=["sigma-d", "R0-d", "R0-beta"])
+    def test_nan_inputs_are_rejected(self, grid, monkeypatch, solve):
+        # NaN fails every comparison, so a "<= 0" check would let it through
+        monkeypatch.setattr(spectral, "solve_tridiagonal", _no_solve)
+        with pytest.raises(ValueError, match="must be positive"):
+            solve(eval_expression(grid, "1 + 0.5*cos(pi*x)"))
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("solve", [
+        lambda f, tol: principal_eigenvalue(1.0, f, tol=tol),
+        lambda f, tol: basic_reproduction_number(1.0, f, f, tol=tol),
+    ], ids=["sigma", "R0"])
+    def test_tolerance_must_be_positive(self, grid, monkeypatch, solve, tol):
+        monkeypatch.setattr(spectral, "solve_tridiagonal", _no_solve)
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            solve(eval_expression(grid, "1 + 0.5*cos(pi*x)"), tol)
+
 
 class TestMonotonicity:
     def test_strictly_decreasing_in_d(self, grid):
@@ -196,6 +222,17 @@ class TestReproductionNumber:
             r0 = basic_reproduction_number(d_I, beta, gamma)
         assert np.sign(r0 - 1.0) == np.sign(sig)
         assert len(solves) <= 10
+
+    @given(nx=st.integers(17, 65), b=st.floats(0.05, 5), gamma=_coeffs,
+           floor=st.floats(0.05, 2), d_I=st.floats(0.01, 20))
+    @settings(max_examples=40, deadline=None)
+    def test_constant_transmission_gives_r0_from_sigma(self, nx, b, gamma, floor, d_I):
+        # with beta = b the pencil is (d_I*L - gamma) u = -(b/R0) u, so R0 = -b/sigma(d_I, -gamma)
+        g = build_grid(0, 1, nx)
+        gamma = _smooth(g, sum(map(abs, gamma)) + floor, gamma)
+        sig = principal_eigenvalue(d_I, Field(g, -gamma.values)).sigma
+        r0 = basic_reproduction_number(d_I, Field.constant(g, b), gamma)
+        assert r0 == pytest.approx(-b / sig, rel=1e-12)
 
     def test_matches_dense_generalized_solver(self):
         import scipy.linalg
