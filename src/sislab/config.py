@@ -7,6 +7,8 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
+
 from .mesh import Field, Grid, build_grid, eval_expression
 from .models import ModelSpec, Variant
 
@@ -204,8 +206,6 @@ class SweepConfig:
         return self.base.with_overrides(params={**self.base.params, self.parameter: value})
 
     def values(self):
-        import numpy as np
-
         return np.linspace(self.lo, self.hi, self.count)
 
 

@@ -112,6 +112,9 @@ class ModelSpec:
             raise ValueError("beta and gamma live on different grids")
         if self.beta.min() <= 0 or self.gamma.min() <= 0:
             raise ValueError("transmission and recovery rates must be positive everywhere")
+        for name, rate in (("d_S", self.d_S), ("d_I", self.d_I)):
+            if not math.isfinite(rate):
+                raise ValueError(f"{name} must be finite, got {rate!r}")
         v = self.variant
         if v.locks_s and not (self.d_S == 0.0 and self.d_I > 0):
             raise ValueError(f"{v.value} requires d_S = 0 and d_I > 0")
@@ -328,7 +331,7 @@ class _Recorder:
         """Check and record the state at time t; True once the run is steady."""
         grid = self.spec.grid
         mass = quadrature(grid, S + I)
-        if abs(mass - self.N) > 1e-8 * self.N:
+        if not abs(mass - self.N) <= 1e-8 * self.N:  # a NaN mass fails too
             raise MassConservationError(
                 f"total mass drifted to {mass!r} (started at {self.N!r}) by t={t:g}"
             )
@@ -375,8 +378,11 @@ def run_batch(specs: list[ModelSpec], S0s: list[Field], I0s: list[Field], dt: fl
             raise ValueError("initial densities must be nonnegative")
         if not (np.asarray(I0.values) > 0).any():
             raise ValueError("initial infected density is identically zero")
-    if T <= 0 or dt <= 0:
-        raise ValueError("T and dt must be positive")
+    for name, value in (("dt", dt), ("T", T), ("snapshot_every", snapshot_every)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if math.isnan(steady_tol):
+        raise ValueError("steady_tol must be a number, got nan")
 
     if len(specs) == 1:
         kernel = _Kernel(spec, dt)

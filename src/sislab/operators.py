@@ -8,13 +8,42 @@ conservation and summation-by-parts identities hold to machine precision.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+import scipy  # its __init__ runs first: some builds set up library paths there
 
 from .mesh import Grid
+
+
+def _load_lapack(folder: Path):
+    """``dgttrf`` and ``dgttrs`` from scipy's compiled LAPACK wrappers.
+
+    ``folder`` is where scipy keeps ``_flapack``, the extension that
+    ``scipy.linalg.lapack`` re-exports.  Loading that file alone skips the
+    ``scipy.linalg`` package, whose import takes longer than the rest of
+    sislab's start-up.  The interpreter registers the loaded extension
+    under its package name, so a later ``import scipy.linalg`` reuses it
+    and the routines are the same objects either way.  A scipy laid out
+    otherwise is imported the usual way.
+    """
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_flapack{suffix}"
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+            lapack = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(lapack)
+            break
+    else:
+        from scipy.linalg import lapack
+    return lapack.dgttrf, lapack.dgttrs
+
+
+dgttrf, dgttrs = _load_lapack(Path(scipy.__file__).parent / "linalg")
 
 
 class TridiagonalSolveError(RuntimeError):

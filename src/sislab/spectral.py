@@ -52,10 +52,13 @@ def principal_eigenvalue(d: float, h: Field, tol: float = 1e-12,
     meets the tolerance returns after none.  ``start`` warm-starts the
     iteration with a positive vector (used by the threshold optimizer).
     """
-    if not d > 0:
-        raise ValueError("diffusion rate must be positive; the d->0 limit is max(h)")
+    if not 0 < d < np.inf:
+        raise ValueError("diffusion rate d must be positive and finite; "
+                         "the d->0 limit is max(h)")
     grid = h.grid
     hv = np.asarray(h.values)
+    if not np.isfinite(hv).all():
+        raise ValueError("potential h must be finite")
     # The attainable max-norm residual scales with the operator norm (the
     # Laplacian amplifies solver roundoff by d/dx^2), so the tolerance is
     # applied relative to that scale; the Rayleigh quotient is quadratically
@@ -79,13 +82,14 @@ def basic_reproduction_number(d_I: float, beta: Field, gamma: Field,
     positive definite for d_I > 0 and positive recovery rates, so rho is
     -1/lambda for the largest lambda.
     """
-    if not d_I > 0:
-        raise ValueError("diffusion rate must be positive")
+    if not 0 < d_I < np.inf:
+        raise ValueError("diffusion rate d_I must be positive and finite")
     grid = beta.grid
     bv = np.asarray(beta.values)
     gv = np.asarray(gamma.values)
-    if not (bv.min() > 0 and gv.min() > 0):
-        raise ValueError("transmission and recovery rates must be positive")
+    # min and max propagate a NaN, which fails every comparison
+    if not (0 < bv.min() and bv.max() < np.inf and 0 < gv.min() and gv.max() < np.inf):
+        raise ValueError("transmission and recovery rates must be positive and finite")
     op_scale = max(1.0, float(bv.max() + gv.max()) + 4.0 * d_I / grid.dx**2)
     u = np.full(grid.nx, 1.0 / np.sqrt(quadrature(grid, bv)))
     result = _noda("reproduction number iteration", d_I, grid, -gv, bv, u, op_scale, tol)

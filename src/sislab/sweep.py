@@ -5,7 +5,6 @@ observables, and knee detection by the largest second difference."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +88,8 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
     size = math.ceil(len(values) / max(jobs, 1)) if cfg.varies_params else 1
     payloads = [(cfg, values[i:i + size]) for i in range(0, len(values), size)]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
             chunks = list(pool.map(_evaluate_point, payloads))
     else:

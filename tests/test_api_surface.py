@@ -7,6 +7,9 @@ that layer's benchmark metrics or failing only the benchmark."""
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -94,9 +97,7 @@ def test_every_benchmark_workload_sets_up(name, tmp_path):
     assert workload.check(tasks) == {}
 
 
-@pytest.fixture
-def factorizations(monkeypatch):
-    """The sizes of the matrices factored through operators' dgttrf binding."""
+def _count_factorizations(monkeypatch):
     sizes = []
     dgttrf = operators.dgttrf
 
@@ -106,6 +107,12 @@ def factorizations(monkeypatch):
 
     monkeypatch.setattr(operators, "dgttrf", counting)
     return sizes
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """The sizes of the matrices factored through operators' dgttrf binding."""
+    return _count_factorizations(monkeypatch)
 
 
 def _span_count(tracer, name):
@@ -148,6 +155,49 @@ def test_eigen_solves_factor_and_trace_once_per_iteration(factorizations):
     r0_iterations = _span_count(tracer, "operators.solve_tridiagonal") - res.iterations
     assert r0_iterations > 0
     assert factorizations == [101] * (res.iterations + r0_iterations)
+
+
+def test_the_fallback_routines_factor_once_per_iteration(monkeypatch, tmp_path):
+    # what operators runs on where scipy keeps no _flapack file beside it
+    dgttrf, dgttrs = operators._load_lapack(tmp_path)
+    monkeypatch.setattr(operators, "dgttrf", dgttrf)
+    monkeypatch.setattr(operators, "dgttrs", dgttrs)
+    test_eigen_solves_factor_and_trace_once_per_iteration(_count_factorizations(monkeypatch))
+
+
+_STARTUP_PROBE = """
+import json, sys
+import sislab.cli
+unused = [m for m in ("scipy.linalg", "numpy.f2py", "concurrent.futures.process")
+          if m in sys.modules]
+from sislab import spectral
+from sislab.config import SweepConfig, preset_config
+from sislab.mesh import build_grid, eval_expression
+from sislab.sweep import run_sweep
+h = eval_expression(build_grid(0, 1, 41), "cos(2*pi*x)")
+sweep = SweepConfig(preset_config("sim1c", nx=41, T=0.5), "a", 0.5, 1.5, 4, "I_mass_at_T")
+print(json.dumps({
+    "unused": unused,
+    "dense": spectral.dense_principal_eigenvalue(0.1, h)[0],
+    "noda": spectral.principal_eigenvalue(0.1, h).sigma,
+    "parallel": run_sweep(sweep, jobs=2).table(),
+    "serial": run_sweep(sweep, jobs=1).table(),
+}))
+"""
+
+
+def test_the_cli_starts_without_the_packages_it_does_not_run():
+    # scipy.linalg (and numpy.f2py under it) costs more than the rest of
+    # start-up; the process pool is imported by the sweeps that use it
+    env = {**os.environ, "PYTHONPATH": str(Path(sislab.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", _STARTUP_PROBE], env=env, timeout=120,
+                          capture_output=True, text=True, check=True)
+    probe = json.loads(done.stdout)
+    assert probe["unused"] == []
+    # the lazily imported code still runs
+    assert abs(probe["dense"] - probe["noda"]) <= 1e-8
+    assert probe["parallel"] == probe["serial"]
+    assert [error for _, _, error in probe["serial"]] == [None] * 4
 
 
 def test_threshold_counts_the_eigen_solves_the_benchmark_traces():

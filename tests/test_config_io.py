@@ -402,6 +402,31 @@ class TestCli:
         assert captured.err == "error: tolerance must be positive\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("item, name", [
+        ("d_I=inf", "d_I"), ("d_I=1e400", "d_I"), ("dt=inf", "dt"), ("T=inf", "T"),
+        ("dt=nan", "dt"), ("T=nan", "T"), ("snapshot_every=nan", "snapshot_every"),
+        ("steady_tol=nan", "steady_tol"),
+    ])
+    def test_nonfinite_run_input_is_one_error_line(self, tmp_path, capsys, item, name):
+        run_dir = tmp_path / "out"
+        rc = main(["simulate", "--preset", "sim1a", "--set", item, "--out", str(run_dir)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {name} must be ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not list(run_dir.glob("*.csv"))
+
+    @pytest.mark.parametrize("args", [["--h", "x", "--d", "inf", "--nx", "41"],
+                                      ["--preset", "sim1a", "--set", "d_I=inf"]])
+    def test_eigen_rejects_an_infinite_diffusion_rate(self, capsys, args):
+        assert main(["eigen", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "must be" in captured.err and "finite" in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_eigen_iteration_cap_is_one_error_line(self, capsys, monkeypatch):
         monkeypatch.setattr(spectral, "DEFAULT_MAX_ITER", 1)
         rc = main(["eigen", "--h", "cos(2*pi*x)", "--d", "1e-3"])

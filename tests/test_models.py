@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from sislab.mesh import Field, build_grid, eval_expression, incidence_quotient, quadrature
 from sislab.models import (
+    MassConservationError,
     ModelSpec,
     StepSizeError,
     Variant,
@@ -99,6 +100,18 @@ class TestModelSpecValidation:
         with pytest.raises(ValueError, match="positive"):
             ModelSpec(Variant.FULL, Field.constant(g, 0.0),
                       Field.constant(g, 1.0), d_S=1.0, d_I=1.0)
+
+    @pytest.mark.parametrize("variant, d_S, d_I, name", [
+        (Variant.MASS_ACTION_DS0, 0.0, np.inf, "d_I"),
+        (Variant.STD_INCIDENCE_DI0, np.inf, 0.0, "d_S"),
+        (Variant.FULL, np.nan, 1.0, "d_S"),
+        (Variant.FULL, 1.0, np.inf, "d_I"),
+    ])
+    def test_dispersal_rates_must_be_finite(self, variant, d_S, d_I, name):
+        g = unit_grid(11)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ModelSpec(variant, Field.constant(g, 1.0), Field.constant(g, 1.0),
+                      d_S=d_S, d_I=d_I)
 
     def test_variant_parsing(self):
         assert Variant.parse("mass_action_ds0") is Variant.MASS_ACTION_DS0
@@ -229,6 +242,31 @@ class TestRun:
         spec, g = make_spec()
         with pytest.raises(ValueError, match="nonnegative"):
             run(spec, Field.constant(g, -0.1), Field.constant(g, 1.0), dt=1e-3, T=1.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("dt", np.inf), ("dt", np.nan), ("dt", 0.0), ("T", np.inf), ("T", np.nan),
+        ("T", -1.0), ("snapshot_every", np.nan), ("snapshot_every", np.inf),
+        ("snapshot_every", 0.0),
+    ])
+    def test_run_lengths_must_be_positive_and_finite(self, name, value):
+        spec, g = make_spec(nx=11)
+        kwargs = {"dt": 1e-3, "T": 1.0, "snapshot_every": 0.5, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            run(spec, Field.constant(g, 2.0), Field.constant(g, 1.0), **kwargs)
+
+    def test_rejects_nan_steady_tolerance(self):
+        # NaN fails every comparison, so steady detection could never fire
+        spec, g = make_spec(nx=11)
+        with pytest.raises(ValueError, match="steady_tol must be a number"):
+            run(spec, Field.constant(g, 2.0), Field.constant(g, 1.0), dt=1e-3, T=1.0,
+                steady_tol=np.nan)
+
+    def test_a_nan_mass_fails_the_mass_check(self, monkeypatch):
+        spec, g = make_spec(nx=11)
+        monkeypatch.setattr(_Kernel, "advance",
+                            lambda self, S, I, J, steps: (S * np.nan, I, J))
+        with pytest.raises(MassConservationError, match="drifted to nan"):
+            run(spec, Field.constant(g, 2.0), Field.constant(g, 1.0), dt=1e-3, T=1.0)
 
     def test_snapshots_and_mass(self):
         spec, g = make_spec(nx=101)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 from hypothesis import given, settings, strategies as st
 
+from sislab import operators
 from sislab.mesh import build_grid, eval_expression, quadrature
 from sislab.operators import (
     TridiagonalMatrix,
@@ -121,6 +123,53 @@ class TestSolveShifted:
         m = TridiagonalMatrix(lower, diag, upper)
         x = solve_tridiagonal(m.factor(), rhs)
         assert np.abs(m.matvec(x) - rhs).max() <= 1e-11
+
+
+@pytest.fixture(scope="module", params=["extension", "fallback"])
+def lapack_routines(request, tmp_path_factory):
+    """The dgttrf/dgttrs that operators loaded, or the ones its loader
+    returns when it finds no extension file (an empty folder)."""
+    if request.param == "extension":
+        return operators.dgttrf, operators.dgttrs
+    return operators._load_lapack(tmp_path_factory.mktemp("no_flapack"))
+
+
+class TestLapackLoader:
+    def test_a_miss_falls_back_to_scipy_linalg_lapack(self, tmp_path):
+        dgttrf, dgttrs = operators._load_lapack(tmp_path)
+        assert dgttrf is scipy.linalg.lapack.dgttrf
+        assert dgttrs is scipy.linalg.lapack.dgttrs
+
+    def test_two_nodes_fail_as_in_scipy(self, lapack_routines, monkeypatch):
+        # scipy's wrapper sizes du2 as n - 2 and rejects n = 2 (grids have
+        # at least 3 nodes)
+        monkeypatch.setattr(operators, "dgttrf", lapack_routines[0])
+        args = np.array([0.5]), np.array([3.0, 3.0]), np.array([0.2])
+        with pytest.raises(ValueError, match="unexpected array size"):
+            TridiagonalMatrix(*args).factor()
+        with pytest.raises(ValueError, match="unexpected array size"):
+            scipy.linalg.lapack.dgttrf(*args)
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(3, 400), columns=st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_factor_and_solve_equal_scipy_bitwise(self, lapack_routines, seed, n, columns):
+        # columns = 0 is an (n,) right-hand side, else an (n, columns) one
+        rng = np.random.default_rng(seed)
+        lower = rng.uniform(-1, 1, n - 1)
+        upper = rng.uniform(-1, 1, n - 1)
+        diag = 2.5 + rng.uniform(0, 1, n)  # strictly dominant
+        rhs = rng.uniform(-1, 1, (n, columns) if columns else n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "dgttrf", lapack_routines[0])
+            mp.setattr(operators, "dgttrs", lapack_routines[1])
+            lu = TridiagonalMatrix(lower, diag, upper).factor()
+            x = solve_tridiagonal(lu, rhs)
+        *factors, info = scipy.linalg.lapack.dgttrf(lower, diag, upper)
+        assert info == 0
+        for got, want in zip(lu, factors):
+            assert np.array_equal(got, want)
+        assert x.shape == rhs.shape
+        assert np.array_equal(x, scipy.linalg.lapack.dgttrs(*factors, rhs)[0])
 
 
 class TestGradientEnergy:

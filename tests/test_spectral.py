@@ -31,6 +31,13 @@ def _no_solve(lu, rhs):
     raise AssertionError("an input check should have failed before any solve")
 
 
+def _poison(f, value):
+    """f with its middle node set to ``value``."""
+    values = np.array(f.values)
+    values[len(values) // 2] = value
+    return Field(f.grid, values)
+
+
 # two bumps of almost equal height: the two largest eigenvalues nearly tie
 _NEAR_TIE = "0.2 + exp(-((x-0.2)/0.04)^2) + 1.001*exp(-((x-0.8)/0.04)^2)"
 
@@ -149,16 +156,29 @@ class TestNodaIteration:
             basic_reproduction_number(1e-3, eval_expression(g, _NEAR_TIE),
                                       Field.constant(g, 1.0), tol=1e-300)
 
-    @pytest.mark.parametrize("solve", [
-        lambda f: principal_eigenvalue(float("nan"), f),
-        lambda f: basic_reproduction_number(float("nan"), f, f),
-        lambda f: basic_reproduction_number(
+    @pytest.mark.parametrize("solve, match", [
+        (lambda f: principal_eigenvalue(float("nan"), f), "rate d must be positive"),
+        (lambda f: basic_reproduction_number(float("nan"), f, f), "rate d_I must be positive"),
+        (lambda f: basic_reproduction_number(
             1.0, Field(f.grid, np.where(f.grid.nodes < 0.5, 1.0, np.nan)), f),
-    ], ids=["sigma-d", "R0-d", "R0-beta"])
-    def test_nan_inputs_are_rejected(self, grid, monkeypatch, solve):
-        # NaN fails every comparison, so a "<= 0" check would let it through
+         "rates must be positive"),
+        (lambda f: principal_eigenvalue(float("inf"), f), "rate d must be positive and finite"),
+        (lambda f: principal_eigenvalue(1.0, _poison(f, np.nan)), "potential h must be finite"),
+        (lambda f: principal_eigenvalue(1.0, _poison(f, np.inf)), "potential h must be finite"),
+        (lambda f: principal_eigenvalue(1.0, _poison(f, -np.inf)), "potential h must be finite"),
+        (lambda f: basic_reproduction_number(float("inf"), f, f),
+         "rate d_I must be positive and finite"),
+        (lambda f: basic_reproduction_number(1.0, _poison(f, np.inf), f),
+         "rates must be positive and finite"),
+        (lambda f: basic_reproduction_number(1.0, f, _poison(f, np.inf)),
+         "rates must be positive and finite"),
+    ], ids=["sigma-d", "R0-d", "R0-beta", "sigma-d-inf", "sigma-h-nan", "sigma-h-inf",
+            "sigma-h-minus-inf", "R0-d-inf", "R0-beta-inf", "R0-gamma-inf"])
+    def test_nan_inputs_are_rejected(self, grid, monkeypatch, solve, match):
+        # NaN fails every comparison, so a "<= 0" check would let it through;
+        # an inf passes "> 0" and would make every residual NaN
         monkeypatch.setattr(spectral, "solve_tridiagonal", _no_solve)
-        with pytest.raises(ValueError, match="must be positive"):
+        with pytest.raises(ValueError, match=match):
             solve(eval_expression(grid, "1 + 0.5*cos(pi*x)"))
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
