@@ -188,6 +188,13 @@ class SweepConfig:
     observable: str
 
     def __post_init__(self):
+        if self.observable not in OBSERVABLES:
+            raise ConfigError(f"unknown observable {self.observable!r}; "
+                              f"choose from {', '.join(OBSERVABLES)}")
+        if not self.lo < self.hi:
+            raise ConfigError("sweep range needs lo < hi")
+        if self.count < 2:
+            raise ConfigError("sweep needs at least 2 points")
         if self.parameter not in _SWEEPABLE_FIELDS and self.parameter not in self.base.params:
             allowed = [*_SWEEPABLE_FIELDS, *sorted(self.base.params)]
             raise ConfigError(f"unknown sweep parameter {self.parameter!r}; "
@@ -291,13 +298,6 @@ def sweep_config_from_entries(entries: dict[str, tuple[str, int]],
         raise ConfigError(f"{source}: sweep needs sweep_parameter, sweep_lo, "
                           f"sweep_hi, sweep_count (missing {exc.args[0]})") from None
     observable = entries.get("sweep_observable", ("I_mass_at_T", 0))[0]
-    if observable not in OBSERVABLES:
-        raise ConfigError(f"{source}: unknown observable {observable!r}; "
-                          f"choose from {', '.join(OBSERVABLES)}")
-    if not lo < hi:
-        raise ConfigError(f"{source}: sweep range needs lo < hi")
-    if count < 2:
-        raise ConfigError(f"{source}: sweep needs at least 2 points")
     return SweepConfig(base, parameter, lo, hi, count, observable)
 
 

@@ -3,7 +3,7 @@ and the concentration metric for point-mass limits."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -26,15 +26,8 @@ class DiagnosticsRecord:
     concentration_fraction: Optional[float]
     sup_change_rate: float
 
-    CSV_COLUMNS = (
-        "t",
-        "total_mass",
-        "lyapunov",
-        "lyapunov_dissipation",
-        "harnack_ratio",
-        "concentration_fraction",
-        "sup_change_rate",
-    )
+
+DiagnosticsRecord.CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 def lyapunov_mass_action_di0(S: Field, I: Field, beta: Field, r: Field,
@@ -54,26 +47,20 @@ def lyapunov_mass_action_di0(S: Field, I: Field, beta: Field, r: Field,
     return V, dissipation
 
 
-def _beta_dominates(beta: Field, gamma: Field) -> bool:
-    """beta >= gamma at every node, within 1e-9*max(1, max|beta - gamma|)."""
-    gap = np.asarray(beta.values) - np.asarray(gamma.values)
-    return float(gap.min()) >= -1e-9 * float(np.abs(gap).max(initial=1.0))
-
-
 def lyapunov_std_ds0(S: Field, I: Field, beta: Field, gamma: Field,
                      d_I: float) -> tuple[float, float]:
     """Energy V = int(kappa*S^2 + I^2)/2 with kappa = (beta-gamma)/gamma.
 
     Only defined where transmission dominates recovery everywhere; rejects
-    inputs where beta < gamma beyond the tolerance band.  The weight makes
-    dV/dt = -dissipation an exact identity of the semi-discrete system;
-    note the ratio is taken against gamma, which is what the dissipation
-    form requires.
+    inputs with a low-risk node (``risk_signs(beta - gamma) < 0``).  The
+    weight makes dV/dt = -dissipation an exact identity of the semi-discrete
+    system; note the ratio is taken against gamma, which is what the
+    dissipation form requires.
     """
-    if not _beta_dominates(beta, gamma):
+    bv, gv = np.asarray(beta.values), np.asarray(gamma.values)
+    if (risk_signs(bv - gv) < 0).any():
         raise ValueError("this energy requires beta >= gamma at every node")
     grid = S.grid
-    bv, gv = np.asarray(beta.values), np.asarray(gamma.values)
     kappa = np.maximum(bv - gv, 0.0) / gv
     Sv, Iv = np.asarray(S.values), np.asarray(I.values)
     V = 0.5 * quadrature(grid, kappa * Sv * Sv + Iv * Iv)
@@ -149,7 +136,8 @@ class DiagnosticsContext:
             self.energy = lambda S, I: lyapunov_mass_action_di0(S, I, spec.beta, r,
                                                                 spec.d_S)
         elif variant is Variant.STD_INCIDENCE_DS0:
-            if _beta_dominates(spec.beta, spec.gamma):
+            gap = np.asarray(spec.beta.values) - np.asarray(spec.gamma.values)
+            if not (risk_signs(gap) < 0).any():
                 self.energy = lambda S, I: lyapunov_std_ds0(S, I, spec.beta, spec.gamma,
                                                             spec.d_I)
         elif variant is Variant.STD_INCIDENCE_DI0:

@@ -28,6 +28,8 @@ _CHARACTERS = frozenset(string.ascii_letters + string.digits + "_.+-*/^(),")
 # each function's arity is its ufunc's ``nin``
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "abs": np.abs, "exp": np.exp, "sqrt": np.sqrt,
               "min": np.minimum, "max": np.maximum}
+# the grammar's own symbols, which no named constant may shadow
+_RESERVED = ("x", "pi")
 # / and ^ carry domain checks of their own in Expression._eval
 _OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
               ast.Div: None, ast.Pow: None}
@@ -126,9 +128,14 @@ class Expression:
             raise ExpressionError(f"not part of the grammar: {self.text[pos:end]!r}", pos)
 
     def evaluate(self, x, params: Mapping[str, float] | None = None) -> np.ndarray:
-        """Evaluate at the points ``x`` (scalar or array), returning float64."""
+        """Evaluate at the points ``x`` (scalar or array), returning float64;
+        ``params`` may not name a constant ``x`` or ``pi``."""
+        params = params or {}
+        for name in _RESERVED:
+            if name in params:
+                raise ValueError(f"constant name {name!r} is reserved by the expression grammar")
         x = np.asarray(x, dtype=float)
-        out = self._eval(self._ast, x, params or {})
+        out = self._eval(self._ast, x, params)
         return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
 
     def _eval(self, node: ast.expr, x: np.ndarray, params: Mapping[str, float]):

@@ -162,33 +162,22 @@ class Trajectory:
         return self.snapshots[-max(1, len(self.snapshots) // 2):]
 
 
-def _rows(fields: list[Field]) -> np.ndarray:
-    """The fields' values: one (nx,) array when every row shares them, else
-    the (K, nx) stack."""
-    first = np.asarray(fields[0].values)
-    if all(np.array_equal(f.values, first) for f in fields[1:]):
-        return first
-    return np.stack([f.values for f in fields])
-
-
 class _Kernel:
     """Precomputed arrays and substeps for one step size.
 
-    ``spec`` is one ModelSpec, whose state is a pair of (nx,) arrays, or a
-    list of K specs, whose states are the rows of (K, nx) arrays.  The specs
-    of a list share the grid, variant and dispersal rates, so they share the
-    Crank-Nicolson matrices; their coefficients stay (nx,) when equal and are
-    (K, nx) otherwise.  Every substep is nodewise or acts
-    along the last axis, so each row advances exactly as it would alone.
+    The state of K specs is a triple of (K, nx) arrays, one row per spec,
+    and beta, gamma and r are (K, nx) stacks of the specs' coefficients.
+    The specs share the grid, variant and dispersal rates, so they share the
+    Crank-Nicolson matrices.  Every substep is nodewise or acts along the
+    last axis, so each row advances exactly as it would alone.
     """
 
-    def __init__(self, spec: ModelSpec | list[ModelSpec], dt: float):
-        specs = spec if isinstance(spec, list) else [spec]
+    def __init__(self, specs: list[ModelSpec], dt: float):
         self.spec = specs[0]
         self.grid = self.spec.grid
         self.dt = dt
-        self.beta = _rows([s.beta for s in specs])
-        self.gamma = _rows([s.gamma for s in specs])
+        self.beta = np.stack([s.beta.values for s in specs])
+        self.gamma = np.stack([s.gamma.values for s in specs])
         self.r = self.gamma / self.beta
         self.L = neumann_laplacian(self.grid)
         # the reaction flow over tau, called with tau = dt/2 and tau = dt
@@ -199,11 +188,8 @@ class _Kernel:
         self._diffuse_I = self._crank_nicolson(self.spec.d_I, "I")
 
     def keep_rows(self, keep: list[int]) -> None:
-        """Restrict a list's kernel to the rows ``keep`` of its state."""
-        for name in ("beta", "gamma", "r"):
-            values = getattr(self, name)
-            if values.ndim == 2:
-                setattr(self, name, values[keep])
+        """Restrict the kernel to the rows ``keep`` of its state."""
+        self.beta, self.gamma, self.r = self.beta[keep], self.gamma[keep], self.r[keep]
         self._std_factors_by_tau = {}
 
     # -- reaction ----------------------------------------------------------
@@ -273,13 +259,14 @@ class _Kernel:
         lu = TridiagonalMatrix(-c * L.lower, 1.0 - c * L.diag, -c * L.upper).factor()
 
         def cn_step(u):
-            # The rows of a (K, nx) state are the K columns of one dgttrs call.
+            # The K rows of the state are the K columns of one dgttrs call.
             u = u + solve_shifted(lu, ((2.0 * c) * L.matvec(u)).T).T
-            low = u.min(axis=-1)
-            if (low < 0.0).any() and (low < -CN_OVERSHOOT_TOL * u.max(axis=-1)).any():
+            # one whole-state reduction per step; the per-row test runs only
+            # once some value is negative
+            if u.min() < 0.0 and (u.min(axis=-1) < -CN_OVERSHOOT_TOL * u.max(axis=-1)).any():
                 raise StepSizeError(
                     f"dt={self.dt:g} is too large for these data: a Crank-Nicolson "
-                    f"step drove {name} down to {low.min():.3e}")
+                    f"step drove {name} down to {u.min():.3e}")
             return u
 
         return cn_step
@@ -327,8 +314,9 @@ class _Recorder:
         self.warnings: list[str] = []
         self.steady = False
 
-    def snapshot(self, t: float, S, I, J, dt_snap: float, steady_tol: float) -> bool:
-        """Check and record the state at time t; True once the run is steady."""
+    def snapshot(self, t: float, S, I, J, elapsed: float, steady_tol: float) -> bool:
+        """Check and record the state at time t, ``elapsed`` after the last
+        snapshot; True once the run is steady."""
         grid = self.spec.grid
         mass = quadrature(grid, S + I)
         if not abs(mass - self.N) <= 1e-8 * self.N:  # a NaN mass fails too
@@ -336,7 +324,7 @@ class _Recorder:
                 f"total mass drifted to {mass!r} (started at {self.N!r}) by t={t:g}"
             )
         prev = self.snapshots[-1]
-        rate = max(np.abs(S - prev.S.values).max(), np.abs(I - prev.I.values).max()) / dt_snap
+        rate = max(np.abs(S - prev.S.values).max(), np.abs(I - prev.I.values).max()) / elapsed
         state = State(t, Field(grid, S), Field(grid, I), Field(grid, J))
         self.snapshots.append(state)
         self.records.append(self.context.record(state, rate))
@@ -356,7 +344,7 @@ def run_batch(specs: list[ModelSpec], S0s: list[Field], I0s: list[Field], dt: fl
               T: float, snapshot_every: float = 0.5,
               steady_tol: float = 1e-7) -> list[Trajectory]:
     """``run`` for K models that share one Crank-Nicolson matrix, advanced as
-    the rows of one (K, nx) state; one model runs on (nx,) arrays.
+    the rows of one (K, nx) state; ``run`` is the case K = 1.
 
     The specs must share the grid, variant and dispersal rates;
     coefficients and initial data may differ.  Every row keeps its own
@@ -384,18 +372,13 @@ def run_batch(specs: list[ModelSpec], S0s: list[Field], I0s: list[Field], dt: fl
     if math.isnan(steady_tol):
         raise ValueError("steady_tol must be a number, got nan")
 
-    if len(specs) == 1:
-        kernel = _Kernel(spec, dt)
-        S, I = np.array(S0s[0].values), np.array(I0s[0].values)
-    else:
-        kernel = _Kernel(list(specs), dt)
-        S, I = np.stack([f.values for f in S0s]), np.stack([f.values for f in I0s])
+    kernel = _Kernel(specs, dt)
+    S, I = np.stack([f.values for f in S0s]), np.stack([f.values for f in I0s])
     J = np.zeros_like(S)
     recorders = [_Recorder(*row) for row in zip(specs, S0s, I0s)]
     active = list(recorders)
 
     steps_per_snap = max(1, round(snapshot_every / dt))
-    dt_snap = steps_per_snap * dt
     n_steps = round(T / dt)
 
     k = 0
@@ -407,8 +390,8 @@ def run_batch(specs: list[ModelSpec], S0s: list[Field], I0s: list[Field], dt: fl
             raise StepSizeError(f"{exc} between t={k * dt:g} and t={(k + steps) * dt:g}",
                                 [rec.trajectory(T) for rec in recorders]) from None
         k += steps
-        steady = [rec.snapshot(k * dt, *row, dt_snap, steady_tol) for rec, *row in zip(
-            active, np.atleast_2d(S), np.atleast_2d(I), np.atleast_2d(J))]
+        steady = [rec.snapshot(k * dt, *row, steps * dt, steady_tol)
+                  for rec, *row in zip(active, S, I, J)]
         if any(steady):
             keep = [i for i, done in enumerate(steady) if not done]
             if not keep:

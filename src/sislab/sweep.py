@@ -1,6 +1,7 @@
 """Parameter sweep driver: one simulation per parameter value (points that
-share the model's matrices run as the rows of one batch), a sorted table of
-observables, and knee detection by the largest second difference."""
+share the model's matrices run as the rows of one batch, any other point as
+a batch of one), a sorted table of observables, and knee detection by the
+largest second difference."""
 
 from __future__ import annotations
 
@@ -35,32 +36,28 @@ class SweepResult:
 def _evaluate_point(payload) -> list[tuple[float, float | None, str | None]]:
     """(value, observable, error) for each point of a chunk of the sweep.
 
-    A chunk of points that differ only in an expression constant runs as one
-    ``run_batch``.  If the batch raises, its points rerun one at a time, so
-    a failing point records its own error and the others still succeed.
+    A chunk is points that differ only in an expression constant, or one
+    point of a run-field sweep, and runs as one ``run_batch``.  If a chunk
+    of several points raises, its points rerun as chunks of one, so a
+    failing point records its own error and the others still succeed.
     """
     sweep_cfg, values = payload
-    if sweep_cfg.varies_params and len(values) > 1:
+    chunks, rows = [values], []
+    while chunks:
+        chunk = chunks.pop(0)
         try:
-            cfgs = [sweep_cfg.point(value) for value in values]
+            cfgs = [sweep_cfg.point(value) for value in chunk]
             specs, _, S0s, I0s = zip(*(cfg.build() for cfg in cfgs))
             trajs = models.run_batch(list(specs), list(S0s), list(I0s),
                                      **cfgs[0].run_kwargs())
-            return [(value, _extract_observable(traj, sweep_cfg.observable), None)
-                    for value, traj in zip(values, trajs)]
-        except Exception:  # each point's own run reports what went wrong
-            pass
-    return [_evaluate_one(sweep_cfg, value) for value in values]
-
-
-def _evaluate_one(sweep_cfg, value: float) -> tuple[float, float | None, str | None]:
-    cfg = sweep_cfg.point(value)
-    try:
-        spec, grid, S0, I0 = cfg.build()
-        traj = models.run(spec, S0, I0, **cfg.run_kwargs())
-        return value, _extract_observable(traj, sweep_cfg.observable), None
-    except Exception as exc:  # per-point failures recorded, sweep continues
-        return value, None, f"{type(exc).__name__}: {exc}"
+            rows += [(value, _extract_observable(traj, sweep_cfg.observable), None)
+                     for value, traj in zip(chunk, trajs)]
+        except Exception as exc:  # per-point failures recorded, sweep continues
+            if len(chunk) > 1:
+                chunks += [[value] for value in chunk]
+            else:
+                rows.append((chunk[0], None, f"{type(exc).__name__}: {exc}"))
+    return rows
 
 
 def _extract_observable(traj: models.Trajectory, observable: str) -> float:
@@ -69,13 +66,12 @@ def _extract_observable(traj: models.Trajectory, observable: str) -> float:
         return quadrature(traj.spec.grid, np.asarray(final.I.values))
     if observable == "final_sup_I":
         return float(np.asarray(final.I.values).max())
-    if observable == "concentration_fraction":
-        fractions = [r.concentration_fraction for r in traj.diagnostics
-                     if r.concentration_fraction is not None]
-        if not fractions:
-            raise ValueError("this model variant records no concentration fraction")
-        return fractions[-1]
-    raise ValueError(f"unknown observable {observable!r}")
+    # "concentration_fraction", the last observable SweepConfig admits
+    fractions = [r.concentration_fraction for r in traj.diagnostics
+                 if r.concentration_fraction is not None]
+    if not fractions:
+        raise ValueError("this model variant records no concentration fraction")
+    return fractions[-1]
 
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:

@@ -151,6 +151,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="at least 2"):
             load_sweep_config(path)
 
+    @pytest.mark.parametrize("lo, hi, count, observable, message", [
+        (2.0, 1.0, 5, "I_mass_at_T", "sweep range needs lo < hi"),
+        (1.0, 1.0, 5, "I_mass_at_T", "sweep range needs lo < hi"),
+        (0.5, 1.5, 1, "I_mass_at_T", "sweep needs at least 2 points"),
+        (0.5, 1.5, 3, "bogus", "unknown observable 'bogus'; choose from I_mass_at_T, "
+                               "final_sup_I, concentration_fraction"),
+    ])
+    def test_sweep_config_built_in_code_checks_itself(self, lo, hi, count, observable,
+                                                       message):
+        base = preset_config("sim1c", nx=41, T=0.5)
+        with pytest.raises(ConfigError) as rejected:
+            SweepConfig(base, "a", lo, hi, count, observable)
+        assert str(rejected.value) == message
+
     @pytest.mark.parametrize("parameter", ["aa", "nx"])
     def test_sweep_rejects_a_parameter_it_cannot_vary(self, parameter):
         # neither a sweepable run field nor an expression constant: every
@@ -225,11 +239,12 @@ class TestCsvEmission:
         with pytest.raises(ValueError, match="exposure field J"):
             estimate_lambda_star(rebuilt)
         # stepping on from a reloaded state works
-        kernel = models._Kernel(spec, 1e-3)
-        J0 = np.zeros(spec.grid.nx)
-        stepped = kernel.advance(rebuilt.final.S.values, rebuilt.final.I.values, J0, 1)
-        assert np.array_equal(stepped[0],
-                              kernel.advance(traj.final.S.values, traj.final.I.values, J0, 1)[0])
+        kernel = models._Kernel([spec], 1e-3)
+        J0 = np.zeros((1, spec.grid.nx))
+        stepped = kernel.advance(rebuilt.final.S.values[None], rebuilt.final.I.values[None],
+                                 J0, 1)
+        assert np.array_equal(stepped[0], kernel.advance(traj.final.S.values[None],
+                                                         traj.final.I.values[None], J0, 1)[0])
 
 
 class TestSvgEmission:
@@ -416,6 +431,19 @@ class TestCli:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert not list(run_dir.glob("*.csv"))
+
+    @pytest.mark.parametrize("name", ["x", "pi"])
+    def test_a_constant_named_like_a_symbol_is_one_error_line(self, tmp_path, capsys, name):
+        # expressions read x and pi themselves, so such a constant would be ignored
+        run_dir = tmp_path / "out"
+        rc = main(["simulate", "--preset", "sim1b", "--set", f"param.{name}=5",
+                   "--set", "T=0.1", "--out", str(run_dir)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: constant name {name!r} is reserved by the " \
+                               f"expression grammar\n"
+        assert captured.out == ""
+        assert not run_dir.exists()
 
     @pytest.mark.parametrize("args", [["--h", "x", "--d", "inf", "--nx", "41"],
                                       ["--preset", "sim1a", "--set", "d_I=inf"]])

@@ -3,6 +3,7 @@ import pytest
 
 from sislab import models
 from sislab.diagnostics import (
+    DiagnosticsContext,
     concentration_fraction,
     harnack_ratio,
     lyapunov_mass_action_di0,
@@ -84,6 +85,28 @@ class TestStdIncidenceLockedSusceptibleEnergy:
         with pytest.raises(ValueError, match="beta >= gamma"):
             lyapunov_std_ds0(Field.constant(grid, 1.0), Field.constant(grid, 1.0),
                              beta, gamma, d_I=1.0)
+
+    @pytest.mark.parametrize("low, has_energy", [(-1e-11, False), (-1e-13, True)])
+    def test_beta_dominates_where_the_risk_partition_has_no_low_risk_node(
+            self, grid, low, has_energy):
+        # beta - gamma is 1e-3 but at one node; the energy exists exactly when
+        # risk_signs, whose band is 1e-9 of max|beta - gamma| = 1e-12, finds
+        # no low-risk node
+        gamma = Field.constant(grid, 1.0)
+        beta_values = np.full(grid.nx, 1.0 + 1e-3)
+        beta_values[100] = 1.0 + low
+        beta = Field(grid, beta_values)
+        assert (risk_signs(beta.values - gamma.values) < 0).any() is not has_energy
+        spec = models.ModelSpec(models.Variant.STD_INCIDENCE_DS0, beta, gamma,
+                                d_S=0.0, d_I=1.0)
+        context = DiagnosticsContext(spec, Field.constant(grid, 1.0))
+        assert (context.energy is not None) is has_energy
+        S, I = Field.constant(grid, 1.0), Field.constant(grid, 1.0)
+        if has_energy:
+            lyapunov_std_ds0(S, I, beta, gamma, d_I=1.0)
+        else:
+            with pytest.raises(ValueError, match="beta >= gamma"):
+                lyapunov_std_ds0(S, I, beta, gamma, d_I=1.0)
 
     def test_monotone_along_an_endemic_run(self, preset_setup):
         spec, grid, S0, I0 = preset_setup("sim3b")

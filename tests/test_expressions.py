@@ -67,6 +67,14 @@ def test_named_parameters():
         ev("a + 1")
 
 
+@pytest.mark.parametrize("name", ["x", "pi"])
+def test_constants_cannot_shadow_the_grammar_symbols(name):
+    # whether or not the expression reads the symbol
+    for text in ("2 + cos(pi*x)", "1"):
+        with pytest.raises(ValueError, match=f"constant name '{name}' is reserved"):
+            ev(text, 0.3, {"a": 1.0, name: 5.0})
+
+
 @pytest.mark.parametrize(
     "text",
     ["2 +", "sin()", "sin(1, 2)", "min(1)", "foo(2)", "(1", "1 2", "* 3", "+5", "",

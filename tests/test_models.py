@@ -27,26 +27,29 @@ def make_spec(variant=Variant.MASS_ACTION_DS0, beta="2", gamma="4 - pi*sin(pi*x)
 class TestReactionTerms:
     def test_mass_action_vanishes_without_either_compartment(self):
         spec, g = make_spec()
-        kernel = _Kernel(spec, 1e-3)
+        kernel = _Kernel([spec], 1e-3)
         S = np.linspace(0.5, 3.0, g.nx)
         # no infecteds: the exact flow leaves the pair and the exposure fixed
-        S1, I1, J1 = kernel.reaction_half(S, np.zeros(g.nx), np.zeros(g.nx), 1e-3)
+        (S1,), (I1,), (J1,) = kernel.reaction_half(S[None], np.zeros((1, g.nx)),
+                                                   np.zeros((1, g.nx)), 1e-3)
         assert S1 == pytest.approx(S, abs=1e-14)
         assert np.abs(I1).max() <= 1e-14
         assert np.all(J1 == 0.0)
         # no susceptibles: the infected only recover, I' = -gamma*I at tau -> 0
         I = np.linspace(0.5, 3.0, g.nx)
         tau = 1e-7
-        _, I1, _ = kernel.reaction_half(np.zeros(g.nx), I, np.zeros(g.nx), tau)
+        _, (I1,), _ = kernel.reaction_half(np.zeros((1, g.nx)), I[None],
+                                           np.zeros((1, g.nx)), tau)
         assert (I1 - I) / tau == pytest.approx(-spec.gamma.values * I, rel=1e-5)
 
     def test_mass_action_nullcline(self):
         # at S = gamma/beta the infected gain exactly balances recovery
         spec, g = make_spec()
-        kernel = _Kernel(spec, 1e-3)
+        kernel = _Kernel([spec], 1e-3)
         r = spec.gamma.values / spec.beta.values
         I = np.full(g.nx, 1.5)
-        S1, I1, _ = kernel.reaction_half(r.copy(), I, np.zeros(g.nx), 1e-2)
+        (S1,), (I1,), _ = kernel.reaction_half(r[None].copy(), I[None],
+                                               np.zeros((1, g.nx)), 1e-2)
         assert np.array_equal(S1, r)
         assert I1 == pytest.approx(I, rel=1e-15)
 
@@ -61,7 +64,8 @@ class TestReactionTerms:
         spec, g = make_spec(Variant.STD_INCIDENCE_DS0, beta="2 - sin(pi*x)", gamma="1.5",
                             nx=4)
         tau = 0.3
-        S1, I1, J1 = _Kernel(spec, 1e-3).reaction_half(S, I, np.zeros(4), tau)
+        (S1,), (I1,), (J1,) = _Kernel([spec], 1e-3).reaction_half(S[None], I[None],
+                                                                  np.zeros((1, 4)), tau)
         empty = np.array([True, False, True, False])
         decay = np.exp(-1.5 * tau)
         assert I1[empty] == pytest.approx(I[empty] * decay, rel=1e-15, abs=0.0)
@@ -130,7 +134,8 @@ class TestStep:
         spike = np.full(g.nx, 1e-3)
         spike[10] = 1.0
         with pytest.raises(StepSizeError, match="drove I down to") as failed:
-            _Kernel(spec, 0.05).advance(np.ones(g.nx), spike, np.zeros(g.nx), 1)
+            _Kernel([spec], 0.05).advance(np.ones((1, g.nx)), spike[None],
+                                          np.zeros((1, g.nx)), 1)
         assert failed.value.partial == []
         # here the spike grows out of the reaction (S - r is 8 at the middle
         # node and -1 elsewhere), and the run fails after five snapshots
@@ -152,23 +157,23 @@ class TestStep:
     def test_reaction_transfer_is_antisymmetric(self):
         # single node pair: S + I is conserved bitwise by the reaction flow
         spec, g = make_spec()
-        kernel = _Kernel(spec, 1e-3)
+        kernel = _Kernel([spec], 1e-3)
         rng = np.random.default_rng(0)
         S = rng.uniform(0, 3, g.nx)
         I = rng.uniform(0, 3, g.nx)
         total = S + I
-        S2, I2, _ = kernel.reaction_half(S, I, np.zeros(g.nx), 5e-4)
+        (S2,), (I2,), _ = kernel.reaction_half(S[None], I[None], np.zeros((1, g.nx)), 5e-4)
         assert np.abs(S2 + I2 - total).max() <= 2 * np.finfo(float).eps * total.max()
         assert S2.min() >= 0 and I2.min() >= 0
 
     def test_std_incidence_reaction_conserves_mass(self):
         spec, g = make_spec(Variant.STD_INCIDENCE_DS0, beta="2 - sin(pi*x)",
                             gamma="1.5")
-        kernel = _Kernel(spec, 1e-3)
+        kernel = _Kernel([spec], 1e-3)
         rng = np.random.default_rng(1)
         S = rng.uniform(0, 3, g.nx)
         I = rng.uniform(0, 3, g.nx)
-        S2, I2, _ = kernel.reaction_half(S, I, np.zeros(g.nx), 5e-4)
+        (S2,), (I2,), _ = kernel.reaction_half(S[None], I[None], np.zeros((1, g.nx)), 5e-4)
         assert S2 + I2 == pytest.approx(S + I, abs=1e-15)
         assert S2.min() >= 0 and I2.min() >= 0
 
@@ -183,9 +188,9 @@ class TestStep:
         batch = _Kernel(specs, 1e-3)
         got = batch.reaction_half(S, I, np.zeros_like(S), 2.0)
         for k, spec in enumerate(specs):
-            single = _Kernel(spec, 1e-3)
-            want = single.reaction_half(S[k], I[k], np.zeros(11), 2.0)
-            for a, b in zip(got, want):
+            single = _Kernel([spec], 1e-3)
+            want = single.reaction_half(S[k:k + 1], I[k:k + 1], np.zeros((1, 11)), 2.0)
+            for a, (b,) in zip(got, want):
                 assert np.array_equal(a[k], b)
         assert got[1][0][empty] == pytest.approx(5e-13 * np.exp(-1.5 * 2.0), rel=1e-15, abs=0.0)
         batch.keep_rows([1])
@@ -196,13 +201,13 @@ class TestStep:
     def test_pure_diffusion_conserves_mass_exactly(self):
         # reaction disabled: drive only the diffusion substep
         spec, g = make_spec(Variant.FULL, beta="1", gamma="1", d_S=1.0, d_I=0.7)
-        kernel = _Kernel(spec, 1e-3)
-        S = eval_expression(g, "2 + cos(pi*x)").values.copy()
-        I = eval_expression(g, "1.5 + cos(3*pi*x)").values.copy()
-        target = quadrature(g, S + I)
+        kernel = _Kernel([spec], 1e-3)
+        S = eval_expression(g, "2 + cos(pi*x)").values[None]
+        I = eval_expression(g, "1.5 + cos(3*pi*x)").values[None]
+        target = quadrature(g, (S + I)[0])
         for _ in range(1000):
             S, I = kernel.diffuse(S, I)
-        drift = abs(quadrature(g, S + I) - target)
+        drift = abs(quadrature(g, (S + I)[0]) - target)
         assert drift <= 1e-13 * target
         assert np.ptp(S) < 1e-3  # diffusion has flattened the profile
 
@@ -213,13 +218,13 @@ class TestStep:
         # so the combined discrepancy is only required to shrink
         # superlinearly per halving and strongly per quartering.
         spec, g = make_spec()
-        S0 = eval_expression(g, "2 + cos(pi*x)").values
-        I0 = eval_expression(g, "1.5 + cos(pi*x)").values
-        J0 = np.zeros(g.nx)
+        S0 = eval_expression(g, "2 + cos(pi*x)").values[None]
+        I0 = eval_expression(g, "1.5 + cos(pi*x)").values[None]
+        J0 = np.zeros((1, g.nx))
 
         def discrepancy(dt):
-            one = _Kernel(spec, dt).advance(S0, I0, J0, 1)
-            kernel = _Kernel(spec, dt / 2)
+            one = _Kernel([spec], dt).advance(S0, I0, J0, 1)
+            kernel = _Kernel([spec], dt / 2)
             half = kernel.advance(*kernel.advance(S0, I0, J0, 1), 1)
             return (np.abs(one[0] - half[0]).max(),
                     np.abs(one[1] - half[1]).max())
@@ -278,6 +283,19 @@ class TestRun:
         for s in traj.snapshots:
             assert abs(s.total_mass() - traj.N) <= 1e-12 * traj.N
             assert s.S.min() >= 0 and s.I.min() >= 0
+
+    def test_a_short_last_interval_is_timed_by_its_own_length(self):
+        # sim1b at T = 1.2 with snapshots every 0.5: the last interval is 0.2
+        spec, g = make_spec(nx=41)
+        S0 = eval_expression(g, "2 + cos(pi*x)")
+        I0 = eval_expression(g, "1.5 + cos(pi*x)")
+        traj = run(spec, S0, I0, dt=1e-3, T=1.2, snapshot_every=0.5)
+        assert [s.t for s in traj.snapshots] == pytest.approx([0.0, 0.5, 1.0, 1.2])
+        for a, b, rec in zip(traj.snapshots, traj.snapshots[1:], traj.diagnostics[1:]):
+            change = max(np.abs(b.S.values - a.S.values).max(),
+                         np.abs(b.I.values - a.I.values).max())
+            assert rec.sup_change_rate == pytest.approx(change / (b.t - a.t), rel=1e-12)
+        assert traj.diagnostics[-1].sup_change_rate == pytest.approx(0.0584, abs=5e-5)
 
     def test_exposure_is_nondecreasing(self):
         spec, g = make_spec(nx=101)
@@ -361,10 +379,10 @@ def test_exact_reaction_flow_matches_a_fine_ode_integration(S, I, beta, gamma, t
     g = build_grid(0, 1, 3)
     spec = ModelSpec(Variant.MASS_ACTION_DS0, Field.constant(g, beta),
                      Field.constant(g, gamma), d_S=0.0, d_I=1.0)
-    kernel = _Kernel(spec, 1e-3)
-    Sv = np.full(3, S)
-    Iv = np.full(3, I)
-    S1, I1, J1 = kernel.reaction_half(Sv, Iv, np.zeros(3), tau)
+    kernel = _Kernel([spec], 1e-3)
+    Sv = np.full((1, 3), S)
+    Iv = np.full((1, 3), I)
+    (S1,), (I1,), (J1,) = kernel.reaction_half(Sv, Iv, np.zeros((1, 3)), tau)
 
     # independent oracle: 4th-order Runge-Kutta on the nodewise pair, with
     # the exposure integral carried as an extra state component
@@ -404,8 +422,9 @@ def test_exact_std_flow_matches_a_fine_ode_integration(S, I, beta, gamma, tau):
     gamma_v = np.array([gamma, beta, gamma])
     spec = ModelSpec(Variant.STD_INCIDENCE_DS0, Field(g, beta_v), Field(g, gamma_v),
                      d_S=0.0, d_I=1.0)
-    kernel = _Kernel(spec, 1e-3)
-    S1, I1, J1 = kernel.reaction_half(np.full(3, S), np.full(3, I), np.zeros(3), tau)
+    kernel = _Kernel([spec], 1e-3)
+    (S1,), (I1,), (J1,) = kernel.reaction_half(np.full((1, 3), S), np.full((1, 3), I),
+                                               np.zeros((1, 3)), tau)
 
     # independent oracle: 4th-order Runge-Kutta on the nodewise pair, with
     # the exposure integral carried as an extra state component
@@ -445,11 +464,11 @@ def test_reaction_flows_are_semigroups(variant, S, I, beta, gamma, tau):
     g = build_grid(0, 1, 6)
     spec = ModelSpec(variant, Field(g, np.linspace(beta, 2 * beta, 6)),
                      Field.constant(g, gamma), d_S=0.0, d_I=1.0)
-    kernel = _Kernel(spec, 1e-3)
-    S = np.array(S + [2.0, 0.0])
-    I = np.array(I + [1.0, 5e-13])
-    twice = kernel.reaction_half(*kernel.reaction_half(S, I, np.zeros(6), tau), tau)
-    once = kernel.reaction_half(S, I, np.zeros(6), 2 * tau)
+    kernel = _Kernel([spec], 1e-3)
+    S = np.array([S + [2.0, 0.0]])
+    I = np.array([I + [1.0, 5e-13]])
+    twice = kernel.reaction_half(*kernel.reaction_half(S, I, np.zeros((1, 6)), tau), tau)
+    once = kernel.reaction_half(S, I, np.zeros((1, 6)), 2 * tau)
     for a, b in zip(twice, once):
         assert np.abs(a - b).max() <= 1e-13 * (S + I).max()
 
