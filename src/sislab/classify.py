@@ -50,7 +50,6 @@ class RegimePrediction:
     predicted_I: Union[Field, float, None] = None
     predicted_I_mass: Optional[float] = None
     min_indices: Optional[np.ndarray] = None
-    r_tilde_min: Optional[float] = None
     high_mask: Optional[np.ndarray] = None
     notes: list[str] = dataclass_field(default_factory=list)
 
@@ -118,12 +117,12 @@ def _predict_mass_di0(spec, S0, I0, N):
         return RegimePrediction(Regime.T37_EXTINCTION_UNIFORM,
                                 predicted_S=N / grid.length, predicted_I=0.0,
                                 predicted_I_mass=0.0, min_indices=min_idx,
-                                r_tilde_min=r_min, notes=notes)
+                                notes=notes)
     mass = N - grid.length * r_min
     notes.append(f"limit infected mass N - |domain|*min r = {mass:.6g}")
     return RegimePrediction(Regime.T37_CONCENTRATION, predicted_S=r_min,
                             predicted_I_mass=mass, min_indices=min_idx,
-                            r_tilde_min=r_min, notes=notes)
+                            notes=notes)
 
 
 def _predict_std_ds0(spec, S0, I0, N):
@@ -273,7 +272,7 @@ def verify_outcome(traj: Trajectory, pred: RegimePrediction, tol: float) -> Outc
         errors["I_mass_rel"] = abs(best["mass"] - pred.predicted_I_mass) \
             / pred.predicted_I_mass
         errors["concentration_shortfall"] = 1.0 - best["fraction"]
-        errors["S_level_rel"] = best["s_err"] / pred.r_tilde_min
+        errors["S_level_rel"] = best["s_err"] / pred.predicted_S
         notes.append(f"best trailing snapshot at t={best['t']:g}")
     elif regime is Regime.T42_ENDEMIC:
         I_star = float(pred.predicted_I)
@@ -311,7 +310,7 @@ def _best_concentration_snapshot(traj: Trajectory, pred: RegimePrediction) -> di
         mass = quadrature(grid, Iv)
         frac = (concentration_fraction(state.I, pred.min_indices)
                 if mass > 0 else 0.0)
-        s_err = float(np.abs(np.asarray(state.S.values) - pred.r_tilde_min).max())
+        s_err = float(np.abs(np.asarray(state.S.values) - pred.predicted_S).max())
         score = frac - abs(mass - pred.predicted_I_mass) / max(pred.predicted_I_mass, 1e-300)
         if best is None or score > best["score"]:
             best = {"t": state.t, "mass": mass, "fraction": frac,

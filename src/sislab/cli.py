@@ -9,9 +9,7 @@ or a solver that fails), with one ``error:`` line on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from . import models
 from .classify import predict_regime, verify_outcome
@@ -19,7 +17,7 @@ from .config import PRESETS, ConfigError, RunConfig, load_config, load_sweep_con
 from .mesh import Field, build_grid, eval_expression
 from .models import MassConservationError, StepSizeError
 from .operators import TridiagonalSolveError
-from .output import SVG_KINDS, emit_csv, emit_svg, emit_sweep_svg, trajectory_from_csv
+from .output import SVG_KINDS, emit_run, emit_sweep, read_run
 from .spectral import EigenConvergenceError, basic_reproduction_number, principal_eigenvalue
 from .sweep import run_sweep
 from .threshold import critical_population
@@ -52,39 +50,17 @@ def _resolve_config(args) -> RunConfig:
     return load_config(args.config, _overrides(args))
 
 
-def _emit_run(cfg: RunConfig, traj: models.Trajectory, out: Path,
-              error: str | None = None):
-    """Write the run's CSVs and run.json, which names the error that ended a
-    failed run."""
-    paths = emit_csv(traj, out)
-    summary = {
-        "preset": cfg.preset,
-        "model": traj.spec.variant.value,
-        "N": traj.N,
-        "final_time": traj.final.t,
-        "steady_detected": traj.steady_detected,
-        "snapshots": len(traj.snapshots),
-        "warnings": traj.warnings,
-    }
-    if error is not None:
-        summary["error"] = error
-    (out / "run.json").write_text(json.dumps(summary, indent=2) + "\n")
-    return paths
-
-
 def _cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     spec, grid, S0, I0 = cfg.build()
-    out = Path(args.out or cfg.output_dir)
+    out = args.out or cfg.output_dir
     try:
         traj = models.run(spec, S0, I0, **cfg.run_kwargs())
     except StepSizeError as exc:
         # keep the snapshots recorded before the failure, then report it
-        _emit_run(cfg, exc.partial[0], out, error=str(exc))
+        emit_run(exc.partial[0], out, cfg.preset, error=str(exc))
         raise
-    profiles, diagnostics = _emit_run(cfg, traj, out)
-    if args.svg:
-        emit_svg(traj, out / f"{args.svg}.svg", args.svg)
+    profiles, diagnostics = emit_run(traj, out, cfg.preset, svg=args.svg)
     print(f"wrote {profiles} and {diagnostics}")
     print(f"final t={traj.final.t:g}  sup S={traj.final.S.max():.6g}  "
           f"sup I={traj.final.I.max():.6g}  steady={traj.steady_detected}")
@@ -147,10 +123,8 @@ def _cmd_threshold(args) -> int:
 def _cmd_classify(args) -> int:
     cfg = _resolve_config(args)
     spec, grid, S0, I0 = cfg.build()
-    run_dir = Path(args.run_dir) if args.run_dir else None
-    if run_dir is not None:
-        traj = trajectory_from_csv(spec, run_dir / "profiles.csv",
-                                   run_dir / "diagnostics.csv")
+    if args.run_dir:
+        traj = read_run(spec, args.run_dir)
     else:
         traj = models.run(spec, S0, I0, **cfg.run_kwargs())
     pred = predict_regime(spec, S0, I0)
@@ -174,17 +148,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("sweep needs --config with sweep_* keys")
     sweep_cfg = load_sweep_config(args.config, _overrides(args))
     result = run_sweep(sweep_cfg, jobs=args.jobs)
-    out = Path(args.out or sweep_cfg.base.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    table_path = out / "sweep.csv"
-    with table_path.open("w") as fh:
-        fh.write(f"{result.parameter},{result.observable},error\n")
-        for p in result.points:
-            val = "" if p.value is None else repr(p.value)
-            fh.write(f"{p.parameter!r},{val},{p.error or ''}\n")
-    if args.svg:
-        emit_sweep_svg(result.table(), out / "sweep.svg", knee=result.knee,
-                       x_label=result.parameter, y_label=result.observable)
+    table_path = emit_sweep(result, args.out or sweep_cfg.base.output_dir, svg=args.svg)
     failures = [p for p in result.points if p.error]
     print(f"wrote {table_path} ({len(result.points)} points, "
           f"{len(failures)} failures)")
@@ -225,7 +189,7 @@ def main(argv=None) -> int:
 
     p_cls = sub.add_parser("classify", help="predict the regime and verify a run")
     _add_common(p_cls)
-    p_cls.add_argument("--run-dir", help="directory with profiles.csv/diagnostics.csv "
+    p_cls.add_argument("--run-dir", help="directory written by simulate "
                                          "(default: simulate now)")
     p_cls.add_argument("--tol", type=float, default=0.01)
     p_cls.set_defaults(func=_cmd_classify)
@@ -234,7 +198,7 @@ def main(argv=None) -> int:
     _add_common(p_swp)
     p_swp.add_argument("--jobs", type=int, default=1, help="concurrent workers")
     p_swp.add_argument("--out", help="output directory")
-    p_swp.add_argument("--svg", action="store_true", help="also write sweep.svg")
+    p_swp.add_argument("--svg", action="store_true", help="also plot the sweep")
     p_swp.set_defaults(func=_cmd_sweep)
 
     args = parser.parse_args(argv)

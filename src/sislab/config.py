@@ -23,105 +23,31 @@ _COMMON = {
     "I0_expr": "1.5 + cos(pi*x)",
 }
 
+
+def _preset(model: str, beta: str, gamma: str, **extra: str) -> dict[str, str]:
+    """A lockdown preset on the common initial data: the compartment its
+    variant locks has dispersal rate 0, the other 1."""
+    locks_s = Variant(model).locks_s
+    return {**_COMMON, "model": model, "beta_expr": beta, "gamma_expr": gamma,
+            "d_S": "0" if locks_s else "1", "d_I": "1" if locks_s else "0", **extra}
+
+
 PRESETS: dict[str, dict[str, str]] = {
-    "sim1a": {
-        **_COMMON,
-        "model": "mass_action_ds0",
-        "beta_expr": "0.5",
-        "gamma_expr": "4 - pi*sin(pi*x)",
-        "d_S": "0",
-        "d_I": "1",
-    },
-    "sim1b": {
-        **_COMMON,
-        "model": "mass_action_ds0",
-        "beta_expr": "2",
-        "gamma_expr": "4 - pi*sin(pi*x)",
-        "d_S": "0",
-        "d_I": "1",
-    },
-    "sim1c": {
-        **_COMMON,
-        "model": "mass_action_ds0",
-        # nonconstant transmission with sign-changing S0 - gamma/beta, so no
-        # closed-form threshold applies; int gamma/beta ~ 2.82
-        "beta_expr": "0.5*(1 + x)",
-        "gamma_expr": "4 - pi*sin(pi*x)",
-        # clamp keeps the movable initial datum nonnegative at small a
-        "I0_expr": "max(a + cos(pi*x), 0)",
-        "param.a": "1.5",
-        "d_S": "0",
-        "d_I": "1",
-        "T": "40",
-    },
-    "sim2a": {
-        **_COMMON,
-        "model": "mass_action_di0",
-        "beta_expr": "0.2",
-        "gamma_expr": "4 - pi*sin(pi*x)",
-        "d_S": "1",
-        "d_I": "0",
-    },
-    "sim2b": {
-        **_COMMON,
-        "model": "mass_action_di0",
-        "beta_expr": "1",
-        "gamma_expr": "4 - pi*sin(pi*x)",
-        "d_S": "1",
-        "d_I": "0",
-    },
-    "sim2c": {
-        **_COMMON,
-        "model": "mass_action_di0",
-        "beta_expr": "2",
-        "gamma_expr": "14 - 4*pi*sin(4*pi*x)",
-        "d_S": "1",
-        "d_I": "0",
-        "T": "60",
-        "dt": "5e-4",
-    },
-    "sim3a": {
-        **_COMMON,
-        "model": "std_incidence_ds0",
-        "beta_expr": "1 + sin(pi*x)",
-        "gamma_expr": "1.5",
-        "d_S": "0",
-        "d_I": "1",
-    },
-    "sim3b": {
-        **_COMMON,
-        "model": "std_incidence_ds0",
-        "beta_expr": "2.5 + sin(pi*x)",
-        "gamma_expr": "1.5 + sin(pi*x)",
-        "d_S": "0",
-        "d_I": "1",
-    },
-    "sim3c": {
-        **_COMMON,
-        "model": "std_incidence_ds0",
-        "beta_expr": "2 - sin(pi*x)",
-        "gamma_expr": "1",
-        "d_S": "0",
-        "d_I": "1",
-    },
-    "sim4a": {
-        **_COMMON,
-        "model": "std_incidence_di0",
-        "beta_expr": "2 - abs(x - 0.5)^0.5",
-        "gamma_expr": "1.5",
-        "d_S": "1",
-        "d_I": "0",
-        "T": "1000",
-        "dt": "5e-3",
-    },
-    "sim4b": {
-        **_COMMON,
-        "model": "std_incidence_di0",
-        "beta_expr": "2 - sin(pi*x)",
-        "gamma_expr": "1.5",
-        "d_S": "1",
-        "d_I": "0",
-    },
+    "sim1a": _preset("mass_action_ds0", "0.5", "4 - pi*sin(pi*x)"),
+    "sim1b": _preset("mass_action_ds0", "2", "4 - pi*sin(pi*x)"),
+    # nonconstant transmission with sign-changing S0 - gamma/beta, so no
+    # closed-form threshold applies (int gamma/beta ~ 2.82); the clamp keeps
+    # the movable initial datum nonnegative at small a
+    "sim1c": _preset("mass_action_ds0", "0.5*(1 + x)", "4 - pi*sin(pi*x)",
+                     I0_expr="max(a + cos(pi*x), 0)", T="40", **{"param.a": "1.5"}),
+    "sim2a": _preset("mass_action_di0", "0.2", "4 - pi*sin(pi*x)"),
+    "sim2b": _preset("mass_action_di0", "1", "4 - pi*sin(pi*x)"),
+    "sim2c": _preset("mass_action_di0", "2", "14 - 4*pi*sin(4*pi*x)", T="60", dt="5e-4"),
+    "sim3a": _preset("std_incidence_ds0", "1 + sin(pi*x)", "1.5"),
+    "sim3b": _preset("std_incidence_ds0", "2.5 + sin(pi*x)", "1.5 + sin(pi*x)"),
+    "sim3c": _preset("std_incidence_ds0", "2 - sin(pi*x)", "1"),
+    "sim4a": _preset("std_incidence_di0", "2 - abs(x - 0.5)^0.5", "1.5", T="1000", dt="5e-3"),
+    "sim4b": _preset("std_incidence_di0", "2 - sin(pi*x)", "1.5"),
 }
 
 OBSERVABLES = ("I_mass_at_T", "final_sup_I", "concentration_fraction")

@@ -135,7 +135,10 @@ class Expression:
             if name in params:
                 raise ValueError(f"constant name {name!r} is reserved by the expression grammar")
         x = np.asarray(x, dtype=float)
-        out = self._eval(self._ast, x, params)
+        # a value outside a function's domain raises ExpressionDomainError
+        # below, so numpy's own warning would only repeat it
+        with np.errstate(all="ignore"):
+            out = self._eval(self._ast, x, params)
         return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
 
     def _eval(self, node: ast.expr, x: np.ndarray, params: Mapping[str, float]):
@@ -172,8 +175,7 @@ class Expression:
                 raise ExpressionDomainError(self._where(x, bad, "division by zero"))
             return a / b
         if op is ast.Pow:
-            with np.errstate(all="ignore"):
-                result = np.power(np.asarray(a, dtype=float), b)
+            result = np.power(np.asarray(a, dtype=float), b)
             return self._require_finite(result, x, "undefined power")
         return _OPERATORS[op](a, b)
 

@@ -1,12 +1,18 @@
-"""CSV and SVG emission for trajectories and sweep tables.
+"""Every file sislab writes or reads, by name and format.
+
+A run directory holds profiles.csv, diagnostics.csv, run.json and an
+optional <kind>.svg; a sweep directory holds sweep.csv and an optional
+sweep.svg.  Only profiles.csv is ever read back.
 
 Numbers are written with repr(), the shortest decimal that round-trips to
 the same float, so re-parsing a profile file reproduces the state bit for
-bit and identical configurations produce byte-identical output.
+bit and identical configurations produce byte-identical output.  An absent
+value is an empty cell; a text cell is quoted as ``csv`` quotes minimally.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 
@@ -16,6 +22,8 @@ from .diagnostics import DiagnosticsRecord
 from .mesh import Field
 from .models import State, Trajectory
 
+_PROFILES = "profiles.csv"
+
 
 def _fmt(value) -> str:
     if value is None:
@@ -23,11 +31,20 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _text(value: str | None) -> str:
+    """A text cell, quoted (its quotes doubled) if it holds , " or a line break."""
+    if value is None:
+        return ""
+    if any(ch in value for ch in ',"\r\n'):
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
 def emit_csv(traj: Trajectory, out_dir) -> tuple[Path, Path]:
     """Write profiles.csv (t, x, S, I) and diagnostics.csv; returns the paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    profiles = out / "profiles.csv"
+    profiles = out / _PROFILES
     diagnostics = out / "diagnostics.csv"
 
     nodes = traj.spec.grid.nodes
@@ -47,49 +64,87 @@ def emit_csv(traj: Trajectory, out_dir) -> tuple[Path, Path]:
     return profiles, diagnostics
 
 
+def emit_run(traj: Trajectory, out_dir, preset: str | None, svg: str | None = None,
+             error: str | None = None) -> tuple[Path, Path]:
+    """Write a run directory: ``emit_csv``'s files, run.json (naming the
+    ``error`` that ended a failed run) and the plot ``<svg>.svg`` if asked."""
+    paths = emit_csv(traj, out_dir)
+    summary = {
+        "preset": preset,
+        "model": traj.spec.variant.value,
+        "N": traj.N,
+        "final_time": traj.final.t,
+        "steady_detected": traj.steady_detected,
+        "snapshots": len(traj.snapshots),
+        "warnings": traj.warnings,
+    }
+    if error is not None:
+        summary["error"] = error
+    out = Path(out_dir)
+    (out / "run.json").write_text(json.dumps(summary, indent=2) + "\n")
+    if svg is not None:
+        emit_svg(traj, out / f"{svg}.svg", svg)
+    return paths
+
+
+def emit_sweep(result, out_dir, svg: bool = False) -> Path:
+    """Write a ``SweepResult`` as sweep.csv (parameter, observable, error)
+    and, if ``svg``, its curve as sweep.svg; returns the table's path."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    table = out / "sweep.csv"
+    with table.open("w") as fh:
+        fh.write(f"{result.parameter},{result.observable},error\n")
+        for p in result.points:
+            fh.write(f"{_fmt(p.parameter)},{_fmt(p.value)},{_text(p.error)}\n")
+    if svg:
+        emit_sweep_svg(result.table(), out / "sweep.svg", knee=result.knee,
+                       x_label=result.parameter, y_label=result.observable)
+    return table
+
+
 def read_profiles_csv(path) -> list[tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
-    """Parse a profiles.csv back into (t, x, S, I) blocks, one per snapshot."""
+    """Parse a profiles.csv back into (t, x, S, I) blocks, one per snapshot.
+
+    A file without a snapshot, or a row that is not four numbers, raises
+    ValueError naming the file (and the line)."""
     rows = Path(path).read_text().splitlines()
     if not rows or rows[0] != "t,x,S,I":
         raise ValueError(f"{path} is not a profiles.csv")
-    blocks: list[tuple[float, list, list, list]] = []
-    for line in rows[1:]:
-        t_s, x_s, s_s, i_s = line.split(",")
-        t = float(t_s)
-        if not blocks or blocks[-1][0] != t:
-            blocks.append((t, [], [], []))
-        blocks[-1][1].append(float(x_s))
-        blocks[-1][2].append(float(s_s))
-        blocks[-1][3].append(float(i_s))
-    return [(t, np.array(x), np.array(s), np.array(i)) for t, x, s, i in blocks]
+    if len(rows) == 1:
+        raise ValueError(f"{path} holds no snapshot")
+    values = []
+    for lineno, line in enumerate(rows[1:], start=2):
+        try:
+            t, x, s, i = map(float, line.split(","))
+        except ValueError:
+            raise ValueError(f"{path}, line {lineno}: expected the four numbers "
+                             f"t,x,S,I, got {line!r}") from None
+        values.append((t, x, s, i))
+    table = np.array(values)
+    starts = np.flatnonzero(np.diff(table[:, 0])) + 1
+    return [(float(t[0]), x, s, i) for t, x, s, i in
+            (block.T.copy() for block in np.split(table, starts))]
 
 
-def read_diagnostics_csv(path) -> list[DiagnosticsRecord]:
-    rows = Path(path).read_text().splitlines()
-    header = ",".join(DiagnosticsRecord.CSV_COLUMNS)
-    if not rows or rows[0] != header:
-        raise ValueError(f"{path} is not a diagnostics.csv")
-    records = []
-    for line in rows[1:]:
-        parts = line.split(",")
-        vals = [None if p == "" else float(p) for p in parts]
-        records.append(DiagnosticsRecord(*vals))
-    return records
-
-
-def trajectory_from_csv(spec, profiles_path, diagnostics_path=None) -> Trajectory:
-    """Rebuild a trajectory from emitted CSVs; the exposure field J is not
-    written, so every reloaded state has ``J = None``."""
-    blocks = read_profiles_csv(profiles_path)
+def trajectory_from_csv(spec, profiles_path) -> Trajectory:
+    """Rebuild a trajectory from a profiles.csv alone: it has no diagnostics,
+    and every state has ``J = None`` (J is not written).  A snapshot whose
+    ``x`` column is not exactly ``spec``'s grid nodes raises ValueError."""
     grid = spec.grid
     snapshots = []
-    for t, x, s, i in blocks:
-        if x.shape[0] != grid.nx:
-            raise ValueError("profile grid does not match the configured grid")
+    for t, x, s, i in read_profiles_csv(profiles_path):
+        if not np.array_equal(x, grid.nodes):
+            raise ValueError(f"{profiles_path}: the snapshot at t={t!r} is not on the "
+                             f"configured grid of {grid.nx} nodes on [{grid.a!r}, {grid.b!r}]")
         snapshots.append(State(t, Field(grid, s), Field(grid, i), None))
-    records = read_diagnostics_csv(diagnostics_path) if diagnostics_path else []
     N = snapshots[0].total_mass()
-    return Trajectory(spec=spec, snapshots=snapshots, diagnostics=records, N=N)
+    return Trajectory(spec=spec, snapshots=snapshots, diagnostics=[], N=N)
+
+
+def read_run(spec, run_dir) -> Trajectory:
+    """The trajectory of a run directory, from its profiles.csv alone."""
+    return trajectory_from_csv(spec, Path(run_dir) / _PROFILES)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +238,6 @@ def emit_svg(traj: Trajectory, path, kind: str) -> Path:
     """Render one of the standard plots for a finished trajectory."""
     if kind not in SVG_KINDS:
         raise ValueError(f"unknown plot kind {kind!r} for a trajectory")
-    if not traj.snapshots:
-        raise ValueError("empty trajectory")
     if kind == "final_profiles":
         final = traj.final
         xs = list(traj.spec.grid.nodes)
@@ -192,19 +245,16 @@ def emit_svg(traj: Trajectory, path, kind: str) -> Path:
                   (xs, list(final.I.values), "#d62728", "I")]
         doc = _svg_document(series, "x", "density",
                             f"final profiles at t={final.t:g}")
-    elif kind == "mass_series":
-        ts = [r.t for r in traj.diagnostics]
-        if not ts:
-            raise ValueError("no data for kind 'mass_series'")
-        series = [(ts, [r.total_mass for r in traj.diagnostics], "#1f77b4",
-                   "total mass")]
-        doc = _svg_document(series, "t", "mass", "total population")
     else:
-        pts = [(r.t, r.lyapunov) for r in traj.diagnostics if r.lyapunov is not None]
+        column, label, y_label, title = {
+            "mass_series": ("total_mass", "total mass", "mass", "total population"),
+            "lyapunov_series": ("lyapunov", "V", "V", "energy functional")}[kind]
+        pts = [(r.t, getattr(r, column)) for r in traj.diagnostics
+               if getattr(r, column) is not None]
         if not pts:
-            raise ValueError("no data for kind 'lyapunov_series'")
-        series = [([p[0] for p in pts], [p[1] for p in pts], "#1f77b4", "V")]
-        doc = _svg_document(series, "t", "V", "energy functional")
+            raise ValueError(f"no data for kind {kind!r}")
+        series = [([p[0] for p in pts], [p[1] for p in pts], "#1f77b4", label)]
+        doc = _svg_document(series, "t", y_label, title)
     path = Path(path)
     path.write_text(doc)
     return path

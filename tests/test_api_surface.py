@@ -17,7 +17,8 @@ from pathlib import Path
 import pytest
 
 import sislab
-from sislab import classify, diagnostics, mesh, models, operators, spectral, threshold
+from sislab import (classify, diagnostics, mesh, models, operators, output, spectral,
+                    threshold)
 from sislab.config import preset_config
 from sislab.mesh import build_grid, eval_expression
 
@@ -49,6 +50,9 @@ def test_public_api_is_pinned():
     for name in ("RiskMode", "RiskProfile", "risk_sets"):
         assert not hasattr(mesh, name), name
     assert not hasattr(models.Variant, "mass_action")
+    # a reload reads profiles.csv alone; T37's limit level is its predicted_S
+    assert not hasattr(output, "read_diagnostics_csv")
+    assert "r_tilde_min" not in {f.name for f in fields(classify.RegimePrediction)}
 
 
 def test_option_surface_is_pinned():
@@ -72,6 +76,7 @@ def test_option_surface_is_pinned():
     # each caller forms its own risk indicator, and a run carries its own r and beta
     assert params(mesh.risk_signs) == ("indicator",)
     assert params(classify.estimate_lambda_star) == ("traj",)
+    assert params(output.trajectory_from_csv) == ("spec", "profiles_path")
 
 
 @pytest.mark.parametrize("module_name, path", [

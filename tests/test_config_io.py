@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -18,11 +21,12 @@ from sislab.config import (
 from sislab.output import (
     emit_csv,
     emit_svg,
+    emit_sweep,
     emit_sweep_svg,
-    read_diagnostics_csv,
     read_profiles_csv,
     trajectory_from_csv,
 )
+from sislab.sweep import SweepPoint, SweepResult
 
 
 # The scenario table: coefficient families, dispersal rates, model variants.
@@ -181,6 +185,26 @@ def tiny_run():
     return cfg, models.run(spec, S0, I0, **cfg.run_kwargs())
 
 
+# a sweep whose a = 0.5 point fails with an error text that holds commas
+COMMA_SWEEP = ("preset = sim1c\nnx = 41\nT = 0.2\n"
+               "I0_expr = sqrt(max(a - 1, -1) + 1.2*cos(pi*x)^2)\n"
+               "sweep_parameter = a\nsweep_lo = 0.5\nsweep_hi = 1.5\nsweep_count = 3\n")
+
+
+@pytest.fixture(scope="module")
+def comma_sweep_rows(tmp_path_factory):
+    """The rows of the comma sweep's sweep.csv, as csv.reader reads them."""
+    tmp = tmp_path_factory.mktemp("comma_sweep")
+    (tmp / "sweep.cfg").write_text(COMMA_SWEEP)
+    assert main(["sweep", "--config", str(tmp / "sweep.cfg"), "--out", str(tmp)]) == 0
+    return _csv_rows(tmp / "sweep.csv")
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
 class TestCsvEmission:
     def test_profile_shape_and_roundtrip(self, tiny_run, tmp_path):
         cfg, traj = tiny_run
@@ -208,9 +232,10 @@ class TestCsvEmission:
         rows = diagnostics.read_text().splitlines()
         # susceptible-locked mass action records no energy functional
         assert rows[1].split(",")[2] == ""
-        parsed = read_diagnostics_csv(diagnostics)
-        assert parsed[0].lyapunov is None
-        assert parsed[-1].total_mass == pytest.approx(traj.N, rel=1e-12)
+        header = rows[0].split(",")
+        parsed = [dict(zip(header, row.split(","))) for row in rows[1:]]
+        assert parsed[0]["lyapunov"] == ""
+        assert float(parsed[-1]["total_mass"]) == pytest.approx(traj.N, rel=1e-12)
 
     def test_byte_identical_reruns(self, tmp_path):
         outs = []
@@ -224,17 +249,18 @@ class TestCsvEmission:
 
     def test_trajectory_rebuild(self, tiny_run, tmp_path):
         cfg, traj = tiny_run
-        profiles, diagnostics = emit_csv(traj, tmp_path)
+        profiles, _ = emit_csv(traj, tmp_path)
         spec, grid, S0, I0 = cfg.build()
-        rebuilt = trajectory_from_csv(spec, profiles, diagnostics)
+        rebuilt = trajectory_from_csv(spec, profiles)
         assert rebuilt.N == pytest.approx(traj.N, rel=1e-12)
         assert len(rebuilt.snapshots) == len(traj.snapshots)
+        assert rebuilt.diagnostics == []
 
     def test_reloaded_run_has_no_exposure_factor(self, tiny_run, tmp_path):
         cfg, traj = tiny_run
         spec = traj.spec
         assert estimate_lambda_star(traj).max() < 1.0
-        rebuilt = trajectory_from_csv(spec, *emit_csv(traj, tmp_path))
+        rebuilt = trajectory_from_csv(spec, emit_csv(traj, tmp_path)[0])
         assert rebuilt.final.J is None
         with pytest.raises(ValueError, match="exposure field J"):
             estimate_lambda_star(rebuilt)
@@ -245,6 +271,51 @@ class TestCsvEmission:
                                  J0, 1)
         assert np.array_equal(stepped[0], kernel.advance(traj.final.S.values[None],
                                                          traj.final.I.values[None], J0, 1)[0])
+
+
+    @pytest.mark.parametrize("preset, overrides", [
+        ("sim1b", {}), ("sim2b", {}), ("sim3b", {}), ("sim4b", {}),
+        ("sim1b", {"model": "full", "d_S": 1.0}),
+    ], ids=["mass_action_ds0", "mass_action_di0", "std_incidence_ds0",
+            "std_incidence_di0", "full"])
+    def test_every_csv_is_a_rectangular_table_that_round_trips(self, tmp_path, preset,
+                                                               overrides):
+        cfg = preset_config(preset, nx=41, T=0.5, snapshot_every=0.25, **overrides)
+        spec, grid, S0, I0 = cfg.build()
+        traj = models.run(spec, S0, I0, **cfg.run_kwargs())
+        for path in emit_csv(traj, tmp_path):
+            header, *rows = _csv_rows(path)
+            assert rows
+            assert all(len(row) == len(header) for row in rows), path.name
+        rebuilt = trajectory_from_csv(spec, tmp_path / "profiles.csv")
+        assert len(rebuilt.snapshots) == len(traj.snapshots)
+        for back, snap in zip(rebuilt.snapshots, traj.snapshots):
+            assert back.t == snap.t
+            assert np.array_equal(back.S.values, snap.S.values)
+            assert np.array_equal(back.I.values, snap.I.values)
+
+    def test_sweep_csv_with_a_failing_point_is_rectangular(self, comma_sweep_rows):
+        header, *rows = comma_sweep_rows
+        assert header == ["a", "I_mass_at_T", "error"]
+        assert [len(row) for row in rows] == [3, 3, 3]
+        assert [row[2] == "" for row in rows] == [False, True, True]
+
+    def test_sweep_text_cells_are_quoted_as_csv_quotes_them(self, tmp_path):
+        errors = [None, "plain text", "a, b", 'say "no"', "two\nlines", "cr\rhere", ""]
+        points = [SweepPoint(0.25 * k, None if e else 0.1 * k, e)
+                  for k, e in enumerate(errors)]
+        path = emit_sweep(SweepResult("I_mass_at_T", "a", points, None), tmp_path)
+        rows = [["a", "I_mass_at_T", "error"]]
+        rows += [[repr(p.parameter), "" if p.value is None else repr(p.value), p.error or ""]
+                 for p in points]
+        expected = ""
+        for row in rows:
+            # csv quotes a line break of its own line terminator, "\r\n" by default
+            line = io.StringIO()
+            csv.writer(line).writerow(row)
+            expected += line.getvalue().removesuffix("\r\n") + "\n"
+        assert path.read_bytes() == expected.encode()
+        assert [row[2] for row in _csv_rows(path)[1:]] == [e or "" for e in errors]
 
 
 class TestSvgEmission:
@@ -375,6 +446,64 @@ class TestCli:
         assert len(table) == 4
         assert (tmp_path / "sw" / "sweep.svg").exists()
 
+    def test_sweep_error_text_with_a_comma_stays_one_cell(self, comma_sweep_rows):
+        rows = comma_sweep_rows
+        assert [len(row) for row in rows] == [3, 3, 3, 3]
+        assert rows[1][:2] == ["0.5", ""]
+        assert rows[1][2].startswith(
+            "ExpressionDomainError: sqrt of a negative value in "
+            "'sqrt(max(a - 1, -1) + 1.2*cos(pi*x)^2)' at node x=")
+
+    def test_classify_run_dir_reads_only_the_profiles(self, tmp_path, capsys):
+        run_dir = tmp_path / "out"
+        assert main(["simulate", "--preset", "sim2b", "--set", "nx=41", "--set", "T=2",
+                     "--out", str(run_dir)]) == 0
+        classify = ["classify", "--preset", "sim2b", "--set", "nx=41",
+                    "--run-dir", str(run_dir)]
+        capsys.readouterr()
+        rc = main(classify)
+        with_diagnostics = capsys.readouterr()
+        (run_dir / "diagnostics.csv").unlink()
+        assert main(classify) == rc
+        assert capsys.readouterr() == with_diagnostics
+
+    @pytest.mark.parametrize("case", ["header_only", "five_cells", "other_grid"])
+    def test_unusable_profiles_are_one_error_line(self, tmp_path, capsys, case):
+        run_dir = tmp_path / "out"
+        sets = ["--set", "nx=41", "--set", "T=0.5"]
+        if case == "other_grid":
+            sets += ["--set", "x_max=2"]
+        assert main(["simulate", "--preset", "sim1b", *sets, "--out", str(run_dir)]) == 0
+        profiles = run_dir / "profiles.csv"
+        lines = profiles.read_text().splitlines()
+        if case == "header_only":
+            profiles.write_text(lines[0] + "\n")
+        elif case == "five_cells":
+            lines[2] += ",0"
+            profiles.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["classify", "--preset", "sim1b", "--set", "nx=41",
+                   "--run-dir", str(run_dir)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert str(profiles) in captured.err
+        if case == "five_cells":
+            assert "line 3" in captured.err
+
+    def test_expression_overflow_is_one_error_line(self, capsys):
+        # numpy's overflow warning would repeat the error on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["eigen", "--h", "exp(1000*x)", "--nx", "41"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: exp() overflowed in 'exp(1000*x)' at node x=")
+        assert captured.err.count("\n") == 1
+
     def test_config_errors_exit_one(self, tmp_path, capsys):
         rc = main(["simulate", "--config", str(tmp_path / "nope.cfg")])
         assert rc == 1
@@ -479,7 +608,7 @@ class TestCli:
         assert err.count("\n") == 1
         blocks = read_profiles_csv(run_dir / "profiles.csv")
         assert [t for t, *_ in blocks] == pytest.approx([0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
-        assert len(read_diagnostics_csv(run_dir / "diagnostics.csv")) == 6
+        assert len((run_dir / "diagnostics.csv").read_text().splitlines()) == 1 + 6
         summary = json.loads((run_dir / "run.json").read_text())
         assert summary["snapshots"] == 6
         assert summary["error"] == err.removeprefix("error: ").rstrip("\n")
