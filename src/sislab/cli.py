@@ -15,7 +15,7 @@ from . import models
 from .classify import predict_regime, verify_outcome
 from .config import PRESETS, ConfigError, RunConfig, load_config, load_sweep_config
 from .mesh import Field, build_grid, eval_expression
-from .models import MassConservationError, StepSizeError
+from .models import MassConservationError, StepSizeError, Variant
 from .operators import TridiagonalSolveError
 from .output import SVG_KINDS, emit_run, emit_sweep, read_run
 from .spectral import EigenConvergenceError, basic_reproduction_number, principal_eigenvalue
@@ -107,6 +107,10 @@ def _cmd_eigen(args) -> int:
 def _cmd_threshold(args) -> int:
     cfg = _resolve_config(args)
     spec, grid, S0, _ = cfg.build()
+    if spec.variant is not Variant.MASS_ACTION_DS0:
+        # N* rests on the mass-action lockdown identity S - r = (S0 - r)e^{-beta J}
+        raise ConfigError(f"threshold applies to mass_action_ds0 only, not "
+                          f"{spec.variant.value}")
     result = critical_population(S0, spec.risk_ratio(), spec.beta, spec.d_I)
     print(f"critical population N* = {result.n_star!r}")
     print(f"bounds: int r = {result.lower_bound!r} <= N* <= "

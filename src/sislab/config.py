@@ -9,7 +9,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .mesh import Field, Grid, build_grid, eval_expression
+from .mesh import Field, Grid, build_grid, eval_expression, quadrature
 from .models import ModelSpec, Variant
 
 # Scenario presets.  All share the unit interval, S0 = 2 + cos(pi x) and
@@ -50,7 +50,21 @@ PRESETS: dict[str, dict[str, str]] = {
     "sim4b": _preset("std_incidence_di0", "2 - sin(pi*x)", "1.5"),
 }
 
-OBSERVABLES = ("I_mass_at_T", "final_sup_I", "concentration_fraction")
+
+def _last_concentration_fraction(traj) -> float:
+    fractions = [r.concentration_fraction for r in traj.diagnostics
+                 if r.concentration_fraction is not None]
+    if not fractions:
+        raise ValueError("this model variant records no concentration fraction")
+    return fractions[-1]
+
+
+# What a sweep may record of each point: the reader of its finished Trajectory.
+OBSERVABLES = {
+    "I_mass_at_T": lambda traj: quadrature(traj.spec.grid, np.asarray(traj.final.I.values)),
+    "final_sup_I": lambda traj: float(np.asarray(traj.final.I.values).max()),
+    "concentration_fraction": _last_concentration_fraction,
+}
 
 
 class ConfigError(ValueError):

@@ -3,7 +3,7 @@ and the concentration metric for point-mass limits."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -25,9 +25,6 @@ class DiagnosticsRecord:
     harnack_ratio: Optional[float]
     concentration_fraction: Optional[float]
     sup_change_rate: float
-
-
-DiagnosticsRecord.CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 def lyapunov_mass_action_di0(S: Field, I: Field, beta: Field, r: Field,
@@ -123,33 +120,30 @@ class DiagnosticsContext:
     point-mass limits."""
 
     def __init__(self, spec, I0: Field):
-        from .models import Variant     # models imports this module
-
         variant = spec.variant
         self.harnack_on_s = variant.locks_i
         self.min_indices = None
         # (S, I) -> (V, dissipation rate), or None when the variant has no energy
         self.energy = None
-        if variant is Variant.MASS_ACTION_DI0:
+        if variant.std_incidence:
+            gap = np.asarray(spec.beta.values) - np.asarray(spec.gamma.values)
+            if variant.locks_i:  # std_incidence_di0
+                high_mask = (risk_signs(gap) > 0) & (np.asarray(I0.values) > 0)
+
+                def energy(S, I):
+                    V, grad, low, high = lyapunov_std_di0(S, I, spec.beta, spec.gamma,
+                                                          spec.d_S, high_mask)
+                    return V, grad - low + high
+
+                self.energy = energy
+            elif not (risk_signs(gap) < 0).any():  # std_incidence_ds0 with beta >= gamma
+                self.energy = lambda S, I: lyapunov_std_ds0(S, I, spec.beta, spec.gamma,
+                                                            spec.d_I)
+        elif variant.locks_i:  # mass_action_di0
             r = spec.risk_ratio()
             _, self.min_indices = rmin_set(r, I0)
             self.energy = lambda S, I: lyapunov_mass_action_di0(S, I, spec.beta, r,
                                                                 spec.d_S)
-        elif variant is Variant.STD_INCIDENCE_DS0:
-            gap = np.asarray(spec.beta.values) - np.asarray(spec.gamma.values)
-            if not (risk_signs(gap) < 0).any():
-                self.energy = lambda S, I: lyapunov_std_ds0(S, I, spec.beta, spec.gamma,
-                                                            spec.d_I)
-        elif variant is Variant.STD_INCIDENCE_DI0:
-            gap = np.asarray(spec.beta.values) - np.asarray(spec.gamma.values)
-            high_mask = (risk_signs(gap) > 0) & (np.asarray(I0.values) > 0)
-
-            def energy(S, I):
-                V, grad, low, high = lyapunov_std_di0(S, I, spec.beta, spec.gamma,
-                                                      spec.d_S, high_mask)
-                return V, grad - low + high
-
-            self.energy = energy
 
     def record(self, state, sup_change_rate: float) -> DiagnosticsRecord:
         S, I = state.S, state.I

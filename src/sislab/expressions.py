@@ -135,10 +135,12 @@ class Expression:
             if name in params:
                 raise ValueError(f"constant name {name!r} is reserved by the expression grammar")
         x = np.asarray(x, dtype=float)
-        # a value outside a function's domain raises ExpressionDomainError
-        # below, so numpy's own warning would only repeat it
+        # a value outside a function's domain, or one that is not finite,
+        # raises ExpressionDomainError below, so numpy's own warning would
+        # only repeat it
         with np.errstate(all="ignore"):
-            out = self._eval(self._ast, x, params)
+            out = self._require_finite(self._eval(self._ast, x, params), x,
+                                       "a value that is not finite")
         return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
 
     def _eval(self, node: ast.expr, x: np.ndarray, params: Mapping[str, float]):

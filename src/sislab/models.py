@@ -110,18 +110,18 @@ class ModelSpec:
     def __post_init__(self):
         if self.beta.grid.nx != self.gamma.grid.nx:
             raise ValueError("beta and gamma live on different grids")
-        if self.beta.min() <= 0 or self.gamma.min() <= 0:
-            raise ValueError("transmission and recovery rates must be positive everywhere")
-        for name, rate in (("d_S", self.d_S), ("d_I", self.d_I)):
-            if not math.isfinite(rate):
-                raise ValueError(f"{name} must be finite, got {rate!r}")
+        # a NaN minimum fails the first test
+        if not all(0 < f.min() and f.max() < math.inf for f in (self.beta, self.gamma)):
+            raise ValueError("transmission and recovery rates must be finite and positive "
+                             "everywhere")
+        # a locked compartment does not disperse; the other one must
         v = self.variant
-        if v.locks_s and not (self.d_S == 0.0 and self.d_I > 0):
-            raise ValueError(f"{v.value} requires d_S = 0 and d_I > 0")
-        if v.locks_i and not (self.d_I == 0.0 and self.d_S > 0):
-            raise ValueError(f"{v.value} requires d_I = 0 and d_S > 0")
-        if v is Variant.FULL and (self.d_S <= 0 or self.d_I <= 0):
-            raise ValueError("the nondegenerate system needs both dispersal rates positive")
+        for name, rate, locked in (("d_S", self.d_S, v.locks_s), ("d_I", self.d_I, v.locks_i)):
+            if locked and rate != 0.0:
+                raise ValueError(f"{v.value} requires {name} = 0, got {rate!r}")
+            if not locked and not 0.0 < rate < math.inf:
+                raise ValueError(f"{name} must be finite and positive for {v.value}, "
+                                 f"got {rate!r}")
 
     @property
     def grid(self) -> Grid:

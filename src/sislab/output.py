@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from .mesh import Field
 from .models import State, Trajectory
 
 _PROFILES = "profiles.csv"
+_DIAGNOSTICS_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 def _fmt(value) -> str:
@@ -57,10 +59,9 @@ def emit_csv(traj: Trajectory, out_dir) -> tuple[Path, Path]:
                 fh.write(f"{t},{_fmt(nodes[i])},{_fmt(Sv[i])},{_fmt(Iv[i])}\n")
 
     with diagnostics.open("w") as fh:
-        fh.write(",".join(DiagnosticsRecord.CSV_COLUMNS) + "\n")
+        fh.write(",".join(_DIAGNOSTICS_COLUMNS) + "\n")
         for rec in traj.diagnostics:
-            fh.write(",".join(_fmt(getattr(rec, col))
-                              for col in DiagnosticsRecord.CSV_COLUMNS) + "\n")
+            fh.write(",".join(_fmt(getattr(rec, col)) for col in _DIAGNOSTICS_COLUMNS) + "\n")
     return profiles, diagnostics
 
 
@@ -98,7 +99,7 @@ def emit_sweep(result, out_dir, svg: bool = False) -> Path:
         for p in result.points:
             fh.write(f"{_fmt(p.parameter)},{_fmt(p.value)},{_text(p.error)}\n")
     if svg:
-        emit_sweep_svg(result.table(), out / "sweep.svg", knee=result.knee,
+        emit_sweep_svg(result.points, out / "sweep.svg", knee=result.knee,
                        x_label=result.parameter, y_label=result.observable)
     return table
 

@@ -7,16 +7,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import models
-from .config import SweepConfig
-from .mesh import quadrature
+from .config import OBSERVABLES, SweepConfig
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     parameter: float
     value: float | None
     error: str | None = None
@@ -29,20 +28,19 @@ class SweepResult:
     points: list[SweepPoint]
     knee: float | None
 
-    def table(self) -> list[tuple[float, float | None, str | None]]:
-        return [(p.parameter, p.value, p.error) for p in self.points]
 
-
-def _evaluate_point(payload) -> list[tuple[float, float | None, str | None]]:
-    """(value, observable, error) for each point of a chunk of the sweep.
+def _evaluate_point(payload) -> list[SweepPoint]:
+    """The points of a chunk of the sweep.
 
     A chunk is points that differ only in an expression constant, or one
-    point of a run-field sweep, and runs as one ``run_batch``.  If a chunk
-    of several points raises, its points rerun as chunks of one, so a
-    failing point records its own error and the others still succeed.
+    point of a run-field sweep, and runs as one ``run_batch``.  If building
+    or running a chunk of several points raises, its points rerun as
+    chunks of one, so a failing point records its own error and the others
+    still succeed; an observable that raises fails its own point only.
     """
     sweep_cfg, values = payload
-    chunks, rows = [values], []
+    observable = OBSERVABLES[sweep_cfg.observable]
+    chunks, points = [values], []
     while chunks:
         chunk = chunks.pop(0)
         try:
@@ -50,28 +48,18 @@ def _evaluate_point(payload) -> list[tuple[float, float | None, str | None]]:
             specs, _, S0s, I0s = zip(*(cfg.build() for cfg in cfgs))
             trajs = models.run_batch(list(specs), list(S0s), list(I0s),
                                      **cfgs[0].run_kwargs())
-            rows += [(value, _extract_observable(traj, sweep_cfg.observable), None)
-                     for value, traj in zip(chunk, trajs)]
         except Exception as exc:  # per-point failures recorded, sweep continues
             if len(chunk) > 1:
                 chunks += [[value] for value in chunk]
             else:
-                rows.append((chunk[0], None, f"{type(exc).__name__}: {exc}"))
-    return rows
-
-
-def _extract_observable(traj: models.Trajectory, observable: str) -> float:
-    final = traj.final
-    if observable == "I_mass_at_T":
-        return quadrature(traj.spec.grid, np.asarray(final.I.values))
-    if observable == "final_sup_I":
-        return float(np.asarray(final.I.values).max())
-    # "concentration_fraction", the last observable SweepConfig admits
-    fractions = [r.concentration_fraction for r in traj.diagnostics
-                 if r.concentration_fraction is not None]
-    if not fractions:
-        raise ValueError("this model variant records no concentration fraction")
-    return fractions[-1]
+                points.append(SweepPoint(chunk[0], None, f"{type(exc).__name__}: {exc}"))
+            continue
+        for value, traj in zip(chunk, trajs):
+            try:
+                points.append(SweepPoint(value, observable(traj)))
+            except Exception as exc:  # fails this point alone
+                points.append(SweepPoint(value, None, f"{type(exc).__name__}: {exc}"))
+    return points
 
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
@@ -90,8 +78,7 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
             chunks = list(pool.map(_evaluate_point, payloads))
     else:
         chunks = [_evaluate_point(p) for p in payloads]
-    rows = sorted((row for chunk in chunks for row in chunk), key=lambda r: r[0])
-    points = [SweepPoint(*row) for row in rows]
+    points = sorted((p for chunk in chunks for p in chunk), key=lambda p: p.parameter)
     knee = detect_knee([(p.parameter, p.value) for p in points])
     return SweepResult(cfg.observable, cfg.parameter, points, knee)
 

@@ -27,6 +27,7 @@ from .spectral import principal_eigenvalue
 
 _TOL = 1e-6                      # certified relative gap (dual_bound - N*) / N*
 _FEAS_TOL = 1e-8                 # allowed eigenvalue at the returned point
+_MAX_ITER = 200                  # ascent steps per start
 _RANDOM_STARTS = 1               # random first-step scores, tried only when
                                  # the deterministic start does not certify
 # The completion aims sigma at this fraction of _FEAS_TOL: the rest is room for
@@ -36,7 +37,6 @@ _AIM = 0.9
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    max_iter: int = 200          # ascent steps per start
     seed: int = 0                # seeds the random starts
 
 
@@ -192,7 +192,7 @@ def critical_population(S0: Field, r: Field, beta: Field, d_I: float,
         scores = prob.beta * phi * phi if start == 0 else rng.uniform(size=grid.nx)
         radius = np.ones(grid.nx)
         heading = np.zeros(grid.nx)
-        for _ in range(opts.max_iter):
+        for _ in range(_MAX_ITER):
             if certified():
                 break
             iterations += 1

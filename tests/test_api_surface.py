@@ -18,7 +18,7 @@ import pytest
 
 import sislab
 from sislab import (classify, diagnostics, mesh, models, operators, output, spectral,
-                    threshold)
+                    sweep, threshold)
 from sislab.config import preset_config
 from sislab.mesh import build_grid, eval_expression
 
@@ -53,16 +53,19 @@ def test_public_api_is_pinned():
     # a reload reads profiles.csv alone; T37's limit level is its predicted_S
     assert not hasattr(output, "read_diagnostics_csv")
     assert "r_tilde_min" not in {f.name for f in fields(classify.RegimePrediction)}
+    # a sweep point has one shape, and output names the diagnostics columns
+    assert not hasattr(sweep.SweepResult, "table")
+    assert not hasattr(diagnostics.DiagnosticsRecord, "CSV_COLUMNS")
 
 
 def test_option_surface_is_pinned():
     # each value below has one setting in use, so it is a module constant
     # (mesh.EPS_REG, spectral.DEFAULT_MAX_ITER, diagnostics.CONCENTRATION_RADIUS,
-    # threshold's tolerances), not an option
+    # threshold's tolerances and ascent cap), not an option
     def params(fn):
         return tuple(inspect.signature(fn).parameters)
 
-    assert tuple(f.name for f in fields(threshold.OptimizerOptions)) == ("max_iter", "seed")
+    assert tuple(f.name for f in fields(threshold.OptimizerOptions)) == ("seed",)
     assert tuple(f.name for f in fields(models.ModelSpec)) == (
         "variant", "beta", "gamma", "d_S", "d_I")
     assert params(spectral.principal_eigenvalue) == ("d", "h", "tol", "start")
@@ -185,8 +188,8 @@ print(json.dumps({
     "unused": unused,
     "dense": spectral.dense_principal_eigenvalue(0.1, h)[0],
     "noda": spectral.principal_eigenvalue(0.1, h).sigma,
-    "parallel": run_sweep(sweep, jobs=2).table(),
-    "serial": run_sweep(sweep, jobs=1).table(),
+    "parallel": run_sweep(sweep, jobs=2).points,
+    "serial": run_sweep(sweep, jobs=1).points,
 }))
 """
 

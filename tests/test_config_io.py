@@ -504,6 +504,39 @@ class TestCli:
         assert captured.err.startswith("error: exp() overflowed in 'exp(1000*x)' at node x=")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("preset, item", [("sim1b", "beta_expr=1e200*1e200"),
+                                              ("sim3b", "gamma_expr=1e200*1e200"),
+                                              ("sim1b", "S0_expr=1e200*1e200")])
+    def test_a_coefficient_that_is_not_finite_is_one_error_line(self, tmp_path, capsys,
+                                                                preset, item):
+        # a coefficient that overflows must stop the run before it starts:
+        # inside it numpy only warns, and the run ends in a wrong state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["simulate", "--preset", preset, "--set", item, "--set", "T=0.1",
+                       "--set", "nx=21", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: a value that is not finite in '1e200*1e200' at node x=")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("args, variant", [
+        (["--preset", "sim3a"], "std_incidence_ds0"),
+        (["--preset", "sim3b"], "std_incidence_ds0"),
+        (["--preset", "sim1b", "--set", "model=full", "--set", "d_S=1"], "full"),
+        (["--preset", "sim4b"], "std_incidence_di0"),
+    ])
+    def test_threshold_of_another_variant_is_one_error_line(self, capsys, args, variant):
+        # N* rests on the mass-action lockdown identity, so it exists for
+        # mass_action_ds0 alone
+        assert main(["threshold", *args, "--set", "nx=41"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: threshold applies to mass_action_ds0 only, "
+                                f"not {variant}\n")
+
     def test_config_errors_exit_one(self, tmp_path, capsys):
         rc = main(["simulate", "--config", str(tmp_path / "nope.cfg")])
         assert rc == 1

@@ -117,6 +117,28 @@ class TestModelSpecValidation:
             ModelSpec(variant, Field.constant(g, 1.0), Field.constant(g, 1.0),
                       d_S=d_S, d_I=d_I)
 
+    @pytest.mark.parametrize("beta, gamma", [(1.0, np.inf), (np.inf, 1.0), (1.0, np.nan)])
+    def test_rates_must_be_finite(self, beta, gamma):
+        g = unit_grid(11)
+        with pytest.raises(ValueError, match="must be finite and positive everywhere"):
+            ModelSpec(Variant.MASS_ACTION_DS0, Field.constant(g, beta),
+                      Field.constant(g, gamma), d_S=0.0, d_I=1.0)
+
+    @pytest.mark.parametrize("variant, d_S, d_I, message", [
+        (Variant.MASS_ACTION_DS0, 0.5, 1.0, "mass_action_ds0 requires d_S = 0, got 0.5"),
+        (Variant.STD_INCIDENCE_DI0, 0.0, 0.0,
+         "d_S must be finite and positive for std_incidence_di0, got 0.0"),
+        (Variant.FULL, 0.0, 1.0, "d_S must be finite and positive for full, got 0.0"),
+        (Variant.FULL, 1.0, -1.0, "d_I must be finite and positive for full, got -1.0"),
+    ])
+    def test_the_lockdown_rule_names_the_rate_and_the_variant(self, variant, d_S, d_I,
+                                                              message):
+        g = unit_grid(11)
+        with pytest.raises(ValueError) as info:
+            ModelSpec(variant, Field.constant(g, 1.0), Field.constant(g, 1.0),
+                      d_S=d_S, d_I=d_I)
+        assert str(info.value) == message
+
     def test_variant_parsing(self):
         assert Variant.parse("mass_action_ds0") is Variant.MASS_ACTION_DS0
         assert Variant.parse("Std_Incidence_dI0") is Variant.STD_INCIDENCE_DI0

@@ -136,3 +136,39 @@ class TestBatchedRows:
             spec, _, S0, I0 = cfg.point(point.parameter).build()
             single = models.run(spec, S0, I0, **base.run_kwargs())
             assert point.value == float(single.final.I.values @ spec.grid.weights)
+
+
+class TestObservables:
+    def test_an_observable_that_raises_reruns_no_point(self, monkeypatch):
+        # mass_action_ds0 records no concentration fraction: each point fails
+        # in its own observable, which batching cannot cause
+        base = preset_config("sim1c", nx=41, T=0.5)
+        cfg = SweepConfig(base=base, parameter="a", lo=0.5, hi=1.5, count=4,
+                          observable="concentration_fraction")
+        rows = []
+        run_batch = models.run_batch
+
+        def counting_run_batch(specs, *args, **kwargs):
+            rows.append(len(specs))
+            return run_batch(specs, *args, **kwargs)
+
+        monkeypatch.setattr(models, "run_batch", counting_run_batch)
+        res = run_sweep(cfg)
+        assert rows == [4]
+        error = "ValueError: this model variant records no concentration fraction"
+        assert [p.error for p in res.points] == [error] * 4
+        assert [p.value for p in res.points] == [None] * 4
+
+    def test_concentration_fraction_is_the_last_recorded_one(self):
+        base = preset_config("sim2b", nx=41, T=2.0)
+        cfg = SweepConfig(base=base, parameter="d_S", lo=0.5, hi=1.5, count=3,
+                          observable="concentration_fraction")
+        res = run_sweep(cfg)
+        assert len(res.points) == 3
+        for point in res.points:
+            spec, _, S0, I0 = cfg.point(point.parameter).build()
+            single = models.run(spec, S0, I0, **base.run_kwargs())
+            last = single.diagnostics[-1].concentration_fraction
+            assert last is not None
+            assert point.error is None
+            assert point.value == last

@@ -3,6 +3,7 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
+from sislab import threshold
 from sislab.config import preset_config
 from sislab.mesh import Field, build_grid, eval_expression, integrate, quadrature
 from sislab.spectral import principal_eigenvalue
@@ -146,14 +147,16 @@ class TestCertifiedOptimum:
         assert res.sigma_at_opt <= 1e-8
         assert [r.n_star for r in results] == [res.n_star] * 4
 
-    def test_an_unfinished_ascent_says_so_and_stays_feasible(self):
+    def test_an_unfinished_ascent_says_so_and_stays_feasible(self, monkeypatch):
         S0, r, beta, _ = _strict(201)
-        res = critical_population(S0, r, beta, 0.5, OptimizerOptions(max_iter=1))
+        monkeypatch.setattr(threshold, "_MAX_ITER", 1)
+        res = critical_population(S0, r, beta, 0.5)
         assert not res.converged
         assert res.dual_bound - res.n_star > 1e-6 * res.n_star
         assert res.sigma_at_opt <= 1e-8
         h = Field(S0.grid, beta.values * res.lambda_star.values * (S0.values - r.values))
         assert principal_eigenvalue(0.5, h).sigma <= 1e-8
+        monkeypatch.undo()
         assert critical_population(S0, r, beta, 0.5).converged
 
 
