@@ -13,7 +13,6 @@ from .mesh import (
     Grid,
     build_grid,
     eval_expression,
-    integrate,
     rmin_set,
 )
 from .models import ModelSpec, State, Trajectory, Variant, run
@@ -41,7 +40,6 @@ __all__ = [
     "Grid",
     "build_grid",
     "eval_expression",
-    "integrate",
     "rmin_set",
     "ModelSpec",
     "State",

@@ -68,20 +68,20 @@ def predict_regime(spec: ModelSpec, S0: Field, I0: Field) -> RegimePrediction:
     predictor = _PREDICTORS.get(spec.variant)
     if predictor is None:
         raise ValueError("regime prediction covers only the degenerate systems")
-    N = quadrature(spec.grid, np.asarray(S0.values) + np.asarray(I0.values))
+    N = quadrature(spec.grid, S0.values + I0.values)
     return predictor(spec, S0, I0, N)
 
 
 def _predict_mass_ds0(spec, S0, I0, N):
     grid = spec.grid
     r = spec.risk_ratio()
-    int_r = quadrature(grid, np.asarray(r.values))
+    int_r = quadrature(grid, r.values)
     notes = [f"N={N:.6g}, int r={int_r:.6g}"]
     if N < int_r:
         pred = RegimePrediction(Regime.T32_EXTINCTION, notes=notes)
         return pred
 
-    gap = np.asarray(S0.values) - np.asarray(r.values)
+    gap = S0.values - r.values
     beta_span = spec.beta.max() - spec.beta.min()
     beta_const = beta_span <= 1e-12 * max(1.0, abs(spec.beta.max()))
     sign_tol = 1e-9 * max(1.0, float(np.abs(gap).max()))
@@ -107,9 +107,8 @@ def _predict_mass_ds0(spec, S0, I0, N):
 
 def _predict_mass_di0(spec, S0, I0, N):
     grid = spec.grid
-    signs = risk_signs((N / grid.length) * np.asarray(spec.beta.values)
-                       - np.asarray(spec.gamma.values))
-    active_high = (signs > 0) & (np.asarray(I0.values) > 0)
+    signs = risk_signs((N / grid.length) * spec.beta.values - spec.gamma.values)
+    active_high = (signs > 0) & (I0.values > 0)
     r = spec.risk_ratio()
     r_min, min_idx = rmin_set(r, I0)
     notes = [f"high-risk nodes meeting the infected support: {int(active_high.sum())}"]
@@ -127,7 +126,7 @@ def _predict_mass_di0(spec, S0, I0, N):
 
 def _predict_std_ds0(spec, S0, I0, N):
     grid = spec.grid
-    bv, gv = np.asarray(spec.beta.values), np.asarray(spec.gamma.values)
+    bv, gv = spec.beta.values, spec.gamma.values
     signs = risk_signs(bv - gv)
     notes = [f"risk partition sizes +:{np.count_nonzero(signs > 0)} "
              f"0:{np.count_nonzero(signs == 0)} -:{np.count_nonzero(signs < 0)}"]
@@ -156,8 +155,8 @@ def _predict_std_ds0(spec, S0, I0, N):
 
 def _predict_std_di0(spec, S0, I0, N):
     grid = spec.grid
-    bv, gv = np.asarray(spec.beta.values), np.asarray(spec.gamma.values)
-    high = (risk_signs(bv - gv) > 0) & (np.asarray(I0.values) > 0)
+    bv, gv = spec.beta.values, spec.gamma.values
+    high = (risk_signs(bv - gv) > 0) & (I0.values > 0)
     notes = [f"high-risk infected-support nodes: {int(high.sum())}"]
     if not high.any():
         notes.append("no high-risk site meets the infected support")
@@ -174,7 +173,7 @@ def _predict_std_di0(spec, S0, I0, N):
     notes.append(f"uniform susceptible level {S_star:.6g}")
     return RegimePrediction(Regime.T46_PERSISTENCE, predicted_S=S_star,
                             predicted_I=I_star,
-                            predicted_I_mass=quadrature(grid, np.asarray(I_star.values)),
+                            predicted_I_mass=quadrature(grid, I_star.values),
                             high_mask=high, notes=notes)
 
 
@@ -191,19 +190,17 @@ def _reciprocal_gap_divergent(spec: ModelSpec, mask: np.ndarray | None
     """Capped-quadrature growth test for 1/(beta-gamma) on an optional mask;
     None when the grid has no quarter-resolution subsample to compare with."""
     grid = spec.grid
-    gap = np.asarray(spec.beta.values) - np.asarray(spec.gamma.values)
+    gap = spec.beta.values - spec.gamma.values
     if mask is None:
         mask = np.ones(grid.nx, dtype=bool)
 
     def capped_quadrature(stride: int) -> float:
         sub_gap = gap[::stride]
         sub_mask = mask[::stride] & (sub_gap > 0)
-        dx = grid.dx * stride
-        w = np.full(sub_gap.shape, dx)
-        w[0] = w[-1] = dx / 2
         vals = np.zeros_like(sub_gap)
         vals[sub_mask] = np.minimum(1.0 / sub_gap[sub_mask], RECIPROCAL_CAP)
-        return float(w @ vals)
+        # the subsample's trapezoid weights; scaling by stride 1 or 4 is exact
+        return float((stride * grid.weights[::stride]) @ vals)
 
     if (grid.nx - 1) % 4:
         return None, "grid not 4x-subsamplable (nx - 1 not divisible by 4); cannot tell"
@@ -226,8 +223,8 @@ def estimate_lambda_star(traj: Trajectory) -> Field:
     if traj.final.J is None:
         raise ValueError("the trajectory carries no exposure field J "
                          "(profiles reloaded from CSV do not record it)")
-    J = np.asarray(traj.final.J.values)
-    return Field(traj.spec.grid, np.exp(-np.asarray(traj.spec.beta.values) * J))
+    J = traj.final.J.values
+    return Field(traj.spec.grid, np.exp(-traj.spec.beta.values * J))
 
 
 def verify_outcome(traj: Trajectory, pred: RegimePrediction, tol: float) -> OutcomeReport:
@@ -244,8 +241,8 @@ def verify_outcome(traj: Trajectory, pred: RegimePrediction, tol: float) -> Outc
     grid = traj.spec.grid
     final = traj.final
     density_scale = traj.N / grid.length
-    Sv = np.asarray(final.S.values)
-    Iv = np.asarray(final.I.values)
+    Sv = final.S.values
+    Iv = final.I.values
     regime = pred.regime
 
     if regime is Regime.INDETERMINATE:
@@ -258,7 +255,7 @@ def verify_outcome(traj: Trajectory, pred: RegimePrediction, tol: float) -> Outc
         errors["sup_I_rel"] = Iv.max() / density_scale
     elif regime is Regime.T32_ENDEMIC_UNIFORM:
         I_star = float(pred.predicted_I)
-        r_vals = np.asarray(pred.predicted_S.values)
+        r_vals = pred.predicted_S.values
         errors["I_mass_rel"] = abs(quadrature(grid, Iv) - pred.predicted_I_mass) \
             / pred.predicted_I_mass
         errors["I_profile_rel"] = float(np.abs(Iv - I_star).max()) / I_star
@@ -276,17 +273,16 @@ def verify_outcome(traj: Trajectory, pred: RegimePrediction, tol: float) -> Outc
         notes.append(f"best trailing snapshot at t={best['t']:g}")
     elif regime is Regime.T42_ENDEMIC:
         I_star = float(pred.predicted_I)
-        S_star = np.asarray(pred.predicted_S.values)
+        S_star = pred.predicted_S.values
         errors["I_uniform_rel"] = float(np.abs(Iv - I_star).max()) / I_star
         errors["S_profile_rel"] = float(np.abs(Sv - S_star).max()) / S_star.max()
     elif regime is Regime.T43_SUBSEQ_EXTINCTION:
-        sup_trail = min(float(np.abs(np.asarray(s.I.values)).max())
-                        for s in traj.trailing())
+        sup_trail = min(float(np.abs(s.I.values).max()) for s in traj.trailing())
         errors["sup_I_rel"] = sup_trail / density_scale
         notes.append("subsequential claim: judged on the best trailing snapshot")
     elif regime is Regime.T46_PERSISTENCE:
         S_star = float(pred.predicted_S)
-        I_star = np.asarray(pred.predicted_I.values)
+        I_star = pred.predicted_I.values
         high = pred.high_mask
         errors["S_uniform_rel"] = float(np.abs(Sv - S_star).max()) / S_star
         scale = float(I_star.max())
@@ -306,11 +302,11 @@ def _best_concentration_snapshot(traj: Trajectory, pred: RegimePrediction) -> di
     grid = traj.spec.grid
     best = None
     for state in traj.trailing():
-        Iv = np.asarray(state.I.values)
+        Iv = state.I.values
         mass = quadrature(grid, Iv)
         frac = (concentration_fraction(state.I, pred.min_indices)
                 if mass > 0 else 0.0)
-        s_err = float(np.abs(np.asarray(state.S.values) - pred.predicted_S).max())
+        s_err = float(np.abs(state.S.values - pred.predicted_S).max())
         score = frac - abs(mass - pred.predicted_I_mass) / max(pred.predicted_I_mass, 1e-300)
         if best is None or score > best["score"]:
             best = {"t": state.t, "mass": mass, "fraction": frac,

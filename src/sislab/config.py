@@ -61,8 +61,8 @@ def _last_concentration_fraction(traj) -> float:
 
 # What a sweep may record of each point: the reader of its finished Trajectory.
 OBSERVABLES = {
-    "I_mass_at_T": lambda traj: quadrature(traj.spec.grid, np.asarray(traj.final.I.values)),
-    "final_sup_I": lambda traj: float(np.asarray(traj.final.I.values).max()),
+    "I_mass_at_T": lambda traj: quadrature(traj.spec.grid, traj.final.I.values),
+    "final_sup_I": lambda traj: float(traj.final.I.values.max()),
     "concentration_fraction": _last_concentration_fraction,
 }
 
@@ -128,9 +128,19 @@ class SweepConfig:
     observable: str
 
     def __post_init__(self):
+        # every point runs the base model, so a model no run accepts, or one
+        # that does not record the observable, fails before any point runs
+        try:
+            variant = Variant.parse(self.base.model)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.observable not in OBSERVABLES:
             raise ConfigError(f"unknown observable {self.observable!r}; "
                               f"choose from {', '.join(OBSERVABLES)}")
+        if self.observable == "concentration_fraction" and not variant.records_concentration:
+            recording = ", ".join(v.value for v in Variant if v.records_concentration)
+            raise ConfigError(f"{variant.value} records no concentration fraction; "
+                              f"only {recording} does")
         if not self.lo < self.hi:
             raise ConfigError("sweep range needs lo < hi")
         if self.count < 2:
@@ -212,7 +222,7 @@ def config_from_entries(entries: dict[str, tuple[str, int]],
             kwargs[key] = _FIELD_PARSERS[key](value, key, where)
         elif key.startswith("param."):
             kwargs["params"][key[len("param."):]] = _parse_float(value, key, where)
-        elif key not in _SWEEP_KEYS:  # sweep keys are read by sweep_config_from_entries
+        elif key not in _SWEEP_KEYS:  # sweep keys are read by load_sweep_config
             raise ConfigError(f"{where}: unknown key {key!r}")
     missing = [f.name for f in fields(RunConfig) if f.name not in kwargs
                and f.default is MISSING and f.default_factory is MISSING]
@@ -225,10 +235,10 @@ def config_from_entries(entries: dict[str, tuple[str, int]],
 _SWEEP_KEYS = {"sweep_parameter", "sweep_lo", "sweep_hi", "sweep_count", "sweep_observable"}
 
 
-def sweep_config_from_entries(entries: dict[str, tuple[str, int]],
-                              source: str = "<config>") -> SweepConfig:
-    base = config_from_entries(
-        {k: v for k, v in entries.items() if k not in _SWEEP_KEYS}, source)
+def load_sweep_config(path, overrides: dict[str, str] | None = None) -> SweepConfig:
+    """``load_config``'s run plus the sweep_* keys, read from the same entries."""
+    entries, source = _read_entries(path, overrides)
+    base = config_from_entries(entries, source)
     try:
         parameter = entries["sweep_parameter"][0]
         lo = _parse_float(entries["sweep_lo"][0], "sweep_lo", source)
@@ -239,10 +249,6 @@ def sweep_config_from_entries(entries: dict[str, tuple[str, int]],
                           f"sweep_hi, sweep_count (missing {exc.args[0]})") from None
     observable = entries.get("sweep_observable", ("I_mass_at_T", 0))[0]
     return SweepConfig(base, parameter, lo, hi, count, observable)
-
-
-def load_sweep_config(path, overrides: dict[str, str] | None = None) -> SweepConfig:
-    return sweep_config_from_entries(*_read_entries(path, overrides))
 
 
 def _parse_float(value: str, key: str, where: str) -> float:

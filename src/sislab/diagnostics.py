@@ -36,8 +36,8 @@ def lyapunov_mass_action_di0(S: Field, I: Field, beta: Field, r: Field,
     distance of S from the risk ratio on the infected set).
     """
     grid = S.grid
-    Sv, Iv = np.asarray(S.values), np.asarray(I.values)
-    rv, bv = np.asarray(r.values), np.asarray(beta.values)
+    Sv, Iv = S.values, I.values
+    rv, bv = r.values, beta.values
     V = quadrature(grid, 0.5 * Sv * Sv + rv * Iv)
     dissipation = d_S * gradient_energy_values(Sv, grid.dx) \
         + quadrature(grid, bv * (Sv - rv) ** 2 * Iv)
@@ -54,12 +54,12 @@ def lyapunov_std_ds0(S: Field, I: Field, beta: Field, gamma: Field,
     system; note the ratio is taken against gamma, which is what the
     dissipation form requires.
     """
-    bv, gv = np.asarray(beta.values), np.asarray(gamma.values)
+    bv, gv = beta.values, gamma.values
     if (risk_signs(bv - gv) < 0).any():
         raise ValueError("this energy requires beta >= gamma at every node")
     grid = S.grid
     kappa = np.maximum(bv - gv, 0.0) / gv
-    Sv, Iv = np.asarray(S.values), np.asarray(I.values)
+    Sv, Iv = S.values, I.values
     V = 0.5 * quadrature(grid, kappa * Sv * Sv + Iv * Iv)
     reaction = incidence_quotient(gv * (kappa * Sv - Iv) ** 2 * Iv, Sv, Iv)
     dissipation = d_I * gradient_energy_values(Iv, grid.dx) + quadrature(grid, reaction)
@@ -76,8 +76,8 @@ def lyapunov_std_di0(S: Field, I: Field, beta: Field, gamma: Field, d_S: float,
     term is sign-indefinite, so V need not decay monotonically.
     """
     grid = S.grid
-    Sv, Iv = np.asarray(S.values), np.asarray(I.values)
-    bv, gv = np.asarray(beta.values), np.asarray(gamma.values)
+    Sv, Iv = S.values, I.values
+    bv, gv = beta.values, gamma.values
     kappa = np.zeros(grid.nx)
     kappa[high_mask] = gv[high_mask] / (bv[high_mask] - gv[high_mask])
     V = 0.5 * quadrature(grid, Sv * Sv + kappa * Iv * Iv)
@@ -105,12 +105,12 @@ def harnack_ratio(I: Field) -> Optional[float]:
 def concentration_fraction(I: Field, min_indices) -> float:
     """Share of the infected mass within CONCENTRATION_RADIUS of the minimum set."""
     grid = I.grid
-    Iv = np.asarray(I.values)
+    Iv = I.values
     total = quadrature(grid, Iv)
     if total <= 0:
         raise ValueError("concentration fraction needs positive infected mass")
-    mask = grid.window_mask(grid.nodes[np.asarray(min_indices, dtype=int)],
-                            CONCENTRATION_RADIUS)
+    centers = grid.nodes[np.asarray(min_indices, dtype=int)]
+    mask = (np.abs(grid.nodes[:, None] - centers) <= CONCENTRATION_RADIUS).any(axis=1)
     return quadrature(grid, np.where(mask, Iv, 0.0)) / total
 
 
@@ -126,9 +126,9 @@ class DiagnosticsContext:
         # (S, I) -> (V, dissipation rate), or None when the variant has no energy
         self.energy = None
         if variant.std_incidence:
-            gap = np.asarray(spec.beta.values) - np.asarray(spec.gamma.values)
+            gap = spec.beta.values - spec.gamma.values
             if variant.locks_i:  # std_incidence_di0
-                high_mask = (risk_signs(gap) > 0) & (np.asarray(I0.values) > 0)
+                high_mask = (risk_signs(gap) > 0) & (I0.values > 0)
 
                 def energy(S, I):
                     V, grad, low, high = lyapunov_std_di0(S, I, spec.beta, spec.gamma,
@@ -139,7 +139,7 @@ class DiagnosticsContext:
             elif not (risk_signs(gap) < 0).any():  # std_incidence_ds0 with beta >= gamma
                 self.energy = lambda S, I: lyapunov_std_ds0(S, I, spec.beta, spec.gamma,
                                                             spec.d_I)
-        elif variant.locks_i:  # mass_action_di0
+        elif variant.records_concentration:  # mass_action_di0
             r = spec.risk_ratio()
             _, self.min_indices = rmin_set(r, I0)
             self.energy = lambda S, I: lyapunov_mass_action_di0(S, I, spec.beta, r,
@@ -149,7 +149,7 @@ class DiagnosticsContext:
         S, I = state.S, state.I
         V, dissipation = (None, None) if self.energy is None else self.energy(S, I)
         conc = None
-        if self.min_indices is not None and quadrature(I.grid, np.asarray(I.values)) > 0:
+        if self.min_indices is not None and quadrature(I.grid, I.values) > 0:
             conc = concentration_fraction(I, self.min_indices)
 
         return DiagnosticsRecord(

@@ -193,7 +193,3 @@ class Expression:
             return f"{what} in {self.text!r} at x={float(x)}"
         idx = int(np.argmax(bad))
         return f"{what} in {self.text!r} at node x={x.flat[idx]}"
-
-
-def parse_expression(text: str) -> Expression:
-    return Expression(text)

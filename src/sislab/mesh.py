@@ -7,7 +7,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .expressions import Expression, parse_expression
+from .expressions import Expression
 
 
 def _frozen(values: np.ndarray) -> np.ndarray:
@@ -31,12 +31,6 @@ class Grid:
     def length(self) -> float:
         """Measure of the domain, b - a."""
         return self.b - self.a
-
-    def window_mask(self, centers, radius: float) -> np.ndarray:
-        """Boolean mask of nodes within ``radius`` of any of ``centers``."""
-        centers = np.atleast_1d(np.asarray(centers, dtype=float))
-        dist = np.abs(self.nodes[:, None] - centers[None, :])
-        return (dist <= radius).any(axis=1)
 
 
 def build_grid(a: float, b: float, nx: int) -> Grid:
@@ -80,24 +74,20 @@ class Field:
 
     def mean(self) -> float:
         """Quadrature average over the domain."""
-        return integrate(self) / self.grid.length
+        return quadrature(self.grid, self.values) / self.grid.length
 
 
 def eval_expression(grid: Grid, expr: str | Expression,
                     params: Mapping[str, float] | None = None) -> Field:
     """Evaluate a coefficient expression at every node of ``grid``."""
     if isinstance(expr, str):
-        expr = parse_expression(expr)
+        expr = Expression(expr)
     return Field(grid, expr.evaluate(grid.nodes, params))
 
 
-def integrate(f: Field) -> float:
-    """Composite-trapezoid approximation of the integral over the domain."""
-    return float(f.grid.weights @ f.values)
-
-
 def quadrature(grid: Grid, values: np.ndarray) -> float:
-    """Trapezoid quadrature of raw nodal values (internal fast path)."""
+    """Composite-trapezoid approximation of the integral of nodal values over
+    the domain."""
     return float(grid.weights @ values)
 
 

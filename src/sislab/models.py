@@ -66,6 +66,12 @@ class Variant(enum.Enum):
     def locks_i(self) -> bool:
         return self in (Variant.MASS_ACTION_DI0, Variant.STD_INCIDENCE_DI0)
 
+    @property
+    def records_concentration(self) -> bool:
+        """Whether a run records the share of infected mass near the minimum
+        of the risk ratio, where this variant's infecteds concentrate."""
+        return self is Variant.MASS_ACTION_DI0
+
     @staticmethod
     def parse(name: str) -> "Variant":
         key = name.strip().lower()
@@ -129,7 +135,7 @@ class ModelSpec:
 
     def risk_ratio(self) -> Field:
         """gamma/beta, the local recovery-to-transmission ratio."""
-        return Field(self.grid, np.asarray(self.gamma.values) / np.asarray(self.beta.values))
+        return Field(self.grid, self.gamma.values / self.beta.values)
 
 
 @dataclass(frozen=True)
@@ -140,8 +146,7 @@ class State:
     J: Field | None  # accumulated nodewise exposure int_0^t I dt; None if unknown
 
     def total_mass(self) -> float:
-        return float(self.S.grid.weights @ (np.asarray(self.S.values)
-                                            + np.asarray(self.I.values)))
+        return quadrature(self.S.grid, self.S.values + self.I.values)
 
 
 @dataclass
@@ -305,7 +310,7 @@ class _Recorder:
         grid = spec.grid
         self.spec = spec
         self.context = diag_mod.DiagnosticsContext(spec, I0)
-        S, I = np.asarray(S0.values), np.asarray(I0.values)
+        S, I = S0.values, I0.values
         self.N = quadrature(grid, S + I)
         self.snapshots = [State(0.0, Field(grid, S), Field(grid, I),
                                 Field.constant(grid, 0.0))]
@@ -364,13 +369,17 @@ def run_batch(specs: list[ModelSpec], S0s: list[Field], I0s: list[Field], dt: fl
             raise ValueError("initial data must live on the model grid")
         if S0.min() < 0 or I0.min() < 0:
             raise ValueError("initial densities must be nonnegative")
-        if not (np.asarray(I0.values) > 0).any():
+        if not (I0.values > 0).any():
             raise ValueError("initial infected density is identically zero")
     for name, value in (("dt", dt), ("T", T), ("snapshot_every", snapshot_every)):
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
     if math.isnan(steady_tol):
         raise ValueError("steady_tol must be a number, got nan")
+    n_steps = round(T / dt)
+    if n_steps < 1:
+        raise ValueError(f"T={T!r} is at most half a step of dt={dt!r}, so the run "
+                         f"would take no step")
 
     kernel = _Kernel(specs, dt)
     S, I = np.stack([f.values for f in S0s]), np.stack([f.values for f in I0s])
@@ -379,7 +388,6 @@ def run_batch(specs: list[ModelSpec], S0s: list[Field], I0s: list[Field], dt: fl
     active = list(recorders)
 
     steps_per_snap = max(1, round(snapshot_every / dt))
-    n_steps = round(T / dt)
 
     k = 0
     while k < n_steps:

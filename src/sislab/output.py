@@ -104,12 +104,15 @@ def emit_sweep(result, out_dir, svg: bool = False) -> Path:
     return table
 
 
-def read_profiles_csv(path) -> list[tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
-    """Parse a profiles.csv back into (t, x, S, I) blocks, one per snapshot.
+def read_run(spec, run_dir) -> Trajectory:
+    """The trajectory of a run directory, rebuilt from its profiles.csv alone:
+    it has no diagnostics, and every state has ``J = None`` (J is not written).
 
-    A file without a snapshot, or a row that is not four numbers, raises
+    A file without a snapshot, a row that is not four finite numbers, or a
+    snapshot whose ``x`` column is not exactly ``spec``'s grid nodes raises
     ValueError naming the file (and the line)."""
-    rows = Path(path).read_text().splitlines()
+    path = Path(run_dir) / _PROFILES
+    rows = path.read_text().splitlines()
     if not rows or rows[0] != "t,x,S,I":
         raise ValueError(f"{path} is not a profiles.csv")
     if len(rows) == 1:
@@ -121,31 +124,21 @@ def read_profiles_csv(path) -> list[tuple[float, np.ndarray, np.ndarray, np.ndar
         except ValueError:
             raise ValueError(f"{path}, line {lineno}: expected the four numbers "
                              f"t,x,S,I, got {line!r}") from None
+        if not all(map(math.isfinite, (t, x, s, i))):
+            raise ValueError(f"{path}, line {lineno}: a value is not finite in {line!r}")
         values.append((t, x, s, i))
     table = np.array(values)
-    starts = np.flatnonzero(np.diff(table[:, 0])) + 1
-    return [(float(t[0]), x, s, i) for t, x, s, i in
-            (block.T.copy() for block in np.split(table, starts))]
-
-
-def trajectory_from_csv(spec, profiles_path) -> Trajectory:
-    """Rebuild a trajectory from a profiles.csv alone: it has no diagnostics,
-    and every state has ``J = None`` (J is not written).  A snapshot whose
-    ``x`` column is not exactly ``spec``'s grid nodes raises ValueError."""
     grid = spec.grid
     snapshots = []
-    for t, x, s, i in read_profiles_csv(profiles_path):
+    for t, x, s, i in (block.T for block in
+                       np.split(table, np.flatnonzero(np.diff(table[:, 0])) + 1)):
+        t = float(t[0])  # a numpy float would print as np.float64(...) below
         if not np.array_equal(x, grid.nodes):
-            raise ValueError(f"{profiles_path}: the snapshot at t={t!r} is not on the "
+            raise ValueError(f"{path}: the snapshot at t={t!r} is not on the "
                              f"configured grid of {grid.nx} nodes on [{grid.a!r}, {grid.b!r}]")
         snapshots.append(State(t, Field(grid, s), Field(grid, i), None))
-    N = snapshots[0].total_mass()
-    return Trajectory(spec=spec, snapshots=snapshots, diagnostics=[], N=N)
-
-
-def read_run(spec, run_dir) -> Trajectory:
-    """The trajectory of a run directory, from its profiles.csv alone."""
-    return trajectory_from_csv(spec, Path(run_dir) / _PROFILES)
+    return Trajectory(spec=spec, snapshots=snapshots, diagnostics=[],
+                      N=snapshots[0].total_mass())
 
 
 # ---------------------------------------------------------------------------

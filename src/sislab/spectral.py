@@ -56,7 +56,7 @@ def principal_eigenvalue(d: float, h: Field, tol: float = 1e-12,
         raise ValueError("diffusion rate d must be positive and finite; "
                          "the d->0 limit is max(h)")
     grid = h.grid
-    hv = np.asarray(h.values)
+    hv = h.values
     if not np.isfinite(hv).all():
         raise ValueError("potential h must be finite")
     # The attainable max-norm residual scales with the operator norm (the
@@ -85,8 +85,8 @@ def basic_reproduction_number(d_I: float, beta: Field, gamma: Field,
     if not 0 < d_I < np.inf:
         raise ValueError("diffusion rate d_I must be positive and finite")
     grid = beta.grid
-    bv = np.asarray(beta.values)
-    gv = np.asarray(gamma.values)
+    bv = beta.values
+    gv = gamma.values
     # min and max propagate a NaN, which fails every comparison
     if not (0 < bv.min() and bv.max() < np.inf and 0 < gv.min() and gv.max() < np.inf):
         raise ValueError("transmission and recovery rates must be positive and finite")
@@ -152,7 +152,7 @@ def dense_principal_eigenvalue(d: float, h: Field) -> tuple[float, np.ndarray]:
 
     grid = h.grid
     L = neumann_laplacian(grid)
-    hv = np.asarray(h.values)
+    hv = h.values
     sqw = np.sqrt(grid.weights)
     diag = d * L.diag + hv
     off = d * L.upper * sqw[:-1] / sqw[1:]

@@ -18,7 +18,6 @@ from sislab.mesh import (
     Field,
     build_grid,
     eval_expression,
-    integrate,
     quadrature,
     risk_signs,
 )
@@ -44,7 +43,7 @@ def test_criterion_01_endemic_limit_with_locked_susceptibles(preset_run, preset_
     traj = preset_run("sim1b")
     spec, grid, S0, I0 = preset_setup("sim1b")
     r = spec.risk_ratio()
-    mass_err = abs(integrate(traj.final.I) - 2.5)
+    mass_err = abs(quadrature(traj.final.I.grid, traj.final.I.values) - 2.5)
     s_err = float(np.abs(traj.final.S.values - r.values).max())
     ok = traj.steady_detected and mass_err <= 0.025 and s_err <= 0.01 * r.max()
     report("1", ok,
@@ -70,7 +69,7 @@ def test_criterion_03_bifurcation_knee(preset_setup):
     # population realized by the clamped initial datum at the knee
     spec, grid, S0, I0 = preset_setup("sim1c")
     knee_I0 = eval_expression(grid, base.I0_expr, {"a": result.knee})
-    knee_N = integrate(S0) + integrate(knee_I0)
+    knee_N = quadrature(S0.grid, S0.values) + quadrature(knee_I0.grid, knee_I0.values)
     ok = abs(knee_N - 2.82) <= 0.05
     report("3", ok, f"knee at a={result.knee:g} -> N={knee_N:.4f} (2.82 +/- 0.05)")
 
@@ -112,7 +111,8 @@ def test_criterion_06_point_concentration(preset_run, preset_setup):
     best_frac, best_mass_err = 0.0, math.inf
     for snap in traj.trailing():
         best_frac = max(best_frac, concentration_fraction(snap.I, center))
-        best_mass_err = min(best_mass_err, abs(integrate(snap.I) - target))
+        best_mass_err = min(best_mass_err,
+                            abs(quadrature(snap.I.grid, snap.I.values) - target))
     ok_b = best_frac >= 0.9 and best_mass_err <= 0.05
 
     traj_c = preset_run("sim2c")
@@ -311,7 +311,7 @@ def test_criterion_10_threshold_suite():
 def test_criterion_11_uniform_susceptibles_without_high_risk(preset_run):
     traj = preset_run("sim2a")
     s_err = float(np.abs(traj.final.S.values - 3.5).max()) / 3.5
-    i_mass = integrate(traj.final.I)
+    i_mass = quadrature(traj.final.I.grid, traj.final.I.values)
     ok = s_err <= 0.01 and i_mass <= 1e-3
     report("11", ok, f"rel S err {s_err:.2e} (<=0.01), int I {i_mass:.2e} (<=1e-3)")
 

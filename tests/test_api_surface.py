@@ -17,8 +17,8 @@ from pathlib import Path
 import pytest
 
 import sislab
-from sislab import (classify, diagnostics, mesh, models, operators, output, spectral,
-                    sweep, threshold)
+from sislab import (classify, config, diagnostics, expressions, mesh, models, operators,
+                    output, spectral, sweep, threshold)
 from sislab.config import preset_config
 from sislab.mesh import build_grid, eval_expression
 
@@ -35,7 +35,7 @@ def _load_bench(name):
 
 def test_public_api_is_pinned():
     assert sislab.__all__ == [
-        "Field", "Grid", "build_grid", "eval_expression", "integrate", "rmin_set",
+        "Field", "Grid", "build_grid", "eval_expression", "rmin_set",
         "ModelSpec", "State", "Trajectory", "Variant", "run",
         "EigenResult", "basic_reproduction_number", "principal_eigenvalue",
         "OptimizerOptions", "ThresholdResult", "critical_population",
@@ -56,6 +56,14 @@ def test_public_api_is_pinned():
     # a sweep point has one shape, and output names the diagnostics columns
     assert not hasattr(sweep.SweepResult, "table")
     assert not hasattr(diagnostics.DiagnosticsRecord, "CSV_COLUMNS")
+    # one quadrature, one run reader, one sweep-config reader, and no
+    # wrapper that only a test called
+    assert not hasattr(mesh, "integrate")
+    assert not hasattr(mesh.Grid, "window_mask")
+    assert not hasattr(output, "read_profiles_csv")
+    assert not hasattr(output, "trajectory_from_csv")
+    assert not hasattr(expressions, "parse_expression")
+    assert not hasattr(config, "sweep_config_from_entries")
 
 
 def test_option_surface_is_pinned():
@@ -79,7 +87,7 @@ def test_option_surface_is_pinned():
     # each caller forms its own risk indicator, and a run carries its own r and beta
     assert params(mesh.risk_signs) == ("indicator",)
     assert params(classify.estimate_lambda_star) == ("traj",)
-    assert params(output.trajectory_from_csv) == ("spec", "profiles_path")
+    assert params(output.read_run) == ("spec", "run_dir")
 
 
 @pytest.mark.parametrize("module_name, path", [

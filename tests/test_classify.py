@@ -9,7 +9,7 @@ from sislab.classify import (
     verify_outcome,
 )
 from sislab.config import preset_config
-from sislab.mesh import Field, build_grid, integrate
+from sislab.mesh import Field, build_grid, quadrature
 from sislab.models import ModelSpec, Variant
 from sislab.spectral import principal_eigenvalue
 
@@ -55,14 +55,14 @@ class TestPredictions:
         pred = predict_regime(spec, S0, I0)
         S_star = float(pred.predicted_S)
         assert S_star == pytest.approx(63 / 19, rel=1e-3)
-        total = S_star * grid.length + integrate(pred.predicted_I)
+        total = S_star * grid.length + quadrature(pred.predicted_I.grid, pred.predicted_I.values)
         assert total == pytest.approx(3.5, rel=1e-9)
 
     def test_endemic_uniform_level_matches_recomputation(self, preset_setup):
         spec, grid, S0, I0 = preset_setup("sim3b")
         pred = predict_regime(spec, S0, I0)
         bv, gv = spec.beta.values, spec.gamma.values
-        level = 3.5 / integrate(Field(grid, bv / (bv - gv)))
+        level = 3.5 / quadrature(grid, bv / (bv - gv))
         assert float(pred.predicted_I) == pytest.approx(level, rel=1e-12)
         assert float(pred.predicted_I) == pytest.approx(1.1159, abs=2e-4)
 

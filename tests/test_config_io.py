@@ -23,8 +23,7 @@ from sislab.output import (
     emit_svg,
     emit_sweep,
     emit_sweep_svg,
-    read_profiles_csv,
-    trajectory_from_csv,
+    read_run,
 )
 from sislab.sweep import SweepPoint, SweepResult
 
@@ -66,11 +65,12 @@ class TestPresets:
         assert cfg.nx == 201
 
     def test_every_preset_carries_population_3_5(self):
-        from sislab.mesh import integrate
+        from sislab.mesh import quadrature
 
         for name in PRESET_TABLE:
             spec, grid, S0, I0 = preset_config(name).build()
-            assert integrate(S0) + integrate(I0) == pytest.approx(3.5, abs=2e-4)
+            assert quadrature(S0.grid, S0.values) + quadrature(I0.grid, I0.values) \
+                == pytest.approx(3.5, abs=2e-4)
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown preset"):
@@ -161,6 +161,8 @@ class TestConfigParsing:
         (0.5, 1.5, 1, "I_mass_at_T", "sweep needs at least 2 points"),
         (0.5, 1.5, 3, "bogus", "unknown observable 'bogus'; choose from I_mass_at_T, "
                                "final_sup_I, concentration_fraction"),
+        (0.5, 1.5, 3, "concentration_fraction", "mass_action_ds0 records no concentration "
+                                                "fraction; only mass_action_di0 does"),
     ])
     def test_sweep_config_built_in_code_checks_itself(self, lo, hi, count, observable,
                                                        message):
@@ -208,13 +210,13 @@ def _csv_rows(path):
 class TestCsvEmission:
     def test_profile_shape_and_roundtrip(self, tiny_run, tmp_path):
         cfg, traj = tiny_run
-        profiles, diagnostics = emit_csv(traj, tmp_path)
-        blocks = read_profiles_csv(profiles)
-        assert len(blocks) == len(traj.snapshots)
-        t, x, S, I = blocks[-1]
-        assert np.array_equal(S, traj.final.S.values)   # bit-exact round trip
-        assert np.array_equal(I, traj.final.I.values)
-        assert x.shape == (41,)
+        emit_csv(traj, tmp_path)
+        rebuilt = read_run(traj.spec, tmp_path)
+        assert len(rebuilt.snapshots) == len(traj.snapshots)
+        final = rebuilt.final
+        assert np.array_equal(final.S.values, traj.final.S.values)   # bit-exact round trip
+        assert np.array_equal(final.I.values, traj.final.I.values)
+        assert final.I.grid.nodes.shape == (41,)
 
     def test_single_snapshot_row_count(self, tmp_path):
         cfg = preset_config("sim1b", nx=3, T=0.5, dt=1e-3, snapshot_every=1.0)
@@ -249,18 +251,28 @@ class TestCsvEmission:
 
     def test_trajectory_rebuild(self, tiny_run, tmp_path):
         cfg, traj = tiny_run
-        profiles, _ = emit_csv(traj, tmp_path)
+        emit_csv(traj, tmp_path)
         spec, grid, S0, I0 = cfg.build()
-        rebuilt = trajectory_from_csv(spec, profiles)
+        rebuilt = read_run(spec, tmp_path)
         assert rebuilt.N == pytest.approx(traj.N, rel=1e-12)
         assert len(rebuilt.snapshots) == len(traj.snapshots)
         assert rebuilt.diagnostics == []
+
+    def test_a_roundoff_negative_density_reloads(self, tiny_run, tmp_path):
+        # Crank-Nicolson may leave a density below zero by roundoff
+        cfg, traj = tiny_run
+        profiles, _ = emit_csv(traj, tmp_path)
+        lines = profiles.read_text().splitlines()
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + ",-1e-12"
+        profiles.write_text("\n".join(lines) + "\n")
+        assert read_run(traj.spec, tmp_path).final.I.values[-1] == -1e-12
 
     def test_reloaded_run_has_no_exposure_factor(self, tiny_run, tmp_path):
         cfg, traj = tiny_run
         spec = traj.spec
         assert estimate_lambda_star(traj).max() < 1.0
-        rebuilt = trajectory_from_csv(spec, emit_csv(traj, tmp_path)[0])
+        emit_csv(traj, tmp_path)
+        rebuilt = read_run(spec, tmp_path)
         assert rebuilt.final.J is None
         with pytest.raises(ValueError, match="exposure field J"):
             estimate_lambda_star(rebuilt)
@@ -287,7 +299,7 @@ class TestCsvEmission:
             header, *rows = _csv_rows(path)
             assert rows
             assert all(len(row) == len(header) for row in rows), path.name
-        rebuilt = trajectory_from_csv(spec, tmp_path / "profiles.csv")
+        rebuilt = read_run(spec, tmp_path)
         assert len(rebuilt.snapshots) == len(traj.snapshots)
         for back, snap in zip(rebuilt.snapshots, traj.snapshots):
             assert back.t == snap.t
@@ -467,7 +479,23 @@ class TestCli:
         assert main(classify) == rc
         assert capsys.readouterr() == with_diagnostics
 
-    @pytest.mark.parametrize("case", ["header_only", "five_cells", "other_grid"])
+    @pytest.mark.parametrize("preset, sets", [
+        ("sim1b", []), ("sim2b", []), ("sim3b", []), ("sim4b", []),
+        ("sim1b", ["--set", "model=full", "--set", "d_S=1"]),
+    ], ids=["mass_action_ds0", "mass_action_di0", "std_incidence_ds0",
+            "std_incidence_di0", "full"])
+    def test_classify_of_a_run_directory_matches_classify_of_the_run(self, tmp_path, capsys,
+                                                                     preset, sets):
+        args = ["--preset", preset, "--set", "nx=41", "--set", "T=1", *sets]
+        assert main(["simulate", *args, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        rc = main(["classify", *args])
+        in_process = capsys.readouterr()
+        assert main(["classify", *args, "--run-dir", str(tmp_path)]) == rc
+        assert capsys.readouterr() == in_process
+
+    @pytest.mark.parametrize("case", ["header_only", "five_cells", "other_grid", "nan_cell",
+                                      "inf_cell"])
     def test_unusable_profiles_are_one_error_line(self, tmp_path, capsys, case):
         run_dir = tmp_path / "out"
         sets = ["--set", "nx=41", "--set", "T=0.5"]
@@ -477,10 +505,12 @@ class TestCli:
         profiles = run_dir / "profiles.csv"
         lines = profiles.read_text().splitlines()
         if case == "header_only":
-            profiles.write_text(lines[0] + "\n")
+            lines = lines[:1]
         elif case == "five_cells":
             lines[2] += ",0"
-            profiles.write_text("\n".join(lines) + "\n")
+        elif case in ("nan_cell", "inf_cell"):
+            lines[2] = lines[2].rsplit(",", 1)[0] + "," + case[:3]
+        profiles.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         rc = main(["classify", "--preset", "sim1b", "--set", "nx=41",
                    "--run-dir", str(run_dir)])
@@ -490,7 +520,7 @@ class TestCli:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
         assert str(profiles) in captured.err
-        if case == "five_cells":
+        if case in ("five_cells", "nan_cell", "inf_cell"):
             assert "line 3" in captured.err
 
     def test_expression_overflow_is_one_error_line(self, capsys):
@@ -562,6 +592,35 @@ class TestCli:
         assert err.startswith(f"error: unknown sweep parameter '{parameter}'")
         assert err.count("\n") == 1
         assert not (tmp_path / "sw").exists()
+
+    @pytest.mark.parametrize("text, error", [
+        ("sweep_observable = concentration_fraction\n",
+         "mass_action_ds0 records no concentration fraction; only mass_action_di0 does"),
+        ("model = bogus\n",
+         "unknown model variant 'bogus'; expected one of full, mass_action_ds0, "
+         "mass_action_di0, std_incidence_ds0, std_incidence_di0"),
+    ], ids=["observable", "model"])
+    def test_a_sweep_that_cannot_succeed_runs_no_point(self, tmp_path, capsys, text, error):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("preset = sim1c\nnx = 41\nT = 0.5\nsweep_parameter = a\n"
+                       "sweep_lo = 0.5\nsweep_hi = 1.5\nsweep_count = 4\n" + text)
+        rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {error}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "sw").exists()
+
+    def test_a_run_that_would_take_no_step_is_one_error_line(self, tmp_path, capsys):
+        run_dir = tmp_path / "out"
+        rc = main(["simulate", "--preset", "sim1b", "--set", "T=0.0004",
+                   "--out", str(run_dir)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: T=0.0004 is at most half a step of dt=0.001, "
+                                "so the run would take no step\n")
+        assert captured.out == ""
+        assert not run_dir.exists()
 
     def test_solver_failure_is_one_error_line(self, capsys):
         rc = main(["eigen", "--d", "1", "--h", "x", "--nx", "41", "--tol", "1e-300"])
@@ -639,8 +698,9 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: dt=0.05 is too large for these data")
         assert err.count("\n") == 1
-        blocks = read_profiles_csv(run_dir / "profiles.csv")
-        assert [t for t, *_ in blocks] == pytest.approx([0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
+        spec = preset_config("sim1b", nx=21).build()[0]
+        assert [s.t for s in read_run(spec, run_dir).snapshots] \
+            == pytest.approx([0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
         assert len((run_dir / "diagnostics.csv").read_text().splitlines()) == 1 + 6
         summary = json.loads((run_dir / "run.json").read_text())
         assert summary["snapshots"] == 6

@@ -9,12 +9,11 @@ from sislab.expressions import (
     Expression,
     ExpressionDomainError,
     ExpressionError,
-    parse_expression,
 )
 
 
 def ev(text, x=0.0, params=None):
-    return parse_expression(text).evaluate(np.asarray(x, dtype=float), params)
+    return Expression(text).evaluate(np.asarray(x, dtype=float), params)
 
 
 def test_literals_and_constants():
@@ -91,7 +90,7 @@ def test_constants_cannot_shadow_the_grammar_symbols(name):
 )
 def test_parse_errors_carry_a_position(text):
     with pytest.raises(ExpressionError) as info:
-        parse_expression(text).evaluate(np.zeros(3))
+        Expression(text).evaluate(np.zeros(3))
     assert "position" in str(info.value)
     assert 0 <= info.value.position <= len(text)
 
@@ -110,7 +109,7 @@ def test_rejected_inputs_raise_without_python_warnings(text, capfd):
 
 def test_unexpected_character_position():
     with pytest.raises(ExpressionError) as info:
-        parse_expression("1 + $")
+        Expression("1 + $")
     assert info.value.position == 4
 
 
@@ -145,7 +144,7 @@ def test_arithmetic_matches_python(a, b):
 def test_leading_zero_integers_are_rejected():
     # CPython's literal rule; zeros before a decimal point stay valid
     with pytest.raises(ExpressionError):
-        parse_expression("007")
+        Expression("007")
     assert ev("00") == 0.0
     assert ev("00.5") == 0.5
 
@@ -251,7 +250,7 @@ def test_rendered_trees_evaluate_like_the_tree(tree, data):
     # precedence, right-associative ^, unary minus outside the power and
     # insignificant whitespace, checked bit for bit against numpy
     text = _render(tree, 0, data.draw)
-    expr = parse_expression(text)
+    expr = Expression(text)
     try:
         with np.errstate(all="ignore"):
             want = np.broadcast_to(np.asarray(_compose(tree, _X), dtype=float), _X.shape)

@@ -8,7 +8,7 @@ from sislab.mesh import (
     Field,
     build_grid,
     eval_expression,
-    integrate,
+    quadrature,
     risk_signs,
     rmin_set,
 )
@@ -50,17 +50,17 @@ class TestBuildGrid:
 class TestFieldAndIntegrate:
     def test_constant_integrates_exactly(self):
         g = build_grid(0, 1, 17)
-        assert integrate(Field.constant(g, 3.25)) == pytest.approx(3.25, abs=1e-15)
+        assert quadrature(g, Field.constant(g, 3.25).values) == pytest.approx(3.25, abs=1e-15)
 
     def test_smooth_integral_at_desk_scale(self):
         g = build_grid(0, 1, 201)
         f = eval_expression(g, "4 - pi*sin(pi*x)")
-        assert integrate(f) == pytest.approx(2.0, abs=1e-4)
+        assert quadrature(f.grid, f.values) == pytest.approx(2.0, abs=1e-4)
 
     def test_cosine_integral(self):
         g = build_grid(0, 1, 201)
         f = eval_expression(g, "2 + cos(pi*x)")
-        assert integrate(f) == pytest.approx(2.0, abs=1e-4)
+        assert quadrature(f.grid, f.values) == pytest.approx(2.0, abs=1e-4)
 
     def test_field_length_mismatch_rejected(self):
         g = build_grid(0, 1, 5)
@@ -77,14 +77,14 @@ class TestFieldAndIntegrate:
         g = build_grid(0, 2, nx)
         f = Field(g, c0 + c1 * g.nodes)
         exact = 2 * c0 + 2 * c1
-        assert integrate(f) == pytest.approx(exact, rel=1e-12, abs=1e-12)
+        assert quadrature(f.grid, f.values) == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
     def test_refinement_is_second_order(self):
         exact = math.e - 1.0
         errs = []
         for nx in (51, 101, 201):
             g = build_grid(0, 1, nx)
-            errs.append(abs(integrate(eval_expression(g, "exp(x)")) - exact))
+            errs.append(abs(quadrature(g, eval_expression(g, "exp(x)").values) - exact))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.05)
 

@@ -281,6 +281,16 @@ class TestRun:
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             run(spec, Field.constant(g, 2.0), Field.constant(g, 1.0), **kwargs)
 
+    def test_a_run_that_would_take_no_step_is_an_error(self):
+        # round(T/dt) steps: T at most half a step would return the initial
+        # state as a finished run
+        spec, g = make_spec(nx=11)
+        S0, I0 = Field.constant(g, 2.0), Field.constant(g, 1.0)
+        with pytest.raises(ValueError, match=r"^T=0\.0004 is at most half a step of "
+                                             r"dt=0\.001, so the run would take no step$"):
+            run(spec, S0, I0, dt=1e-3, T=4e-4)
+        assert run(spec, S0, I0, dt=1e-3, T=6e-4).final.t == 1e-3
+
     def test_rejects_nan_steady_tolerance(self):
         # NaN fails every comparison, so steady detection could never fire
         spec, g = make_spec(nx=11)

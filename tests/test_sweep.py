@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sislab import models
-from sislab.config import SweepConfig, preset_config
+from sislab.config import OBSERVABLES, SweepConfig, preset_config
 from sislab.sweep import detect_knee, run_sweep
 
 
@@ -140,11 +140,14 @@ class TestBatchedRows:
 
 class TestObservables:
     def test_an_observable_that_raises_reruns_no_point(self, monkeypatch):
-        # mass_action_ds0 records no concentration fraction: each point fails
-        # in its own observable, which batching cannot cause
+        # each point fails in its own observable, which batching cannot cause
+        def no_value(traj):
+            raise ValueError("this run has no value")
+
+        monkeypatch.setitem(OBSERVABLES, "I_mass_at_T", no_value)
         base = preset_config("sim1c", nx=41, T=0.5)
         cfg = SweepConfig(base=base, parameter="a", lo=0.5, hi=1.5, count=4,
-                          observable="concentration_fraction")
+                          observable="I_mass_at_T")
         rows = []
         run_batch = models.run_batch
 
@@ -155,7 +158,7 @@ class TestObservables:
         monkeypatch.setattr(models, "run_batch", counting_run_batch)
         res = run_sweep(cfg)
         assert rows == [4]
-        error = "ValueError: this model variant records no concentration fraction"
+        error = "ValueError: this run has no value"
         assert [p.error for p in res.points] == [error] * 4
         assert [p.value for p in res.points] == [None] * 4
 
