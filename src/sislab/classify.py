@@ -56,10 +56,8 @@ class RegimePrediction:
 
 @dataclass
 class OutcomeReport:
-    prediction: RegimePrediction
     measured_errors: dict[str, float]
     passed: Optional[bool]
-    tolerance: float
     notes: list[str] = dataclass_field(default_factory=list)
 
 
@@ -249,7 +247,7 @@ def verify_outcome(traj: Trajectory, pred: RegimePrediction, tol: float) -> Outc
         notes.append("no verdict: the prediction is indeterminate")
         notes.append(f"final sup S={Sv.max():.6g}, sup I={Iv.max():.6g}, "
                      f"infected mass={quadrature(grid, Iv):.6g}")
-        return OutcomeReport(pred, {}, None, tol, notes)
+        return OutcomeReport({}, None, notes)
 
     if regime in (Regime.T32_EXTINCTION, Regime.T42_EXTINCTION, Regime.T43_EXTINCTION):
         errors["sup_I_rel"] = Iv.max() / density_scale
@@ -295,7 +293,7 @@ def verify_outcome(traj: Trajectory, pred: RegimePrediction, tol: float) -> Outc
         err <= (1.0 - CONCENTRATION_MIN if name == "concentration_shortfall" else tol)
         for name, err in errors.items()
     )
-    return OutcomeReport(pred, errors, passed, tol, notes)
+    return OutcomeReport(errors, passed, notes)
 
 
 def _best_concentration_snapshot(traj: Trajectory, pred: RegimePrediction) -> dict:

@@ -49,9 +49,8 @@ class ExpressionDomainError(ValueError):
 
 def _python_source(text: str) -> tuple[str, list[int]]:
     """``text`` as one line of ASCII Python source (``^`` as ``**``, any
-    whitespace a space, leading whitespace dropped, a decimal digit of any
-    script as ``float`` reads it), and the offset into ``text`` of every
-    source character plus the end."""
+    whitespace a space, leading whitespace dropped), and the offset into
+    ``text`` of every source character plus the end."""
     source: list[str] = []
     offsets: list[int] = []
     for i, ch in enumerate(text):
@@ -59,8 +58,6 @@ def _python_source(text: str) -> tuple[str, list[int]]:
             if not source:
                 continue
             ch = " "
-        elif ch.isdecimal():
-            ch = str(int(ch))
         elif ch not in _CHARACTERS:
             raise ExpressionError(f"unexpected character {ch!r}", i)
         elif ch == "^":
@@ -101,10 +98,6 @@ class Expression:
             if not _NUMBER_RE.fullmatch(literal):
                 raise ExpressionError(f"unsupported literal {literal!r}", pos)
             node.value = float(literal)
-        elif isinstance(node, ast.Name):
-            # a non-ASCII digit ends a name in the grammar, not in Python
-            if self.text[pos:pos + len(node.id)] != node.id:
-                raise ExpressionError(f"unexpected trailing input after {node.id!r}", pos)
         elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             self._check(node.operand, source)
         elif isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
@@ -123,7 +116,7 @@ class Expression:
                 raise ExpressionError(f"trailing comma in the call of {name}", pos)
             for arg in node.args:
                 self._check(arg, source)
-        else:
+        elif not isinstance(node, ast.Name):  # a name is looked up by evaluate
             end = self._offsets[node.end_col_offset]
             raise ExpressionError(f"not part of the grammar: {self.text[pos:end]!r}", pos)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -34,6 +35,8 @@ class Grid:
 
 
 def build_grid(a: float, b: float, nx: int) -> Grid:
+    if not math.isfinite(a) or not math.isfinite(b):
+        raise ValueError(f"grid endpoints must be finite, got [{a}, {b}]")
     if b <= a:
         raise ValueError(f"right endpoint must exceed left endpoint, got [{a}, {b}]")
     if nx < 3:
@@ -47,7 +50,8 @@ def build_grid(a: float, b: float, nx: int) -> Grid:
 
 @dataclass(frozen=True)
 class Field:
-    """A real-valued grid function.
+    """A real-valued grid function: ``Field(grid, value)`` takes a scalar, which
+    is the constant field, or exactly one value per node.
 
     Nonnegativity is not enforced here; operations that require it
     (densities, rates) check it themselves.
@@ -57,14 +61,11 @@ class Field:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = _frozen(np.broadcast_to(np.asarray(self.values, dtype=float), (self.grid.nx,)))
-        if arr.shape != (self.grid.nx,):
-            raise ValueError(f"field has {arr.shape[0]} values for a {self.grid.nx}-node grid")
-        object.__setattr__(self, "values", arr)
-
-    @staticmethod
-    def constant(grid: Grid, value: float) -> "Field":
-        return Field(grid, np.full(grid.nx, float(value)))
+        arr = np.asarray(self.values, dtype=float)
+        if arr.shape not in ((), (self.grid.nx,)):
+            raise ValueError(f"field values of shape {arr.shape} are neither a scalar nor "
+                             f"one value per node of a {self.grid.nx}-node grid")
+        object.__setattr__(self, "values", _frozen(np.broadcast_to(arr, (self.grid.nx,))))
 
     def max(self) -> float:
         return float(self.values.max())

@@ -192,11 +192,6 @@ class _Kernel:
         self._diffuse_S = self._crank_nicolson(self.spec.d_S, "S")
         self._diffuse_I = self._crank_nicolson(self.spec.d_I, "I")
 
-    def keep_rows(self, keep: list[int]) -> None:
-        """Restrict the kernel to the rows ``keep`` of its state."""
-        self.beta, self.gamma, self.r = self.beta[keep], self.gamma[keep], self.r[keep]
-        self._std_factors_by_tau = {}
-
     # -- reaction ----------------------------------------------------------
 
     def _mass_action_flow(self, S, I, J, tau):
@@ -306,17 +301,16 @@ def run(spec: ModelSpec, S0: Field, I0: Field, dt: float, T: float,
 class _Recorder:
     """One run's snapshots, diagnostics, warnings and steady stop."""
 
-    def __init__(self, spec: ModelSpec, S0: Field, I0: Field):
+    def __init__(self, spec: ModelSpec, S0: Field, I0: Field, warnings: list[str]):
         grid = spec.grid
         self.spec = spec
         self.context = diag_mod.DiagnosticsContext(spec, I0)
         S, I = S0.values, I0.values
         self.N = quadrature(grid, S + I)
-        self.snapshots = [State(0.0, Field(grid, S), Field(grid, I),
-                                Field.constant(grid, 0.0))]
+        self.snapshots = [State(0.0, Field(grid, S), Field(grid, I), Field(grid, 0.0))]
         self.records = [self.context.record(self.snapshots[0], math.inf)]
         self.rates: list[float] = []
-        self.warnings: list[str] = []
+        self.warnings = list(warnings)
         self.steady = False
 
     def snapshot(self, t: float, S, I, J, elapsed: float, steady_tol: float) -> bool:
@@ -354,9 +348,12 @@ def run_batch(specs: list[ModelSpec], S0s: list[Field], I0s: list[Field], dt: fl
     The specs must share the grid, variant and dispersal rates;
     coefficients and initial data may differ.  Every row keeps its own
     snapshots, diagnostics, warnings and steady stop, and equals its own
-    ``run`` bit for bit.  A row that goes steady leaves the state.  Any
-    row's error is raised for the whole batch; a StepSizeError carries every
-    row's trajectory up to its last snapshot.
+    ``run`` bit for bit.  A row that goes steady leaves the state, and the
+    rows that remain get a kernel of their own.  Any row's error is raised
+    for the whole batch; a StepSizeError carries every row's trajectory up
+    to its last snapshot.  ``T`` and ``snapshot_every`` are rounded to whole
+    steps of ``dt``, and every trajectory warns when that moves either by
+    more than 1e-9 relative.
     """
     def shared(s: ModelSpec) -> tuple:
         return s.grid.a, s.grid.b, s.grid.nx, s.variant, s.d_S, s.d_I
@@ -381,13 +378,19 @@ def run_batch(specs: list[ModelSpec], S0s: list[Field], I0s: list[Field], dt: fl
         raise ValueError(f"T={T!r} is at most half a step of dt={dt!r}, so the run "
                          f"would take no step")
 
+    steps_per_snap = max(1, round(snapshot_every / dt))
+    rounding = [f"{name}={value:g} is not a whole number of steps of dt={dt:g}; "
+                f"the run used {name}={used:g}"
+                for name, value, used in (("T", T, n_steps * dt),
+                                          ("snapshot_every", snapshot_every,
+                                           steps_per_snap * dt))
+                if abs(value - used) > 1e-9 * used]
+
     kernel = _Kernel(specs, dt)
     S, I = np.stack([f.values for f in S0s]), np.stack([f.values for f in I0s])
     J = np.zeros_like(S)
-    recorders = [_Recorder(*row) for row in zip(specs, S0s, I0s)]
+    recorders = [_Recorder(*row, rounding) for row in zip(specs, S0s, I0s)]
     active = list(recorders)
-
-    steps_per_snap = max(1, round(snapshot_every / dt))
 
     k = 0
     while k < n_steps:
@@ -406,6 +409,6 @@ def run_batch(specs: list[ModelSpec], S0s: list[Field], I0s: list[Field], dt: fl
                 break
             active = [active[i] for i in keep]
             S, I, J = S[keep], I[keep], J[keep]
-            kernel.keep_rows(keep)
+            kernel = _Kernel([rec.spec for rec in active], dt)
 
     return [rec.trajectory(T) for rec in recorders]

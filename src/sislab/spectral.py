@@ -31,8 +31,6 @@ class EigenConvergenceError(RuntimeError):
             f"{what} did not converge after {iterations} iterations "
             f"(last residual {residual:.3e})"
         )
-        self.iterations = iterations
-        self.residual = residual
 
 
 @dataclass(frozen=True)

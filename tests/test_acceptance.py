@@ -189,7 +189,7 @@ def test_criterion_09_spectral_suite():
     grid = build_grid(0, 1, 201)
     checks = []
 
-    res = principal_eigenvalue(1.3, Field.constant(grid, 2.75))
+    res = principal_eigenvalue(1.3, Field(grid, 2.75))
     checks.append(("constant", abs(res.sigma - 2.75) <= 1e-10))
 
     h = eval_expression(grid, "cos(2*pi*x)")
@@ -268,7 +268,7 @@ def test_criterion_10_threshold_suite():
 
     S0 = eval_expression(grid, "2 + cos(pi*x)")
     r = eval_expression(grid, "(4 - pi*sin(pi*x))/2")
-    res_const = critical_population(S0, r, Field.constant(grid, 2.0), d_I=1.0)
+    res_const = critical_population(S0, r, Field(grid, 2.0), d_I=1.0)
     results.append(res_const)
     ok_const = abs(res_const.n_star - res_const.lower_bound) <= 1e-3 * res_const.lower_bound
 
@@ -280,7 +280,7 @@ def test_criterion_10_threshold_suite():
     ok_low = abs(res_low.n_star - res_low.lower_bound) <= 1e-3 * res_low.lower_bound
 
     S0_s = eval_expression(grid, "1 + 0.9*cos(pi*x)")
-    r_s = Field.constant(grid, 1.0)
+    r_s = Field(grid, 1.0)
     beta_s = eval_expression(grid, "0.5*(1 + x)")
     res_strict = critical_population(S0_s, r_s, beta_s, d_I=1.0)
     results.append(res_strict)
@@ -294,7 +294,7 @@ def test_criterion_10_threshold_suite():
 
     g65 = build_grid(0, 1, 65)
     S0_65 = eval_expression(g65, "1 + 0.9*cos(pi*x)")
-    r_65 = Field.constant(g65, 1.0)
+    r_65 = Field(g65, 1.0)
     beta_65 = eval_expression(g65, "0.5*(1 + x)")
     oracle = _coarse_threshold_oracle(S0_65, r_65, beta_65, 1.0)
     pg = critical_population(S0_65, r_65, beta_65, d_I=1.0)

@@ -64,6 +64,18 @@ def test_public_api_is_pinned():
     assert not hasattr(output, "trajectory_from_csv")
     assert not hasattr(expressions, "parse_expression")
     assert not hasattr(config, "sweep_config_from_entries")
+    # one way to build a Field, a kernel nothing trims, and nothing kept that
+    # no caller reads or reaches
+    assert not hasattr(mesh.Field, "constant")
+    assert not hasattr(models._Kernel, "keep_rows")
+    assert tuple(f.name for f in fields(classify.OutcomeReport)) == (
+        "measured_errors", "passed", "notes")
+    error = spectral.EigenConvergenceError("iteration", 10, 0.5)
+    assert not hasattr(error, "iterations") and not hasattr(error, "residual")
+    assert "raise" not in inspect.getsource(config._last_concentration_fraction)
+    expression_source = inspect.getsource(expressions)
+    assert "isdecimal" not in expression_source
+    assert "trailing input" not in expression_source
 
 
 def test_option_surface_is_pinned():

@@ -8,7 +8,7 @@ from sislab.classify import (
     predict_regime,
     verify_outcome,
 )
-from sislab.config import preset_config
+from sislab.config import PRESETS, preset_config
 from sislab.mesh import Field, build_grid, quadrature
 from sislab.models import ModelSpec, Variant
 from sislab.spectral import principal_eigenvalue
@@ -71,12 +71,21 @@ class TestPredictions:
         pred = predict_regime(spec, S0, I0)
         assert any("capped quadrature" in n for n in pred.notes)
 
+    def test_a_fat_moderate_risk_set_predicts_extinction(self):
+        # beta = gamma on [0.3, 0.7], weight 0.4 against 2*dx = 0.01
+        spec, _, S0, I0 = preset_config(
+            "sim3a", beta_expr="1.5 + max(abs(x - 0.5) - 0.2, 0)", gamma_expr="1.5").build()
+        pred = predict_regime(spec, S0, I0)
+        assert pred.regime is Regime.T43_EXTINCTION
+        assert pred.predicted_I == 0.0
+        assert "moderate-risk weight 0.405 vs 2*dx=0.01" in pred.notes
+
     def test_full_variant_is_rejected(self):
         g = build_grid(0, 1, 11)
-        spec = ModelSpec(Variant.FULL, Field.constant(g, 1.0),
-                         Field.constant(g, 1.0), d_S=1.0, d_I=1.0)
+        spec = ModelSpec(Variant.FULL, Field(g, 1.0),
+                         Field(g, 1.0), d_S=1.0, d_I=1.0)
         with pytest.raises(ValueError, match="degenerate"):
-            predict_regime(spec, Field.constant(g, 1.0), Field.constant(g, 1.0))
+            predict_regime(spec, Field(g, 1.0), Field(g, 1.0))
 
     def test_small_population_beats_threshold_logic(self, preset_setup):
         spec, grid, S0, I0 = preset_setup("sim1a")
@@ -150,6 +159,18 @@ class TestLambdaStarEstimate:
 
 
 class TestVerifyOutcome:
+    @pytest.mark.parametrize("name", [
+        pytest.param(name, marks=pytest.mark.xfail(
+            strict=True, reason="sup_I_rel 0.107 at T = 200: the subsequential decay at "
+                                "the double zero of beta - gamma is algebraic (ROADMAP "
+                                "item 6)")) if name == "sim3c" else name
+        for name in sorted(PRESETS)])
+    def test_every_preset_passes_its_own_verification(self, preset_run, preset_setup,
+                                                      name):
+        spec, grid, S0, I0 = preset_setup(name)
+        report = verify_outcome(preset_run(name), predict_regime(spec, S0, I0), tol=0.01)
+        assert report.passed
+
     def test_endemic_uniform_pass(self, preset_run, preset_setup):
         spec, grid, S0, I0 = preset_setup("sim1b")
         traj = preset_run("sim1b")

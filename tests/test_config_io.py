@@ -338,6 +338,14 @@ class TestSvgEmission:
         assert text.count("<polyline") == 2
         assert "<svg" in text and "</svg>" in text
 
+    def test_mass_series_has_one_point_per_snapshot(self, tiny_run, tmp_path):
+        cfg, traj = tiny_run
+        text = emit_svg(traj, tmp_path / "m.svg", "mass_series").read_text()
+        assert text.count("<polyline") == 1
+        assert "total population" in text
+        points = text.split("<polyline", 1)[1].split('points="', 1)[1].split('"', 1)[0]
+        assert len(points.split()) == len(traj.snapshots) == 5
+
     def test_missing_energy_series_is_an_error(self, tiny_run, tmp_path):
         cfg, traj = tiny_run
         with pytest.raises(ValueError, match="no data for kind"):
@@ -384,6 +392,15 @@ class TestCli:
         rc = main(["classify", "--preset", "sim1b", "--set", "nx=41",
                    "--run-dir", str(run_dir), "--tol", "1e-6"])
         assert rc == 2
+
+    def test_classify_of_an_indeterminate_prediction_gives_no_verdict(self, capsys):
+        # N = 2.82712 lies between int r and N*, where no decision rule applies
+        rc = main(["classify", "--preset", "sim1c", "--set", "param.a=0.8", "--set", "T=1"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert out.startswith("predicted regime: INDETERMINATE")
+        assert "  note: N=2.82712" in out
+        assert out.endswith("verdict: none (indeterminate prediction)\n")
 
     def test_eigen_subcommand(self, capsys):
         rc = main(["eigen", "--d", "1.0", "--h", "cos(2*pi*x)", "--nx", "101"])
@@ -566,6 +583,25 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == (f"error: threshold applies to mass_action_ds0 only, "
                                 f"not {variant}\n")
+
+    @pytest.mark.parametrize("args", [
+        ["eigen", "--h", "1", "--x-max", "inf", "--nx", "21"],
+        ["simulate", "--preset", "sim1b", "--set", "beta_expr=2", "--set", "gamma_expr=1",
+         "--set", "S0_expr=1", "--set", "I0_expr=1", "--set", "T=0.01", "--set", "nx=21",
+         "--set", "x_max=inf"],
+    ], ids=["eigen", "simulate"])
+    def test_a_non_finite_grid_endpoint_is_one_error_line(self, tmp_path, capsys, args):
+        # an infinite domain would run on nan node spacing: eigen to its
+        # iteration cap, simulate to a mass check after numpy's warnings
+        run_dir = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([*args, *(["--out", str(run_dir)] if args[0] == "simulate" else [])])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: grid endpoints must be finite, got [0.0, inf]\n"
+        assert captured.out == ""
+        assert not run_dir.exists()
 
     def test_config_errors_exit_one(self, tmp_path, capsys):
         rc = main(["simulate", "--config", str(tmp_path / "nope.cfg")])

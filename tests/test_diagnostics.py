@@ -23,15 +23,15 @@ class TestMassActionEnergy:
     def test_reaction_term_vanishes_on_the_nullcline(self, grid):
         r = eval_expression(grid, "4 - pi*sin(pi*x)")
         I = eval_expression(grid, "1 + x")
-        beta = Field.constant(grid, 1.0)
+        beta = Field(grid, 1.0)
         V, dissipation = lyapunov_mass_action_di0(r, I, beta, r, d_S=1.0)
         assert dissipation == pytest.approx(gradient_energy_values(r.values, grid.dx),
                                             rel=1e-12)
 
     def test_disease_free_constant_state_dissipates_nothing(self, grid):
-        S = Field.constant(grid, 2.0)
-        I = Field.constant(grid, 0.0)
-        beta = Field.constant(grid, 1.0)
+        S = Field(grid, 2.0)
+        I = Field(grid, 0.0)
+        beta = Field(grid, 1.0)
         r = eval_expression(grid, "1 + x")
         V, dissipation = lyapunov_mass_action_di0(S, I, beta, r, d_S=1.0)
         assert dissipation == 0.0
@@ -62,28 +62,28 @@ class TestMassActionEnergy:
 
 class TestStdIncidenceLockedSusceptibleEnergy:
     def test_disease_free_value(self, grid):
-        beta = Field.constant(grid, 2.0)
-        gamma = Field.constant(grid, 1.0)
-        S = Field.constant(grid, 3.0)
-        I = Field.constant(grid, 0.0)
+        beta = Field(grid, 2.0)
+        gamma = Field(grid, 1.0)
+        S = Field(grid, 3.0)
+        I = Field(grid, 0.0)
         V, dissipation = lyapunov_std_ds0(S, I, beta, gamma, d_I=1.0)
         assert dissipation == 0.0
         # kappa = (beta - gamma)/gamma = 1
         assert V == pytest.approx(0.5 * 9.0, rel=1e-12)
 
     def test_balanced_constant_state_dissipates_nothing(self, grid):
-        beta = Field.constant(grid, 3.0)
-        gamma = Field.constant(grid, 1.0)   # kappa = 2
-        S = Field.constant(grid, 1.0)
-        I = Field.constant(grid, 2.0)       # I = kappa S
+        beta = Field(grid, 3.0)
+        gamma = Field(grid, 1.0)   # kappa = 2
+        S = Field(grid, 1.0)
+        I = Field(grid, 2.0)       # I = kappa S
         _, dissipation = lyapunov_std_ds0(S, I, beta, gamma, d_I=1.0)
         assert dissipation == pytest.approx(0.0, abs=1e-14)
 
     def test_rejects_dominated_transmission(self, grid):
         beta = eval_expression(grid, "1 + sin(pi*x)")
-        gamma = Field.constant(grid, 1.5)
+        gamma = Field(grid, 1.5)
         with pytest.raises(ValueError, match="beta >= gamma"):
-            lyapunov_std_ds0(Field.constant(grid, 1.0), Field.constant(grid, 1.0),
+            lyapunov_std_ds0(Field(grid, 1.0), Field(grid, 1.0),
                              beta, gamma, d_I=1.0)
 
     @pytest.mark.parametrize("low, has_energy", [(-1e-11, False), (-1e-13, True)])
@@ -92,16 +92,16 @@ class TestStdIncidenceLockedSusceptibleEnergy:
         # beta - gamma is 1e-3 but at one node; the energy exists exactly when
         # risk_signs, whose band is 1e-9 of max|beta - gamma| = 1e-12, finds
         # no low-risk node
-        gamma = Field.constant(grid, 1.0)
+        gamma = Field(grid, 1.0)
         beta_values = np.full(grid.nx, 1.0 + 1e-3)
         beta_values[100] = 1.0 + low
         beta = Field(grid, beta_values)
         assert (risk_signs(beta.values - gamma.values) < 0).any() is not has_energy
         spec = models.ModelSpec(models.Variant.STD_INCIDENCE_DS0, beta, gamma,
                                 d_S=0.0, d_I=1.0)
-        context = DiagnosticsContext(spec, Field.constant(grid, 1.0))
+        context = DiagnosticsContext(spec, Field(grid, 1.0))
         assert (context.energy is not None) is has_energy
-        S, I = Field.constant(grid, 1.0), Field.constant(grid, 1.0)
+        S, I = Field(grid, 1.0), Field(grid, 1.0)
         if has_energy:
             lyapunov_std_ds0(S, I, beta, gamma, d_I=1.0)
         else:
@@ -121,16 +121,16 @@ class TestStdIncidenceLockedSusceptibleEnergy:
 class TestStdIncidenceLockedInfectedEnergy:
     def test_disease_free_terms_vanish(self, grid):
         beta = eval_expression(grid, "2 - sin(pi*x)")
-        gamma = Field.constant(grid, 1.5)
+        gamma = Field(grid, 1.5)
         high = (beta.values - gamma.values) > 0
-        S = Field.constant(grid, 2.0)
-        I = Field.constant(grid, 0.0)
+        S = Field(grid, 2.0)
+        I = Field(grid, 0.0)
         V, g, lo, hi = lyapunov_std_di0(S, I, beta, gamma, 1.0, high)
         assert (g, lo, hi) == (0.0, 0.0, 0.0)
 
     def test_empty_high_risk_set_kills_that_term(self, grid):
-        beta = Field.constant(grid, 1.0)
-        gamma = Field.constant(grid, 1.5)
+        beta = Field(grid, 1.0)
+        gamma = Field(grid, 1.5)
         high = np.zeros(grid.nx, dtype=bool)
         S = eval_expression(grid, "2 + cos(pi*x)")
         I = eval_expression(grid, "1.5 + cos(pi*x)")
@@ -155,14 +155,14 @@ class TestStdIncidenceLockedInfectedEnergy:
 
 class TestHarnackAndConcentration:
     def test_constant_profile(self, grid):
-        assert harnack_ratio(Field.constant(grid, 2.0)) == 1.0
+        assert harnack_ratio(Field(grid, 2.0)) == 1.0
 
     def test_cosine_profile(self, grid):
         I = eval_expression(grid, "1 + 0.5*cos(pi*x)")
         assert harnack_ratio(I) == pytest.approx(3.0, rel=1e-12)
 
     def test_absent_when_not_positive(self, grid):
-        assert harnack_ratio(Field.constant(grid, 0.0)) is None
+        assert harnack_ratio(Field(grid, 0.0)) is None
 
     def test_bounded_along_diffusive_run(self, preset_run):
         traj = preset_run("sim1b")
@@ -175,13 +175,13 @@ class TestHarnackAndConcentration:
         assert concentration_fraction(I, [100]) == pytest.approx(1.0)
 
     def test_uniform_profile_window_fraction(self, grid):
-        I = Field.constant(grid, 1.0)
+        I = Field(grid, 1.0)
         frac = concentration_fraction(I, [100])
         assert frac == pytest.approx(0.1, abs=1e-12)
 
     def test_needs_positive_mass(self, grid):
         with pytest.raises(ValueError, match="positive infected mass"):
-            concentration_fraction(Field.constant(grid, 0.0), [3])
+            concentration_fraction(Field(grid, 0.0), [3])
 
     def test_late_time_concentration_on_the_point_mass_preset(self, preset_run):
         traj = preset_run("sim2b")

@@ -113,6 +113,15 @@ def test_unexpected_character_position():
     assert info.value.position == 4
 
 
+@pytest.mark.parametrize("text", ["1\u0663", "x\u0663"])
+def test_a_non_ascii_digit_is_an_unexpected_character(text):
+    # the grammar's digits are ASCII: an Arabic-Indic three is no digit
+    with pytest.raises(ExpressionError, match="^unexpected character '\u0663' "
+                                              r"\(at position 1\)$") as info:
+        Expression(text)
+    assert info.value.position == 1
+
+
 def test_domain_errors():
     with pytest.raises(ExpressionDomainError, match="division by zero"):
         ev("1/x", np.array([0.0, 0.5]))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,15 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid(*args)
 
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf),
+                                      (-math.inf, 1.0)])
+    def test_rejects_a_non_finite_endpoint(self, a, b):
+        # b <= a is False when either end is nan, and an infinite domain has
+        # infinite node spacing
+        with pytest.raises(ValueError, match=rf"^grid endpoints must be finite, "
+                                             rf"got \[{a}, {b}\]$"):
+            build_grid(a, b, 5)
+
     @given(
         a=st.floats(-10, 10),
         width=st.floats(0.1, 20),
@@ -50,7 +60,7 @@ class TestBuildGrid:
 class TestFieldAndIntegrate:
     def test_constant_integrates_exactly(self):
         g = build_grid(0, 1, 17)
-        assert quadrature(g, Field.constant(g, 3.25).values) == pytest.approx(3.25, abs=1e-15)
+        assert quadrature(g, Field(g, 3.25).values) == pytest.approx(3.25, abs=1e-15)
 
     def test_smooth_integral_at_desk_scale(self):
         g = build_grid(0, 1, 201)
@@ -62,10 +72,26 @@ class TestFieldAndIntegrate:
         f = eval_expression(g, "2 + cos(pi*x)")
         assert quadrature(f.grid, f.values) == pytest.approx(2.0, abs=1e-4)
 
+    def test_a_scalar_is_the_constant_field(self):
+        g = build_grid(0, 1, 5)
+        f = Field(g, 2)
+        assert f.values.tolist() == [2.0] * 5
+        assert f.values.dtype == float and not f.values.flags.writeable
+
     def test_field_length_mismatch_rejected(self):
         g = build_grid(0, 1, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^field values of shape \(7,\) are neither"):
             Field(g, np.zeros(7))
+
+    @pytest.mark.parametrize("shape", [(1,), (4,), (2, 5), (1, 5)], ids=str)
+    def test_values_of_any_other_shape_are_rejected(self, shape):
+        # the Field's own error, not numpy's broadcasting one; a one-element
+        # array is not a constant
+        g = build_grid(0, 1, 5)
+        with pytest.raises(ValueError, match=rf"^field values of shape {re.escape(str(shape))} "
+                                             rf"are neither a scalar nor one value per node "
+                                             rf"of a 5-node grid$"):
+            Field(g, np.zeros(shape))
 
     @given(
         c0=st.floats(-5, 5),
@@ -94,7 +120,7 @@ class TestRiskSets:
         # nodes at 1/6 and 5/6 sit exactly on the sign change
         g = build_grid(0, 1, 13)
         beta = eval_expression(g, "1 + sin(pi*x)")
-        gamma = Field.constant(g, 1.5)
+        gamma = Field(g, 1.5)
         signs = risk_signs(beta.values - gamma.values)
         zero_nodes = g.nodes[signs == 0]
         assert zero_nodes == pytest.approx([1 / 6, 5 / 6], abs=1e-12)
@@ -103,13 +129,13 @@ class TestRiskSets:
 
     def test_constant_low_risk(self):
         g = build_grid(0, 1, 21)
-        signs = risk_signs(Field.constant(g, 0.5).values - Field.constant(g, 1.0).values)
+        signs = risk_signs(Field(g, 0.5).values - Field(g, 1.0).values)
         assert np.count_nonzero(signs < 0) == g.nx
         assert np.count_nonzero(signs > 0) == 0
 
     def test_mass_action_two_bands(self):
         g = build_grid(0, 1, 401)
-        beta = Field.constant(g, 2.0)
+        beta = Field(g, 2.0)
         gamma = eval_expression(g, "14 - 4*pi*sin(4*pi*x)")
         h_plus = np.flatnonzero(risk_signs((3.5 / g.length) * beta.values - gamma.values) > 0)
         plus = g.nodes[h_plus]
@@ -157,7 +183,7 @@ class TestRminSet:
 
     def test_constant_ratio_returns_support(self):
         g = build_grid(0, 1, 9)
-        r = Field.constant(g, 2.0)
+        r = Field(g, 2.0)
         I0 = Field(g, np.where(g.nodes > 0.5, 1.0, 0.0))
         r_min, idx = rmin_set(r, I0)
         assert r_min == 2.0
@@ -169,7 +195,7 @@ class TestRminSet:
     def test_rejects_vanishing_infected_data(self):
         g = build_grid(0, 1, 9)
         with pytest.raises(ValueError, match="identically zero"):
-            rmin_set(Field.constant(g, 1.0), Field.constant(g, 0.0))
+            rmin_set(Field(g, 1.0), Field(g, 0.0))
 
     @given(cut=st.floats(0.1, 0.9))
     @settings(max_examples=30, deadline=None)
@@ -177,7 +203,7 @@ class TestRminSet:
         g = build_grid(0, 1, 41)
         r = Field(g, 2.0 + np.cos(3 * g.nodes))
         small = Field(g, np.where(g.nodes <= cut, 1.0, 0.0))
-        full = Field.constant(g, 1.0)
+        full = Field(g, 1.0)
         r_small, _ = rmin_set(r, small)
         r_full, _ = rmin_set(r, full)
         assert r_full <= r_small + 1e-15

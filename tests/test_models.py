@@ -90,20 +90,20 @@ class TestModelSpecValidation:
     def test_locked_susceptible_variant_needs_zero_ds(self):
         g = unit_grid(11)
         with pytest.raises(ValueError, match="d_S = 0"):
-            ModelSpec(Variant.MASS_ACTION_DS0, Field.constant(g, 1.0),
-                      Field.constant(g, 1.0), d_S=0.5, d_I=1.0)
+            ModelSpec(Variant.MASS_ACTION_DS0, Field(g, 1.0),
+                      Field(g, 1.0), d_S=0.5, d_I=1.0)
 
     def test_locked_infected_variant_needs_zero_di(self):
         g = unit_grid(11)
         with pytest.raises(ValueError, match="d_I = 0"):
-            ModelSpec(Variant.STD_INCIDENCE_DI0, Field.constant(g, 1.0),
-                      Field.constant(g, 1.0), d_S=1.0, d_I=0.5)
+            ModelSpec(Variant.STD_INCIDENCE_DI0, Field(g, 1.0),
+                      Field(g, 1.0), d_S=1.0, d_I=0.5)
 
     def test_rates_must_be_positive(self):
         g = unit_grid(11)
         with pytest.raises(ValueError, match="positive"):
-            ModelSpec(Variant.FULL, Field.constant(g, 0.0),
-                      Field.constant(g, 1.0), d_S=1.0, d_I=1.0)
+            ModelSpec(Variant.FULL, Field(g, 0.0),
+                      Field(g, 1.0), d_S=1.0, d_I=1.0)
 
     @pytest.mark.parametrize("variant, d_S, d_I, name", [
         (Variant.MASS_ACTION_DS0, 0.0, np.inf, "d_I"),
@@ -114,15 +114,15 @@ class TestModelSpecValidation:
     def test_dispersal_rates_must_be_finite(self, variant, d_S, d_I, name):
         g = unit_grid(11)
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            ModelSpec(variant, Field.constant(g, 1.0), Field.constant(g, 1.0),
+            ModelSpec(variant, Field(g, 1.0), Field(g, 1.0),
                       d_S=d_S, d_I=d_I)
 
     @pytest.mark.parametrize("beta, gamma", [(1.0, np.inf), (np.inf, 1.0), (1.0, np.nan)])
     def test_rates_must_be_finite(self, beta, gamma):
         g = unit_grid(11)
         with pytest.raises(ValueError, match="must be finite and positive everywhere"):
-            ModelSpec(Variant.MASS_ACTION_DS0, Field.constant(g, beta),
-                      Field.constant(g, gamma), d_S=0.0, d_I=1.0)
+            ModelSpec(Variant.MASS_ACTION_DS0, Field(g, beta),
+                      Field(g, gamma), d_S=0.0, d_I=1.0)
 
     @pytest.mark.parametrize("variant, d_S, d_I, message", [
         (Variant.MASS_ACTION_DS0, 0.5, 1.0, "mass_action_ds0 requires d_S = 0, got 0.5"),
@@ -135,7 +135,7 @@ class TestModelSpecValidation:
                                                               message):
         g = unit_grid(11)
         with pytest.raises(ValueError) as info:
-            ModelSpec(variant, Field.constant(g, 1.0), Field.constant(g, 1.0),
+            ModelSpec(variant, Field(g, 1.0), Field(g, 1.0),
                       d_S=d_S, d_I=d_I)
         assert str(info.value) == message
 
@@ -151,8 +151,8 @@ class TestStep:
         # Crank-Nicolson at d*dt/dx^2 = 20 overshoots below zero on a
         # one-node spike of the dispersing compartment
         g = unit_grid(21)
-        spec = ModelSpec(Variant.MASS_ACTION_DS0, Field.constant(g, 1.0),
-                         Field.constant(g, 2.0), d_S=0.0, d_I=1.0)
+        spec = ModelSpec(Variant.MASS_ACTION_DS0, Field(g, 1.0),
+                         Field(g, 2.0), d_S=0.0, d_I=1.0)
         spike = np.full(g.nx, 1e-3)
         spike[10] = 1.0
         with pytest.raises(StepSizeError, match="drove I down to") as failed:
@@ -163,7 +163,7 @@ class TestStep:
         # node and -1 elsewhere), and the run fails after five snapshots
         S0 = np.ones(g.nx)
         S0[10] = 10.0
-        S0, I0 = Field(g, S0), Field.constant(g, 1e-3)
+        S0, I0 = Field(g, S0), Field(g, 1e-3)
         with pytest.raises(StepSizeError, match="between t=1 and t=1.2") as failed:
             run(spec, S0, I0, dt=0.05, T=4.0, snapshot_every=0.2, steady_tol=0.0)
         partial, = failed.value.partial
@@ -201,7 +201,7 @@ class TestStep:
 
     def test_batched_rows_advance_as_their_own_kernels(self):
         # rows with their own coefficients, one of them with nodes where
-        # S + I <= EPS_REG, then the row left after the other finishes
+        # S + I <= EPS_REG
         specs = [make_spec(Variant.STD_INCIDENCE_DS0, beta=beta, gamma="1.5", nx=11)[0]
                  for beta in ("2 - sin(pi*x)", "3")]
         empty = np.arange(11) % 4 == 0
@@ -215,10 +215,6 @@ class TestStep:
             for a, (b,) in zip(got, want):
                 assert np.array_equal(a[k], b)
         assert got[1][0][empty] == pytest.approx(5e-13 * np.exp(-1.5 * 2.0), rel=1e-15, abs=0.0)
-        batch.keep_rows([1])
-        kept = batch.reaction_half(S[1:], I[1:], np.zeros((1, 11)), 2.0)
-        for a, b in zip(kept, got):
-            assert np.array_equal(a[0], b[1])
 
     def test_pure_diffusion_conserves_mass_exactly(self):
         # reaction disabled: drive only the diffusion substep
@@ -263,12 +259,12 @@ class TestRun:
     def test_rejects_vanishing_infected_data(self):
         spec, g = make_spec()
         with pytest.raises(ValueError, match="identically zero"):
-            run(spec, Field.constant(g, 2.0), Field.constant(g, 0.0), dt=1e-3, T=1.0)
+            run(spec, Field(g, 2.0), Field(g, 0.0), dt=1e-3, T=1.0)
 
     def test_rejects_negative_initial_data(self):
         spec, g = make_spec()
         with pytest.raises(ValueError, match="nonnegative"):
-            run(spec, Field.constant(g, -0.1), Field.constant(g, 1.0), dt=1e-3, T=1.0)
+            run(spec, Field(g, -0.1), Field(g, 1.0), dt=1e-3, T=1.0)
 
     @pytest.mark.parametrize("name, value", [
         ("dt", np.inf), ("dt", np.nan), ("dt", 0.0), ("T", np.inf), ("T", np.nan),
@@ -279,23 +275,38 @@ class TestRun:
         spec, g = make_spec(nx=11)
         kwargs = {"dt": 1e-3, "T": 1.0, "snapshot_every": 0.5, name: value}
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
-            run(spec, Field.constant(g, 2.0), Field.constant(g, 1.0), **kwargs)
+            run(spec, Field(g, 2.0), Field(g, 1.0), **kwargs)
 
     def test_a_run_that_would_take_no_step_is_an_error(self):
         # round(T/dt) steps: T at most half a step would return the initial
         # state as a finished run
         spec, g = make_spec(nx=11)
-        S0, I0 = Field.constant(g, 2.0), Field.constant(g, 1.0)
+        S0, I0 = Field(g, 2.0), Field(g, 1.0)
         with pytest.raises(ValueError, match=r"^T=0\.0004 is at most half a step of "
                                              r"dt=0\.001, so the run would take no step$"):
             run(spec, S0, I0, dt=1e-3, T=4e-4)
         assert run(spec, S0, I0, dt=1e-3, T=6e-4).final.t == 1e-3
 
+    def test_rounding_to_whole_steps_is_a_warning(self):
+        spec, g = make_spec(nx=21)
+        S0, I0 = Field(g, 2.0), Field(g, 1.0)
+        traj = run(spec, S0, I0, dt=1e-3, T=0.0016, snapshot_every=0.0007)
+        assert [s.t for s in traj.snapshots] == [0.0, 0.001, 0.002]
+        assert traj.warnings[:2] == [
+            "T=0.0016 is not a whole number of steps of dt=0.001; the run used T=0.002",
+            "snapshot_every=0.0007 is not a whole number of steps of dt=0.001; "
+            "the run used snapshot_every=0.001",
+        ]
+        # whole steps up to roundoff, as every preset takes them, say nothing
+        for T, every in ((0.002, 0.001), (0.3, 0.1), (2.0, 0.5)):
+            whole = run(spec, S0, I0, dt=1e-3, T=T, snapshot_every=every)
+            assert not any("whole number" in w for w in whole.warnings)
+
     def test_rejects_nan_steady_tolerance(self):
         # NaN fails every comparison, so steady detection could never fire
         spec, g = make_spec(nx=11)
         with pytest.raises(ValueError, match="steady_tol must be a number"):
-            run(spec, Field.constant(g, 2.0), Field.constant(g, 1.0), dt=1e-3, T=1.0,
+            run(spec, Field(g, 2.0), Field(g, 1.0), dt=1e-3, T=1.0,
                 steady_tol=np.nan)
 
     def test_a_nan_mass_fails_the_mass_check(self, monkeypatch):
@@ -303,7 +314,7 @@ class TestRun:
         monkeypatch.setattr(_Kernel, "advance",
                             lambda self, S, I, J, steps: (S * np.nan, I, J))
         with pytest.raises(MassConservationError, match="drifted to nan"):
-            run(spec, Field.constant(g, 2.0), Field.constant(g, 1.0), dt=1e-3, T=1.0)
+            run(spec, Field(g, 2.0), Field(g, 1.0), dt=1e-3, T=1.0)
 
     def test_snapshots_and_mass(self):
         spec, g = make_spec(nx=101)
@@ -409,8 +420,8 @@ class TestRun:
 @settings(max_examples=80, deadline=None)
 def test_exact_reaction_flow_matches_a_fine_ode_integration(S, I, beta, gamma, tau):
     g = build_grid(0, 1, 3)
-    spec = ModelSpec(Variant.MASS_ACTION_DS0, Field.constant(g, beta),
-                     Field.constant(g, gamma), d_S=0.0, d_I=1.0)
+    spec = ModelSpec(Variant.MASS_ACTION_DS0, Field(g, beta),
+                     Field(g, gamma), d_S=0.0, d_I=1.0)
     kernel = _Kernel([spec], 1e-3)
     Sv = np.full((1, 3), S)
     Iv = np.full((1, 3), I)
@@ -495,7 +506,7 @@ def test_reaction_flows_are_semigroups(variant, S, I, beta, gamma, tau):
     # with S + I <= EPS_REG
     g = build_grid(0, 1, 6)
     spec = ModelSpec(variant, Field(g, np.linspace(beta, 2 * beta, 6)),
-                     Field.constant(g, gamma), d_S=0.0, d_I=1.0)
+                     Field(g, gamma), d_S=0.0, d_I=1.0)
     kernel = _Kernel([spec], 1e-3)
     S = np.array([S + [2.0, 0.0]])
     I = np.array([I + [1.0, 5e-13]])

@@ -45,7 +45,7 @@ _NEAR_TIE = "0.2 + exp(-((x-0.2)/0.04)^2) + 1.001*exp(-((x-0.8)/0.04)^2)"
 class TestPrincipalEigenvalue:
     def test_constant_potential_returns_the_constant(self, grid):
         for d in (1e-3, 1.0, 40.0):
-            res = principal_eigenvalue(d, Field.constant(grid, 3.7))
+            res = principal_eigenvalue(d, Field(grid, 3.7))
             assert res.sigma == pytest.approx(3.7, abs=1e-10)
             assert np.ptp(res.phi.values) <= 1e-9
 
@@ -85,7 +85,7 @@ class TestPrincipalEigenvalue:
 
     def test_rejects_nonpositive_diffusion(self, grid):
         with pytest.raises(ValueError, match="positive"):
-            principal_eigenvalue(0.0, Field.constant(grid, 1.0))
+            principal_eigenvalue(0.0, Field(grid, 1.0))
 
     def test_warm_start_agrees_with_cold_start(self, grid):
         h = eval_expression(grid, "sin(3*x)")
@@ -131,7 +131,7 @@ class TestNodaIteration:
         import scipy.linalg
 
         g = build_grid(0, 1, 61)
-        beta, gamma = eval_expression(g, _NEAR_TIE), Field.constant(g, 1.0)
+        beta, gamma = eval_expression(g, _NEAR_TIE), Field(g, 1.0)
         L = neumann_laplacian(g)
         B = (np.diag(gamma.values - 1e-3 * L.diag) + np.diag(-1e-3 * L.upper, 1)
              + np.diag(-1e-3 * L.lower, -1))
@@ -154,7 +154,7 @@ class TestNodaIteration:
         g = build_grid(0, 1, 201)
         with pytest.raises(EigenConvergenceError, match="after 10000 iterations"):
             basic_reproduction_number(1e-3, eval_expression(g, _NEAR_TIE),
-                                      Field.constant(g, 1.0), tol=1e-300)
+                                      Field(g, 1.0), tol=1e-300)
 
     @pytest.mark.parametrize("solve, match", [
         (lambda f: principal_eigenvalue(float("nan"), f), "rate d must be positive"),
@@ -211,14 +211,14 @@ class TestReproductionNumber:
         assert basic_reproduction_number(0.5, f, f) == pytest.approx(1.0, abs=1e-9)
 
     def test_constant_ratio_is_diffusion_independent(self, grid):
-        beta = Field.constant(grid, 2.0)
-        gamma = Field.constant(grid, 1.0)
+        beta = Field(grid, 2.0)
+        gamma = Field(grid, 1.0)
         for d in (0.05, 1.0, 30.0):
             assert basic_reproduction_number(d, beta, gamma) == pytest.approx(2.0, abs=1e-9)
 
     def test_sign_agrees_with_the_eigenvalue(self, grid):
         beta = eval_expression(grid, "1 + sin(pi*x)")
-        gamma = Field.constant(grid, 1.5)
+        gamma = Field(grid, 1.5)
         r0 = basic_reproduction_number(1.0, beta, gamma)
         sig = principal_eigenvalue(1.0, Field(grid, beta.values - gamma.values)).sigma
         assert (r0 - 1.0) * sig > 0
@@ -251,7 +251,7 @@ class TestReproductionNumber:
         g = build_grid(0, 1, nx)
         gamma = _smooth(g, sum(map(abs, gamma)) + floor, gamma)
         sig = principal_eigenvalue(d_I, Field(g, -gamma.values)).sigma
-        r0 = basic_reproduction_number(d_I, Field.constant(g, b), gamma)
+        r0 = basic_reproduction_number(d_I, Field(g, b), gamma)
         assert r0 == pytest.approx(-b / sig, rel=1e-12)
 
     def test_matches_dense_generalized_solver(self):

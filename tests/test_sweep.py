@@ -104,6 +104,19 @@ class TestBatchedRows:
             assert point.error is None
             assert point.value == float(single.final.I.values @ single.spec.grid.weights)
 
+    def test_std_incidence_rows_going_steady_at_different_times(self):
+        # the rows left after each steady stop get a kernel of their own,
+        # with their own cached reaction factors
+        base = preset_config("sim3b", nx=21, T=40.0, dt=4e-3, steady_tol=1e-4,
+                             gamma_expr="g + sin(pi*x)", params={"g": 1.0})
+        cfg = SweepConfig(base=base, parameter="g", lo=0.5, hi=2.0, count=4,
+                          observable="I_mass_at_T")
+        _, batched, singles = _batched_and_single_runs(cfg)
+        ends = [traj.final.t for traj in batched]
+        assert len(set(ends) - {40.0}) >= 3
+        for b, s in zip(batched, singles):
+            _assert_bitwise_equal(b, s)
+
     def test_rows_with_their_own_coefficients(self):
         base = preset_config("sim1c", nx=41, T=2.0, dt=2e-3, beta_expr="b*(1 + x)",
                              params={"a": 1.5, "b": 0.5})

@@ -15,7 +15,7 @@ def _strict(nx):
     # the optimum trades feasibility bought on the right for objective on
     # the left, so the threshold sits strictly between its two bounds
     g = build_grid(0, 1, nx)
-    return (eval_expression(g, "1 + 0.9*cos(pi*x)"), Field.constant(g, 1.0),
+    return (eval_expression(g, "1 + 0.9*cos(pi*x)"), Field(g, 1.0),
             eval_expression(g, "0.5*(1 + x)"), 1.0)
 
 
@@ -28,7 +28,7 @@ def strict_instance():
 class TestSensitivity:
     def test_constant_potential_gives_uniform_sensitivity(self):
         g = build_grid(0, 1, 51)
-        sens = principal_eigenvalue(1.0, Field.constant(g, 2.0)).phi.values ** 2
+        sens = principal_eigenvalue(1.0, Field(g, 2.0)).phi.values ** 2
         assert sens == pytest.approx(1.0, rel=1e-9)
 
     def test_matches_central_differences(self):
@@ -56,7 +56,7 @@ class TestCriticalPopulation:
         g = build_grid(0, 1, 201)
         S0 = eval_expression(g, "2 + cos(pi*x)")
         r = eval_expression(g, "(4 - pi*sin(pi*x))/2")
-        res = critical_population(S0, r, Field.constant(g, 2.0), d_I=1.0)
+        res = critical_population(S0, r, Field(g, 2.0), d_I=1.0)
         assert res.n_star == pytest.approx(res.lower_bound, rel=1e-3)
         assert res.sigma_at_opt <= 1e-8
 
@@ -96,11 +96,11 @@ class TestCriticalPopulation:
     def test_input_validation(self):
         g = build_grid(0, 1, 21)
         with pytest.raises(ValueError):
-            critical_population(Field.constant(g, 1.0), Field.constant(g, 0.0),
-                                Field.constant(g, 1.0), d_I=1.0)
+            critical_population(Field(g, 1.0), Field(g, 0.0),
+                                Field(g, 1.0), d_I=1.0)
         with pytest.raises(ValueError):
-            critical_population(Field.constant(g, 1.0), Field.constant(g, 1.0),
-                                Field.constant(g, 1.0), d_I=0.0)
+            critical_population(Field(g, 1.0), Field(g, 1.0),
+                                Field(g, 1.0), d_I=0.0)
 
 
 def _sim1c(nx, **overrides):

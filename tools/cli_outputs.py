@@ -15,9 +15,10 @@ lists every output that differs.  The list covers, for every preset, the
 files of ``simulate --set T=2`` and the output of ``classify`` (simulating
 and on that run directory) and ``eigen``; ``threshold`` on sim1a-c;
 ``classify`` at nx 205 and 209 (both branches of the subsample test) on
-sim3c, sim4a and sim4b; two sweeps with their plots; the two other plot
-kinds; and one command for each input the command line rejects with an
-``error:`` line that a simpler check could miss.
+sim3c, sim4a and sim4b; ``classify`` of an indeterminate prediction; two
+sweeps with their plots; the three plot kinds of a run; and one command for
+each input the command line rejects with an ``error:`` line that a simpler
+check could miss.
 """
 
 from __future__ import annotations
@@ -74,8 +75,13 @@ def commands() -> list[tuple[str, list[str]]]:
                                 "--svg", "lyapunov_series", "--out", "runs/svg_sim2b"]),
         ("svg_final_profiles_sim3b", ["simulate", "--preset", "sim3b", "--set", "T=2",
                                       "--svg", "final_profiles", "--out", "runs/svg_sim3b"]),
-        # errors: a sweep that cannot succeed, a run that takes no step, and a
-        # profile value that is not finite
+        ("svg_mass_series_sim1b", ["simulate", "--preset", "sim1b", "--set", "T=2",
+                                   "--svg", "mass_series", "--out", "runs/svg_sim1b"]),
+        ("classify_indeterminate_sim1c", ["classify", "--preset", "sim1c", "--set",
+                                          "param.a=0.8", "--set", "T=1"]),
+        # errors: a sweep that cannot succeed, a run that takes no step, a
+        # profile value that is not finite, and an infinite domain; and a run
+        # that rounds T and snapshot_every to whole steps
         ("error_sweep_conc_sim1c", ["sweep", "--config", "sweep_sim1c_conc.cfg",
                                     "--out", "runs/error_sweep_conc_sim1c"]),
         ("error_sweep_bogus_model", ["sweep", "--config", "sweep_bogus_model.cfg",
@@ -84,6 +90,11 @@ def commands() -> list[tuple[str, list[str]]]:
                                     "--out", "runs/error_no_step"]),
         ("error_classify_nan_profile", ["classify", "--preset", "sim1b", "--set", "T=2",
                                         "--run-dir", "runs/nan_profile"]),
+        ("error_eigen_infinite_domain", ["eigen", "--h", "1", "--x-max", "inf",
+                                         "--nx", "21"]),
+        ("simulate_rounded_steps", ["simulate", "--preset", "sim1b", "--set", "T=0.0016",
+                                    "--set", "nx=21", "--set", "snapshot_every=0.0007",
+                                    "--out", "runs/rounded_steps"]),
     ]
     return cmds
 
