@@ -31,9 +31,9 @@ import numpy as np
 
 from . import diagnostics as diag_mod
 from .mesh import EPS_REG, Field, Grid, quadrature
-# The tridiagonal solve is bound as `solve_shifted`, the name the
+# The factored tridiagonal solve is bound as `solve_shifted`, the name the
 # Crank-Nicolson solve is traced under (bench/tracing.py).
-from .operators import TridiagonalMatrix, neumann_laplacian, solve_tridiagonal as solve_shifted
+from .operators import TridiagonalMatrix, neumann_laplacian, solve_factored as solve_shifted
 
 
 # consecutive slow snapshots that declare a run steady
@@ -332,9 +332,11 @@ class _Recorder:
             r < steady_tol for r in self.rates[-STEADY_WINDOW:])
         return self.steady
 
-    def trajectory(self, T: float) -> Trajectory:
+    def trajectory(self) -> Trajectory:
         if not self.steady:
-            self.warnings.append(f"steady detection did not trigger by T={T:g}")
+            # the time reached: T rounded to whole steps, or where a step failed
+            self.warnings.append(
+                f"steady detection did not trigger by T={self.snapshots[-1].t:g}")
         return Trajectory(spec=self.spec, snapshots=self.snapshots, diagnostics=self.records,
                           N=self.N, steady_detected=self.steady, warnings=self.warnings)
 
@@ -399,7 +401,7 @@ def run_batch(specs: list[ModelSpec], S0s: list[Field], I0s: list[Field], dt: fl
             S, I, J = kernel.advance(S, I, J, steps)
         except StepSizeError as exc:
             raise StepSizeError(f"{exc} between t={k * dt:g} and t={(k + steps) * dt:g}",
-                                [rec.trajectory(T) for rec in recorders]) from None
+                                [rec.trajectory() for rec in recorders]) from None
         k += steps
         steady = [rec.snapshot(k * dt, *row, steps * dt, steady_tol)
                   for rec, *row in zip(active, S, I, J)]
@@ -411,4 +413,4 @@ def run_batch(specs: list[ModelSpec], S0s: list[Field], I0s: list[Field], dt: fl
             S, I, J = S[keep], I[keep], J[keep]
             kernel = _Kernel([rec.spec for rec in active], dt)
 
-    return [rec.trajectory(T) for rec in recorders]
+    return [rec.trajectory() for rec in recorders]

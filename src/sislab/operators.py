@@ -1,4 +1,4 @@
-"""Discrete Neumann Laplacian, the tridiagonal LU solve, and gradient energy.
+"""Discrete Neumann Laplacian, the tridiagonal solves, and gradient energy.
 
 The boundary rows use ghost-point reflection, which keeps rows summing to
 zero exactly; combined with trapezoid weights this makes the operator
@@ -21,7 +21,7 @@ from .mesh import Grid
 
 
 def _load_lapack(folder: Path):
-    """``dgttrf`` and ``dgttrs`` from scipy's compiled LAPACK wrappers.
+    """``dgttrf``, ``dgttrs`` and ``dgtsv`` from scipy's compiled LAPACK wrappers.
 
     ``folder`` is where scipy keeps ``_flapack``, the extension that
     ``scipy.linalg.lapack`` re-exports.  Loading that file alone skips the
@@ -40,14 +40,22 @@ def _load_lapack(folder: Path):
             break
     else:
         from scipy.linalg import lapack
-    return lapack.dgttrf, lapack.dgttrs
+    return lapack.dgttrf, lapack.dgttrs, lapack.dgtsv
 
 
-dgttrf, dgttrs = _load_lapack(Path(scipy.__file__).parent / "linalg")
+dgttrf, dgttrs, dgtsv = _load_lapack(Path(scipy.__file__).parent / "linalg")
 
 
 class TridiagonalSolveError(RuntimeError):
     """A pivot of the LU factorization fell below the safe threshold."""
+
+
+def _check_pivots(u_diag: np.ndarray, info: int) -> None:
+    """LAPACK flags only an exactly zero pivot (``info`` > 0, which leaves
+    that 0 in ``u_diag``), so every pivot of U is checked against 1e-14."""
+    small = np.flatnonzero(np.abs(u_diag) < 1e-14)
+    if info or small.size:
+        raise TridiagonalSolveError(f"pivot {small[0]} below 1e-14")
 
 
 @dataclass(frozen=True)
@@ -64,15 +72,11 @@ class TridiagonalMatrix:
         return out
 
     def factor(self) -> "TridiagonalLU":
-        """LU factorization with partial pivoting (LAPACK ``dgttrf``).
-
-        LAPACK flags only exactly zero pivots, so every pivot of U is checked
-        against 1e-14 here; an exact zero is caught by the same test.
-        """
-        lu = TridiagonalLU(*dgttrf(self.lower, self.diag, self.upper)[:5])
-        small = np.flatnonzero(np.abs(lu.d) < 1e-14)
-        if small.size:
-            raise TridiagonalSolveError(f"pivot {small[0]} below 1e-14")
+        """LU factorization with partial pivoting (LAPACK ``dgttrf``), for a
+        matrix solved many times."""
+        *factors, info = dgttrf(self.lower, self.diag, self.upper)
+        lu = TridiagonalLU(*factors)
+        _check_pivots(lu.d, info)
         return lu
 
 
@@ -88,10 +92,22 @@ class TridiagonalLU(NamedTuple):
     ipiv: np.ndarray
 
 
-def solve_tridiagonal(lu: TridiagonalLU, rhs: np.ndarray) -> np.ndarray:
+def solve_factored(lu: TridiagonalLU, rhs: np.ndarray) -> np.ndarray:
     """Solve A x = rhs from A's factorization (LAPACK ``dgttrs``); an (n, K)
     ``rhs`` solves for its K columns in one call."""
     return dgttrs(*lu, rhs)[0]
+
+
+def solve_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
+                      b: np.ndarray) -> np.ndarray:
+    """Solve A x = b in one LAPACK ``dgtsv`` call, for a matrix solved once:
+    ``factor`` and ``solve_factored`` in one pass, with the same bits.  The
+    four arrays are work space: contiguous float64 ones are overwritten, and
+    x is returned in ``b``'s memory."""
+    _, u_diag, _, x, info = dgtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1,
+                                  overwrite_du=1, overwrite_b=1)
+    _check_pivots(u_diag, info)
+    return x
 
 
 def neumann_laplacian(grid: Grid) -> TridiagonalMatrix:

@@ -2,10 +2,10 @@
 
 Both solvers run one Noda iteration (T. Noda, Numer. Math. 17, 1971): inverse
 iteration whose shift moves every step to the Collatz-Wielandt bound of the
-positive iterate, so each step factors its shifted tridiagonal matrix and
-solves once.  The shifts converge quadratically (L. Elsner, Linear Algebra
-Appl. 15, 1976), so a cold solve takes a handful of steps even when the two
-largest eigenvalues nearly tie.
+positive iterate, so each step solves its own shifted tridiagonal matrix
+once, with one LAPACK call.  The shifts converge quadratically (L. Elsner,
+Linear Algebra Appl. 15, 1976), so a cold solve takes a handful of steps
+even when the two largest eigenvalues nearly tie.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Field, Grid, quadrature
-from .operators import TridiagonalMatrix, neumann_laplacian, solve_tridiagonal
+from .operators import neumann_laplacian, solve_tridiagonal
 
 # iteration cap of both solvers
 DEFAULT_MAX_ITER = 10_000
@@ -101,43 +101,60 @@ def _noda(what: str, d: float, grid: Grid, c: np.ndarray, w: float | np.ndarray,
 
     Each step shifts to max(A u / (w*u)), the Collatz-Wielandt upper bound
     on lambda of the positive iterate u (never above the previous shift,
-    which starts at max(c/w) + 1), factors (shift*diag(w) - A) and solves
-    once against w*u.  The off-diagonals of A are nonnegative and the shift
-    lies above lambda, so the factored matrix is a nonsingular M-matrix and
-    the next iterate is positive.  The start u is positive with
-    int(w*u^2) = 1, every iterate is normalized so, and convergence is
-    checked before each solve.
+    which starts at max(c/w) + 1), and solves (shift*diag(w) - A) x = w*u
+    once.  The off-diagonals of A are nonnegative and the shift lies above
+    lambda, so that matrix is a nonsingular M-matrix and the next iterate
+    is positive.  The start u is positive with int(w*u^2) = 1, every iterate
+    is normalized so, and convergence is checked before each solve.
+
+    Every iterate is written into the start's memory, and each step works
+    in arrays allocated once per call, so a step allocates no array.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     L = neumann_laplacian(grid)
-    lower, diag, upper = -d * L.lower, d * L.diag + c, -d * L.upper
+    n = grid.nx
+    Au, wu, tmp, diag, dd = (np.empty(n) for _ in range(5))
+    # the shifted matrix's off-diagonals live in A u and the scratch array,
+    # which are free from the Collatz-Wielandt bound to the next step
+    dl, du = Au[:-1], tmp[:-1]
+    np.multiply(L.diag, d, out=diag)
+    diag += c                                       # the diagonal of A
 
     # the margin is in units of lambda, hence the division by w
     margin = _MARGIN * op_scale / float(np.min(w))
-    shift = float((c / w).max()) + 1.0
+    shift = float(np.divide(c, w, out=tmp).max()) + 1.0
     for it in range(DEFAULT_MAX_ITER + 1):
-        Au = d * L.matvec(u) + c * u
-        wu = w * u
-        lam = float(quadrature(grid, u * Au))
-        residual = float(np.abs(Au - lam * wu).max())
+        # A u = d*(L u) + c*u, with L u summed as TridiagonalMatrix.matvec sums it
+        np.multiply(L.diag, u, out=Au)
+        Au[:-1] += np.multiply(L.upper, u[1:], out=tmp[1:])
+        Au[1:] += np.multiply(L.lower, u[:-1], out=tmp[1:])
+        Au *= d
+        Au += np.multiply(c, u, out=tmp)
+        np.multiply(w, u, out=wu)
+        lam = quadrature(grid, np.multiply(u, Au, out=tmp))
+        np.subtract(Au, np.multiply(lam, wu, out=tmp), out=tmp)
+        residual = float(np.abs(tmp, out=tmp).max())
         if residual <= tol * op_scale:
             return EigenResult(lam, Field(grid, u), it, residual)
         if it == DEFAULT_MAX_ITER:
             break
-        shift = min(shift, max(_finite_max(Au, wu), lam + margin))
-        lu = TridiagonalMatrix(lower, shift * w - diag, upper).factor()
-        u = solve_tridiagonal(lu, wu)
-        u /= np.sqrt(quadrature(grid, w * u * u))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = float(np.divide(Au, wu, out=tmp).max())
+        if not np.isfinite(bound):
+            # a component of w*u that underflowed to 0 makes its ratio inf
+            # or nan, which carries no information: take the largest finite
+            bound = float(tmp.max(where=np.isfinite(tmp), initial=-np.inf))
+        shift = min(shift, max(bound, lam + margin))
+        # shift*diag(w) - A, whose three diagonals each solve overwrites
+        np.subtract(np.multiply(shift, w, out=dd), diag, out=dd)
+        np.multiply(L.lower, -d, out=dl)
+        np.multiply(L.upper, -d, out=du)
+        x = solve_tridiagonal(dl, dd, du, wu)
+        np.multiply(w, x, out=tmp)
+        tmp *= x
+        np.divide(x, np.sqrt(quadrature(grid, tmp)), out=u)
     raise EigenConvergenceError(what, DEFAULT_MAX_ITER, residual)
-
-
-def _finite_max(num: np.ndarray, den: np.ndarray) -> float:
-    """The largest finite entry of num/den: a component of den that
-    underflowed to 0 makes its ratio inf or nan and carries no information."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = num / den
-    return float(ratios.max(where=np.isfinite(ratios), initial=-np.inf))
 
 
 def dense_principal_eigenvalue(d: float, h: Field) -> tuple[float, np.ndarray]:

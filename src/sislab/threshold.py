@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Field, quadrature
-from .operators import (TridiagonalMatrix, TridiagonalSolveError, neumann_laplacian,
-                        solve_tridiagonal)
+from .operators import TridiagonalSolveError, neumann_laplacian, solve_tridiagonal
 from .spectral import principal_eigenvalue
 
 _TOL = 1e-6                      # certified relative gap (dual_bound - N*) / N*
@@ -142,11 +141,11 @@ class _Problem:
         while free.any():
             fixed = ~free
             diag = d * L.diag + self.beta * x * self.gap - target
-            A = TridiagonalMatrix(np.where(fixed[1:], d * L.lower, 0.0),
-                                  np.where(fixed, diag, 1.0),
-                                  np.where(fixed[:-1], d * L.upper, 0.0))
             try:
-                psi = solve_tridiagonal(A.factor(), np.where(fixed, 0.0, self.beta ** -0.5))
+                psi = solve_tridiagonal(np.where(fixed[1:], d * L.lower, 0.0),
+                                        np.where(fixed, diag, 1.0),
+                                        np.where(fixed[:-1], d * L.upper, 0.0),
+                                        np.where(fixed, 0.0, self.beta ** -0.5))
             except TridiagonalSolveError:
                 return None
             if psi.min() <= 0:

@@ -127,19 +127,23 @@ def test_every_benchmark_workload_sets_up(name, tmp_path):
 
 def _count_factorizations(monkeypatch):
     sizes = []
-    dgttrf = operators.dgttrf
 
-    def counting(dl, d, du, **kwargs):
-        sizes.append(len(d))
-        return dgttrf(dl, d, du, **kwargs)
+    def counting(routine):
+        def count(dl, d, *args, **kwargs):
+            sizes.append(len(d))
+            return routine(dl, d, *args, **kwargs)
+        return count
 
-    monkeypatch.setattr(operators, "dgttrf", counting)
+    # dgtsv factors as it solves, so each of its calls is a factorization too
+    monkeypatch.setattr(operators, "dgttrf", counting(operators.dgttrf))
+    monkeypatch.setattr(operators, "dgtsv", counting(operators.dgtsv))
     return sizes
 
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """The sizes of the matrices factored through operators' dgttrf binding."""
+    """The sizes of the matrices factored through operators' dgttrf and
+    dgtsv bindings."""
     return _count_factorizations(monkeypatch)
 
 
@@ -166,7 +170,7 @@ def test_a_run_factors_once_and_traces_every_crank_nicolson_solve(
 
 
 def test_eigen_solves_factor_and_trace_once_per_iteration(factorizations):
-    # each Noda step shifts, so it factors its own matrix and solves once
+    # each Noda step shifts, so it solves its own matrix once, in one dgtsv call
     grid = build_grid(0, 1, 101)
     h = eval_expression(grid, "cos(2*pi*x)")
     tracer = _load_bench("tracing").Tracer()
@@ -187,9 +191,10 @@ def test_eigen_solves_factor_and_trace_once_per_iteration(factorizations):
 
 def test_the_fallback_routines_factor_once_per_iteration(monkeypatch, tmp_path):
     # what operators runs on where scipy keeps no _flapack file beside it
-    dgttrf, dgttrs = operators._load_lapack(tmp_path)
+    dgttrf, dgttrs, dgtsv = operators._load_lapack(tmp_path)
     monkeypatch.setattr(operators, "dgttrf", dgttrf)
     monkeypatch.setattr(operators, "dgttrs", dgttrs)
+    monkeypatch.setattr(operators, "dgtsv", dgtsv)
     test_eigen_solves_factor_and_trace_once_per_iteration(_count_factorizations(monkeypatch))
 
 

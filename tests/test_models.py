@@ -170,6 +170,8 @@ class TestStep:
         clean = run(spec, S0, I0, dt=0.05, T=1.0, snapshot_every=0.2, steady_tol=0.0)
         assert [s.t for s in partial.snapshots] == [s.t for s in clean.snapshots]
         assert len(partial.snapshots) == 6
+        # the run stopped at its last snapshot, not at the T it asked for
+        assert partial.warnings == ["steady detection did not trigger by T=1"]
         for a, b in zip(partial.snapshots, clean.snapshots):
             for name in ("S", "I", "J"):
                 assert np.array_equal(getattr(a, name).values, getattr(b, name).values)
@@ -292,10 +294,12 @@ class TestRun:
         S0, I0 = Field(g, 2.0), Field(g, 1.0)
         traj = run(spec, S0, I0, dt=1e-3, T=0.0016, snapshot_every=0.0007)
         assert [s.t for s in traj.snapshots] == [0.0, 0.001, 0.002]
-        assert traj.warnings[:2] == [
+        assert traj.warnings == [
             "T=0.0016 is not a whole number of steps of dt=0.001; the run used T=0.002",
             "snapshot_every=0.0007 is not a whole number of steps of dt=0.001; "
             "the run used snapshot_every=0.001",
+            # the time the run reached, not the T it asked for
+            "steady detection did not trigger by T=0.002",
         ]
         # whole steps up to roundoff, as every preset takes them, say nothing
         for T, every in ((0.002, 0.001), (0.3, 0.1), (2.0, 0.5)):

@@ -11,6 +11,7 @@ from sislab.operators import (
     TridiagonalSolveError,
     gradient_energy_values,
     neumann_laplacian,
+    solve_factored,
     solve_tridiagonal,
 )
 
@@ -70,7 +71,7 @@ class TestSolveShifted:
     def test_constants_are_fixed_points(self, grid):
         L = neumann_laplacian(grid)
         rhs = np.full(grid.nx, 2.5)
-        out = solve_tridiagonal(shifted(L, 0.37).factor(), rhs)
+        out = solve_factored(shifted(L, 0.37).factor(), rhs)
         assert out == pytest.approx(2.5, rel=1e-13)
 
     @given(seed=st.integers(0, 10_000))
@@ -83,34 +84,43 @@ class TestSolveShifted:
         diag = 2.5 + rng.uniform(0, 1, n)  # strictly dominant
         rhs = rng.uniform(-1, 1, n)
         m = TridiagonalMatrix(lower, diag, upper)
-        x = solve_tridiagonal(m.factor(), rhs)
+        x = solve_factored(m.factor(), rhs)
         residual = np.abs(m.matvec(x) - rhs).max()
         assert residual <= 1e-12 * max(1.0, np.abs(rhs).max())
 
     @given(seed=st.integers(0, 10_000), n=st.integers(3, 300), dominant=st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_factored_solve_equals_banded_solve(self, seed, n, dominant):
-        # the factor-once route gives the same bits as a one-shot banded solve
+    def test_both_solves_equal_banded_solve(self, seed, n, dominant):
+        # the factor-once route and the one dgtsv call give the same bits as
+        # a one-shot banded solve, with and without row interchanges
         rng = np.random.default_rng(seed)
         lower = rng.uniform(-1, 1, n - 1)
         upper = rng.uniform(-1, 1, n - 1)
         diag = rng.uniform(-1, 1, n) + (3.0 if dominant else 0.0)
         rhs = rng.uniform(-1, 1, n)
-        x = solve_tridiagonal(TridiagonalMatrix(lower, diag, upper).factor(), rhs)
+        x = solve_factored(TridiagonalMatrix(lower, diag, upper).factor(), rhs)
         ab = np.zeros((3, n))
         ab[0, 1:] = upper
         ab[1] = diag
         ab[2, :-1] = lower
         assert np.array_equal(x, scipy.linalg.solve_banded((1, 1), ab, rhs))
+        b = rhs.copy()
+        once = solve_tridiagonal(lower.copy(), diag.copy(), upper.copy(), b)
+        assert np.array_equal(once, x)
+        assert np.shares_memory(once, b)  # solved in place, not in a copy
 
+    @pytest.mark.parametrize("solve", [
+        lambda dl, d, du: TridiagonalMatrix(dl, d, du).factor(),
+        lambda dl, d, du: solve_tridiagonal(dl, d, du, np.ones(3)),
+    ], ids=["factor", "one_call"])
     @pytest.mark.parametrize("diag, upper", [
-        ([1.0, 1e-16, 1.0], [1e-16, 0.0]),  # U pivot cancels to exactly 0
+        ([1.0, 1e-16, 1.0], [1e-16, 0.0]),  # U pivot cancels to exactly 0 (info > 0)
         ([1.0, 2e-15, 1.0], [1e-15, 0.0]),  # U pivot 1e-15, which LAPACK accepts
-    ], ids=["exact_zero", "below_1e-14"])
-    def test_tiny_pivot_is_reported(self, diag, upper):
-        m = TridiagonalMatrix(np.array([1.0, 0.0]), np.array(diag), np.array(upper))
-        with pytest.raises(TridiagonalSolveError, match="pivot"):
-            m.factor()
+        ([1.0, 1.0, 1.0], [1.0, 1.0]),      # exactly singular: two equal columns
+    ], ids=["exact_zero", "below_1e-14", "singular"])
+    def test_tiny_pivot_is_reported(self, solve, diag, upper):
+        with pytest.raises(TridiagonalSolveError, match="^pivot 1 below 1e-14$"):
+            solve(np.array([1.0, 0.0]), np.array(diag), np.array(upper))
 
     def test_thomas_path_matches_banded_path(self):
         # a barely dominant system: a margin of 1e-11 per row
@@ -121,24 +131,25 @@ class TestSolveShifted:
         diag = 2.00000000001 + np.zeros(n)
         rhs = rng.uniform(-1, 1, n)
         m = TridiagonalMatrix(lower, diag, upper)
-        x = solve_tridiagonal(m.factor(), rhs)
+        x = solve_factored(m.factor(), rhs)
         assert np.abs(m.matvec(x) - rhs).max() <= 1e-11
 
 
 @pytest.fixture(scope="module", params=["extension", "fallback"])
 def lapack_routines(request, tmp_path_factory):
-    """The dgttrf/dgttrs that operators loaded, or the ones its loader
+    """The dgttrf/dgttrs/dgtsv that operators loaded, or the ones its loader
     returns when it finds no extension file (an empty folder)."""
     if request.param == "extension":
-        return operators.dgttrf, operators.dgttrs
+        return operators.dgttrf, operators.dgttrs, operators.dgtsv
     return operators._load_lapack(tmp_path_factory.mktemp("no_flapack"))
 
 
 class TestLapackLoader:
     def test_a_miss_falls_back_to_scipy_linalg_lapack(self, tmp_path):
-        dgttrf, dgttrs = operators._load_lapack(tmp_path)
+        dgttrf, dgttrs, dgtsv = operators._load_lapack(tmp_path)
         assert dgttrf is scipy.linalg.lapack.dgttrf
         assert dgttrs is scipy.linalg.lapack.dgttrs
+        assert dgtsv is scipy.linalg.lapack.dgtsv
 
     def test_two_nodes_fail_as_in_scipy(self, lapack_routines, monkeypatch):
         # scipy's wrapper sizes du2 as n - 2 and rejects n = 2 (grids have
@@ -162,14 +173,17 @@ class TestLapackLoader:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(operators, "dgttrf", lapack_routines[0])
             mp.setattr(operators, "dgttrs", lapack_routines[1])
+            mp.setattr(operators, "dgtsv", lapack_routines[2])
             lu = TridiagonalMatrix(lower, diag, upper).factor()
-            x = solve_tridiagonal(lu, rhs)
+            x = solve_factored(lu, rhs)
+            once = solve_tridiagonal(lower.copy(), diag.copy(), upper.copy(), rhs.copy())
         *factors, info = scipy.linalg.lapack.dgttrf(lower, diag, upper)
         assert info == 0
         for got, want in zip(lu, factors):
             assert np.array_equal(got, want)
         assert x.shape == rhs.shape
         assert np.array_equal(x, scipy.linalg.lapack.dgttrs(*factors, rhs)[0])
+        assert np.array_equal(once, x)
 
 
 class TestGradientEnergy:

@@ -27,7 +27,7 @@ def _smooth(grid, c0, coeffs):
                                 for k, a in enumerate(coeffs, 1)))
 
 
-def _no_solve(lu, rhs):
+def _no_solve(dl, d, du, b):
     raise AssertionError("an input check should have failed before any solve")
 
 
@@ -140,6 +140,28 @@ class TestNodaIteration:
         assert basic_reproduction_number(1e-3, beta, gamma) == pytest.approx(dense[-1],
                                                                             rel=1e-12)
 
+    @pytest.mark.parametrize("solve", [
+        lambda g: principal_eigenvalue(1e-3, eval_expression(g, "cos(2*pi*(x - 0.45))")),
+        lambda g: basic_reproduction_number(1e-3, eval_expression(g, "2 - sin(pi*x)"),
+                                            Field(g, 1.5)),
+    ], ids=["sigma", "R0"])
+    def test_every_step_solves_in_place(self, monkeypatch, solve):
+        # each step hands dgtsv the same four work arrays and gets its
+        # solution back in the right-hand side's memory, so no step copies
+        seen = []
+        one_call = spectral.solve_tridiagonal
+
+        def in_place(dl, d, du, b):
+            x = one_call(dl, d, du, b)
+            seen.append((id(dl), id(d), id(du), id(b), np.shares_memory(x, b)))
+            return x
+
+        monkeypatch.setattr(spectral, "solve_tridiagonal", in_place)
+        solve(build_grid(0, 1, 201))
+        assert len(seen) > 1
+        assert all(step == seen[0] for step in seen)
+        assert seen[0][-1]
+
     @pytest.mark.parametrize("nx", [201, 2001])
     @pytest.mark.parametrize("d", [1e-5, 1e-3, 1.0])
     @pytest.mark.parametrize("expr", ["x", "cos(2*pi*(x-0.45))"])
@@ -238,7 +260,7 @@ class TestReproductionNumber:
         solve = spectral.solve_tridiagonal
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectral, "solve_tridiagonal",
-                       lambda lu, rhs: solves.append(1) or solve(lu, rhs))
+                       lambda dl, d, du, b: solves.append(1) or solve(dl, d, du, b))
             r0 = basic_reproduction_number(d_I, beta, gamma)
         assert np.sign(r0 - 1.0) == np.sign(sig)
         assert len(solves) <= 10
@@ -253,6 +275,22 @@ class TestReproductionNumber:
         sig = principal_eigenvalue(d_I, Field(g, -gamma.values)).sigma
         r0 = basic_reproduction_number(d_I, Field(g, b), gamma)
         assert r0 == pytest.approx(-b / sig, rel=1e-12)
+
+    def test_a_weight_product_that_underflows_is_left_out_of_the_shift(self):
+        # beta*u underflows to 0 at the subnormal node, so its ratio in the
+        # Collatz-Wielandt bound is inf or nan; the shift takes the largest
+        # finite ratio and the iteration converges as the dense solver says
+        import scipy.linalg
+
+        g = build_grid(0, 1, 41)
+        beta = np.full(g.nx, 2.0)
+        beta[20] = 1e-310
+        L = neumann_laplacian(g)
+        B = np.diag(1.0 - L.diag) + np.diag(-L.upper, 1) + np.diag(-L.lower, -1)
+        dense = np.sort(scipy.linalg.eigvals(np.diag(beta), B).real)[-1]
+        with np.errstate(over="ignore"):  # gamma/beta overflows at that node
+            r0 = basic_reproduction_number(1.0, Field(g, beta), Field(g, 1.0))
+        assert r0 == pytest.approx(dense, rel=1e-12)
 
     def test_matches_dense_generalized_solver(self):
         import scipy.linalg

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from sislab import threshold
 from sislab.config import preset_config
 from sislab.mesh import Field, build_grid, eval_expression, quadrature
+from sislab.operators import TridiagonalSolveError, solve_tridiagonal
 from sislab.spectral import principal_eigenvalue
 from sislab.threshold import OptimizerOptions, critical_population
 
@@ -158,6 +159,44 @@ class TestCertifiedOptimum:
         assert principal_eigenvalue(0.5, h).sigma <= 1e-8
         monkeypatch.undo()
         assert critical_population(S0, r, beta, 0.5).converged
+
+
+def _failing_solve(how, after):
+    """threshold's one-call solve, failing ``how`` on its first ``after``
+    calls: a singular matrix, or a psi that is not positive."""
+    calls = []
+
+    def fake(dl, d, du, b):
+        calls.append(1)
+        x = solve_tridiagonal(dl, d, du, b)
+        if len(calls) > after:
+            return x
+        if how == "singular":
+            raise TridiagonalSolveError("pivot 0 below 1e-14")
+        return -x
+
+    return fake, calls
+
+
+@pytest.mark.parametrize("how", ["singular", "nonpositive_psi"])
+def test_a_failed_completion_is_skipped_and_the_result_still_certified(monkeypatch, how):
+    args = _sim1c(41)
+    want = critical_population(*args)
+    prob = threshold._Problem(*args)
+    nx = prob.grid.nx
+    fake, _ = _failing_solve(how, after=nx)
+    monkeypatch.setattr(threshold, "solve_tridiagonal", fake)
+    assert prob.complete(np.zeros(nx), np.ones(nx, dtype=bool)) is None
+    # the first completion of the ascent fails: its step is refused, the
+    # trust radius halves, and the next steps reach the same optimum
+    fake, calls = _failing_solve(how, after=1)
+    monkeypatch.setattr(threshold, "solve_tridiagonal", fake)
+    res = critical_population(*args)
+    assert len(calls) > 1
+    assert res.converged
+    assert res.sigma_at_opt <= 1e-8
+    assert res.n_star == want.n_star
+    assert res.iterations > want.iterations
 
 
 def _smooth(grid, coeffs, floor):

@@ -13,7 +13,9 @@ source trees into two empty directories, and
 
 lists every output that differs.  The list covers, for every preset, the
 files of ``simulate --set T=2`` and the output of ``classify`` (simulating
-and on that run directory) and ``eigen``; ``threshold`` on sim1a-c;
+and on that run directory) and ``eigen``; a cold ``eigen`` of
+cos(2*pi*(x - 0.45)) at d = 1e-3 on 2001 and 20001 nodes, the benchmark's
+largest eigen solves; ``threshold`` on sim1a-c;
 ``classify`` at nx 205 and 209 (both branches of the subsample test) on
 sim3c, sim4a and sim4b; ``classify`` of an indeterminate prediction; two
 sweeps with their plots; the three plot kinds of a run; and one command for
@@ -59,6 +61,9 @@ def commands() -> list[tuple[str, list[str]]]:
                                        "--run-dir", run_dir]),
             (f"eigen_{p}", ["eigen", "--preset", p]),
         ]
+    cmds += [(f"eigen_cold_nx{nx}", ["eigen", "--h", "cos(2*pi*(x - 0.45))", "--d", "1e-3",
+                                     "--nx", str(nx)])
+             for nx in (2001, 20001)]
     cmds += [(f"threshold_{p}", ["threshold", "--preset", p])
              for p in ("sim1a", "sim1b", "sim1c")]
     cmds += [(f"classify_{p}_nx{nx}", ["classify", "--preset", p, "--set", "T=1",
