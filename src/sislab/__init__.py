@@ -26,7 +26,6 @@ from .classify import (
     OutcomeReport,
     Regime,
     RegimePrediction,
-    estimate_lambda_star,
     predict_regime,
     verify_outcome,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "OutcomeReport",
     "Regime",
     "RegimePrediction",
-    "estimate_lambda_star",
     "predict_regime",
     "verify_outcome",
     "PRESETS",

@@ -213,18 +213,6 @@ def _reciprocal_gap_divergent(spec: ModelSpec, mask: np.ndarray | None
     )
 
 
-def estimate_lambda_star(traj: Trajectory) -> Field:
-    """Nodewise exp(-beta * final exposure) of the run; values land in (0, 1]."""
-    if traj.spec.variant is not Variant.MASS_ACTION_DS0:
-        raise ValueError("the exposure factor is defined for the susceptible-locked "
-                         "mass-action system")
-    if traj.final.J is None:
-        raise ValueError("the trajectory carries no exposure field J "
-                         "(profiles reloaded from CSV do not record it)")
-    J = traj.final.J.values
-    return Field(traj.spec.grid, np.exp(-traj.spec.beta.values * J))
-
-
 def verify_outcome(traj: Trajectory, pred: RegimePrediction, tol: float) -> OutcomeReport:
     """Measure the trajectory against the predicted limit.
 

@@ -79,7 +79,7 @@ def _cmd_eigen(args) -> int:
         d, nx, x_min, x_max = (given.get(k, default)
                                for k, (default, _) in _POTENTIAL_FLAGS.items())
         h = eval_expression(build_grid(x_min, x_max, nx), args.h)
-        result = principal_eigenvalue(d, h, tol=args.tol)
+        result = principal_eigenvalue(d, h)
         print(f"sigma({d:g}, {args.h}) = {result.sigma!r}")
         print(f"iterations={result.iterations} residual={result.residual:.3e} "
               f"min phi={result.phi.min():.3e}")
@@ -92,8 +92,8 @@ def _cmd_eigen(args) -> int:
     spec, grid, _, _ = cfg.build()
     beta, gamma = spec.beta.values, spec.gamma.values
     if spec.d_I > 0:
-        r0 = basic_reproduction_number(spec.d_I, spec.beta, spec.gamma, tol=args.tol)
-        sig = principal_eigenvalue(spec.d_I, Field(grid, beta - gamma), tol=args.tol).sigma
+        r0 = basic_reproduction_number(spec.d_I, spec.beta, spec.gamma)
+        sig = principal_eigenvalue(spec.d_I, Field(grid, beta - gamma)).sigma
         print(f"R0 = {r0!r}  (d_I={spec.d_I:g})")
         print(f"sigma(d_I, beta - gamma) = {sig!r}")
     else:
@@ -184,7 +184,6 @@ def main(argv=None) -> int:
     p_eig.add_argument("--nx", type=int, help="grid nodes for --h (default 201)")
     p_eig.add_argument("--x-min", type=float, help="left end for --h (default 0)")
     p_eig.add_argument("--x-max", type=float, help="right end for --h (default 1)")
-    p_eig.add_argument("--tol", type=float, default=1e-12)
     p_eig.set_defaults(func=_cmd_eigen)
 
     p_thr = sub.add_parser("threshold", help="critical population size")

@@ -19,6 +19,9 @@ from .operators import neumann_laplacian, solve_tridiagonal
 
 # iteration cap of both solvers
 DEFAULT_MAX_ITER = 10_000
+# stopping tolerance of both solvers, on the max-norm residual relative to the
+# operator scale
+_TOL = 1e-12
 # Least distance of a shift from its Rayleigh quotient, relative to the
 # operator scale: once the shift has converged onto the eigenvalue this keeps
 # the shifted matrix's last pivot far above the factorization's 1e-14 floor.
@@ -41,8 +44,7 @@ class EigenResult:
     residual: float
 
 
-def principal_eigenvalue(d: float, h: Field, tol: float = 1e-12,
-                         start: np.ndarray | None = None) -> EigenResult:
+def principal_eigenvalue(d: float, h: Field, start: np.ndarray | None = None) -> EigenResult:
     """Largest eigenvalue of d*L + diag(h) under zero-flux boundaries.
 
     The d -> 0 limit is max(h); use that directly instead of calling this
@@ -67,11 +69,10 @@ def principal_eigenvalue(d: float, h: Field, tol: float = 1e-12,
         u = u / np.sqrt(quadrature(grid, u * u))
     else:
         u = np.full(grid.nx, 1.0 / np.sqrt(grid.length))
-    return _noda("principal eigenvalue iteration", d, grid, hv, 1.0, u, op_scale, tol)
+    return _noda("principal eigenvalue iteration", d, grid, hv, 1.0, u, op_scale)
 
 
-def basic_reproduction_number(d_I: float, beta: Field, gamma: Field,
-                              tol: float = 1e-12) -> float:
+def basic_reproduction_number(d_I: float, beta: Field, gamma: Field) -> float:
     """Spectral threshold quantity for disease invasion.
 
     The largest generalized eigenvalue rho of the pencil
@@ -90,28 +91,27 @@ def basic_reproduction_number(d_I: float, beta: Field, gamma: Field,
         raise ValueError("transmission and recovery rates must be positive and finite")
     op_scale = max(1.0, float(bv.max() + gv.max()) + 4.0 * d_I / grid.dx**2)
     u = np.full(grid.nx, 1.0 / np.sqrt(quadrature(grid, bv)))
-    result = _noda("reproduction number iteration", d_I, grid, -gv, bv, u, op_scale, tol)
+    result = _noda("reproduction number iteration", d_I, grid, -gv, bv, u, op_scale)
     return float(-1.0 / result.sigma)
 
 
 def _noda(what: str, d: float, grid: Grid, c: np.ndarray, w: float | np.ndarray,
-          u: np.ndarray, op_scale: float, tol: float) -> EigenResult:
+          u: np.ndarray, op_scale: float) -> EigenResult:
     """Largest lambda of (d*L + diag(c)) u = lambda*w*u for weights w > 0,
     one per node or one for all.
 
     Each step shifts to max(A u / (w*u)), the Collatz-Wielandt upper bound
     on lambda of the positive iterate u (never above the previous shift,
-    which starts at max(c/w) + 1), and solves (shift*diag(w) - A) x = w*u
-    once.  The off-diagonals of A are nonnegative and the shift lies above
-    lambda, so that matrix is a nonsingular M-matrix and the next iterate
-    is positive.  The start u is positive with int(w*u^2) = 1, every iterate
-    is normalized so, and convergence is checked before each solve.
+    which starts at max(c/w) + 1, nor below the floor kept above every
+    diag(A)/w), and solves (shift*diag(w) - A) x = w*u once.  The
+    off-diagonals of A are nonnegative and the shift lies above lambda, so
+    that matrix is a nonsingular M-matrix and the next iterate is positive.
+    The start u is positive with int(w*u^2) = 1, every iterate is
+    normalized so, and convergence is checked before each solve.
 
     Every iterate is written into the start's memory, and each step works
     in arrays allocated once per call, so a step allocates no array.
     """
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
     L = neumann_laplacian(grid)
     n = grid.nx
     Au, wu, tmp, diag, dd = (np.empty(n) for _ in range(5))
@@ -123,7 +123,15 @@ def _noda(what: str, d: float, grid: Grid, c: np.ndarray, w: float | np.ndarray,
 
     # the margin is in units of lambda, hence the division by w
     margin = _MARGIN * op_scale / float(np.min(w))
-    shift = float(np.divide(c, w, out=tmp).max()) + 1.0
+    # Every shift keeps a relative margin above the largest ratio diag/w (at
+    # most lambda): where d*L.diag is below half an ulp of c, diag rounds onto
+    # c, so a shift of max(c/w) would leave a zero pivot there.  A ratio that
+    # overflows is -inf and drops out of both maxima.
+    with np.errstate(over="ignore"):
+        peak = float(np.divide(c, w, out=tmp).max())
+        top = float(np.divide(diag, w, out=tmp).max())
+    floor = top + _MARGIN * abs(top)
+    shift = max(peak + 1.0, floor)
     for it in range(DEFAULT_MAX_ITER + 1):
         # A u = d*(L u) + c*u, with L u summed as TridiagonalMatrix.matvec sums it
         np.multiply(L.diag, u, out=Au)
@@ -135,17 +143,17 @@ def _noda(what: str, d: float, grid: Grid, c: np.ndarray, w: float | np.ndarray,
         lam = quadrature(grid, np.multiply(u, Au, out=tmp))
         np.subtract(Au, np.multiply(lam, wu, out=tmp), out=tmp)
         residual = float(np.abs(tmp, out=tmp).max())
-        if residual <= tol * op_scale:
+        if residual <= _TOL * op_scale:
             return EigenResult(lam, Field(grid, u), it, residual)
         if it == DEFAULT_MAX_ITER:
             break
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             bound = float(np.divide(Au, wu, out=tmp).max())
         if not np.isfinite(bound):
             # a component of w*u that underflowed to 0 makes its ratio inf
             # or nan, which carries no information: take the largest finite
             bound = float(tmp.max(where=np.isfinite(tmp), initial=-np.inf))
-        shift = min(shift, max(bound, lam + margin))
+        shift = min(shift, max(bound, lam + margin, floor))
         # shift*diag(w) - A, whose three diagonals each solve overwrites
         np.subtract(np.multiply(shift, w, out=dd), diag, out=dd)
         np.multiply(L.lower, -d, out=dl)
@@ -158,7 +166,8 @@ def _noda(what: str, d: float, grid: Grid, c: np.ndarray, w: float | np.ndarray,
 
 
 def dense_principal_eigenvalue(d: float, h: Field) -> tuple[float, np.ndarray]:
-    """Dense oracle: full symmetric-tridiagonal eigendecomposition.
+    """Direct oracle: the largest eigenpair of the symmetric tridiagonal
+    matrix by LAPACK bisection and inverse iteration, independent of Noda.
 
     Symmetrizes with the square root of the quadrature weights, so both
     routes discretize the same weighted operator.
@@ -171,7 +180,8 @@ def dense_principal_eigenvalue(d: float, h: Field) -> tuple[float, np.ndarray]:
     sqw = np.sqrt(grid.weights)
     diag = d * L.diag + hv
     off = d * L.upper * sqw[:-1] / sqw[1:]
-    vals, vecs = scipy.linalg.eigh_tridiagonal(diag, off)
+    vals, vecs = scipy.linalg.eigh_tridiagonal(diag, off, select="i",
+                                               select_range=(grid.nx - 1, grid.nx - 1))
     phi = vecs[:, -1] / sqw
     phi /= np.sqrt(quadrature(grid, phi * phi))
     if phi.max() < 0:

@@ -39,8 +39,8 @@ def test_public_api_is_pinned():
         "ModelSpec", "State", "Trajectory", "Variant", "run",
         "EigenResult", "basic_reproduction_number", "principal_eigenvalue",
         "OptimizerOptions", "ThresholdResult", "critical_population",
-        "OutcomeReport", "Regime", "RegimePrediction", "estimate_lambda_star",
-        "predict_regime", "verify_outcome",
+        "OutcomeReport", "Regime", "RegimePrediction", "predict_regime",
+        "verify_outcome",
         "PRESETS", "RunConfig", "SweepConfig", "load_config", "preset_config",
         "run_sweep",
     ]
@@ -76,20 +76,24 @@ def test_public_api_is_pinned():
     expression_source = inspect.getsource(expressions)
     assert "isdecimal" not in expression_source
     assert "trailing input" not in expression_source
+    # the exposure factor is exp(-beta*J), formed where a caller needs it
+    assert not hasattr(classify, "estimate_lambda_star")
 
 
 def test_option_surface_is_pinned():
     # each value below has one setting in use, so it is a module constant
-    # (mesh.EPS_REG, spectral.DEFAULT_MAX_ITER, diagnostics.CONCENTRATION_RADIUS,
-    # threshold's tolerances and ascent cap), not an option
+    # (mesh.EPS_REG, spectral.DEFAULT_MAX_ITER, spectral._TOL,
+    # diagnostics.CONCENTRATION_RADIUS, threshold's tolerances and ascent
+    # cap), not an option
     def params(fn):
         return tuple(inspect.signature(fn).parameters)
 
     assert tuple(f.name for f in fields(threshold.OptimizerOptions)) == ("seed",)
     assert tuple(f.name for f in fields(models.ModelSpec)) == (
         "variant", "beta", "gamma", "d_S", "d_I")
-    assert params(spectral.principal_eigenvalue) == ("d", "h", "tol", "start")
-    assert params(spectral.basic_reproduction_number) == ("d_I", "beta", "gamma", "tol")
+    assert params(spectral.principal_eigenvalue) == ("d", "h", "start")
+    assert params(spectral.basic_reproduction_number) == ("d_I", "beta", "gamma")
+    assert params(spectral._noda) == ("what", "d", "grid", "c", "w", "u", "op_scale")
     assert params(mesh.incidence_quotient) == ("x", "S", "I")
     assert params(diagnostics.lyapunov_std_ds0) == ("S", "I", "beta", "gamma", "d_I")
     assert params(diagnostics.lyapunov_std_di0) == (
@@ -98,7 +102,6 @@ def test_option_surface_is_pinned():
     assert params(models.Trajectory.trailing) == ("self",)
     # each caller forms its own risk indicator, and a run carries its own r and beta
     assert params(mesh.risk_signs) == ("indicator",)
-    assert params(classify.estimate_lambda_star) == ("traj",)
     assert params(output.read_run) == ("spec", "run_dir")
 
 

@@ -4,7 +4,6 @@ import pytest
 from sislab import models
 from sislab.classify import (
     Regime,
-    estimate_lambda_star,
     predict_regime,
     verify_outcome,
 )
@@ -101,6 +100,24 @@ class TestPredictions:
         assert pred.regime is Regime.INDETERMINATE
         assert any("critical population" in n for n in pred.notes)
 
+    def test_an_integrable_reciprocal_gap_is_indeterminate(self):
+        # beta - gamma = |x - 0.5|^0.5 vanishes at one node only, and its
+        # reciprocal is integrable, so neither T43 rule applies
+        spec, _, S0, I0 = preset_config(
+            "sim3a", beta_expr="1.5 + abs(x - 0.5)^0.5", gamma_expr="1.5").build()
+        pred = predict_regime(spec, S0, I0)
+        assert pred.regime is Regime.INDETERMINATE
+        assert pred.notes[-1] == "reciprocal risk gap looks integrable; no decision rule applies"
+
+    def test_a_high_risk_set_off_the_subsample_has_a_vanishing_gap(self):
+        # infecteds only at node 2, which the stride-4 subsample skips: the
+        # capped quadrature there is 0, so the gap counts as integrable
+        spec, grid, S0, _ = preset_config("sim4b").build()
+        I0 = Field(grid, np.where(np.arange(grid.nx) == 2, 1.0, 0.0))
+        pred = predict_regime(spec, S0, I0)
+        assert pred.regime is Regime.T46_PERSISTENCE
+        assert "reciprocal gap vanishes on the region" in pred.notes
+
     @pytest.mark.parametrize("nx", [201, 202, 203])
     def test_non_integrable_reciprocal_gap_is_indeterminate_at_every_nx(self, nx):
         # 1/(beta - gamma) = 1/|x - 0.5|^2 is not integrable, so no T46 limit
@@ -133,29 +150,14 @@ class TestPredictions:
 
 
 class TestLambdaStarEstimate:
-    def test_range_and_reconstruction(self, preset_run, preset_setup):
-        spec, grid, S0, I0 = preset_setup("sim1a")
-        traj = preset_run("sim1a")
-        r = spec.risk_ratio()
-        lam = estimate_lambda_star(traj)
-        assert 0.0 < lam.min() and lam.max() <= 1.0
-        rebuilt = lam.values * S0.values + (1 - lam.values) * r.values
-        assert np.abs(traj.final.S.values - rebuilt).max() <= 1e-10 * S0.max()
-
     def test_extinction_run_certificate(self, preset_run, preset_setup):
-        # the exposure factor of a died-out run certifies a nonpositive
-        # constrained eigenvalue up to finite-horizon truncation
+        # the exposure factor exp(-beta*J) of a died-out run certifies a
+        # nonpositive constrained eigenvalue up to finite-horizon truncation
         spec, grid, S0, I0 = preset_setup("sim1a")
         traj = preset_run("sim1a")
-        lam = estimate_lambda_star(traj)
-        h = Field(grid, spec.beta.values * lam.values
-                  * (S0.values - spec.risk_ratio().values))
+        lam = np.exp(-spec.beta.values * traj.final.J.values)
+        h = Field(grid, spec.beta.values * lam * (S0.values - spec.risk_ratio().values))
         assert principal_eigenvalue(spec.d_I, h).sigma <= 1e-3
-
-    def test_wrong_variant_is_rejected(self, preset_run):
-        traj = preset_run("sim2b")
-        with pytest.raises(ValueError):
-            estimate_lambda_star(traj)
 
 
 class TestVerifyOutcome:

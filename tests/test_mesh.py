@@ -197,6 +197,15 @@ class TestRminSet:
         with pytest.raises(ValueError, match="identically zero"):
             rmin_set(Field(g, 1.0), Field(g, 0.0))
 
+    def test_rejects_negative_infected_data(self):
+        g = build_grid(0, 1, 9)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            rmin_set(Field(g, 1.0), Field(g, g.nodes - 0.5))
+
+    def test_rejects_fields_on_different_grids(self):
+        with pytest.raises(ValueError, match="different grids"):
+            rmin_set(Field(build_grid(0, 1, 9), 1.0), Field(build_grid(0, 1, 11), 1.0))
+
     @given(cut=st.floats(0.1, 0.9))
     @settings(max_examples=30, deadline=None)
     def test_enlarging_the_support_cannot_raise_the_minimum(self, cut):

@@ -96,6 +96,9 @@ class TestCriticalPopulation:
 
     def test_input_validation(self):
         g = build_grid(0, 1, 21)
+        with pytest.raises(ValueError, match="susceptible density must be nonnegative"):
+            critical_population(Field(g, g.nodes - 0.5), Field(g, 1.0),
+                                Field(g, 1.0), d_I=1.0)
         with pytest.raises(ValueError):
             critical_population(Field(g, 1.0), Field(g, 0.0),
                                 Field(g, 1.0), d_I=1.0)
