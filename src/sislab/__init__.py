@@ -13,7 +13,6 @@ from .mesh import (
     Grid,
     build_grid,
     eval_expression,
-    rmin_set,
 )
 from .models import ModelSpec, State, Trajectory, Variant, run
 from .spectral import (
@@ -39,7 +38,6 @@ __all__ = [
     "Grid",
     "build_grid",
     "eval_expression",
-    "rmin_set",
     "ModelSpec",
     "State",
     "Trajectory",

@@ -14,13 +14,14 @@ logarithmic singularity does not).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional, Union
 
 import numpy as np
 
 from .mesh import Field, quadrature, risk_signs, rmin_set
-from .models import ModelSpec, Trajectory, Variant
+from .models import ModelSpec, Trajectory, Variant, check_initial_data
 from .diagnostics import concentration_fraction
 from .threshold import critical_population
 
@@ -66,6 +67,7 @@ def predict_regime(spec: ModelSpec, S0: Field, I0: Field) -> RegimePrediction:
     predictor = _PREDICTORS.get(spec.variant)
     if predictor is None:
         raise ValueError("regime prediction covers only the degenerate systems")
+    check_initial_data(spec, S0, I0)
     N = quadrature(spec.grid, S0.values + I0.values)
     return predictor(spec, S0, I0, N)
 
@@ -213,6 +215,12 @@ def _reciprocal_gap_divergent(spec: ModelSpec, mask: np.ndarray | None
     )
 
 
+def check_tolerance(tol: float) -> None:
+    """A verdict's tolerance is positive and finite (a NaN fails too)."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
 def verify_outcome(traj: Trajectory, pred: RegimePrediction, tol: float) -> OutcomeReport:
     """Measure the trajectory against the predicted limit.
 
@@ -222,6 +230,7 @@ def verify_outcome(traj: Trajectory, pred: RegimePrediction, tol: float) -> Outc
     ``CONCENTRATION_MIN`` instead because the point-mass limit is subsequential.
     Indeterminate predictions are reported without a verdict.
     """
+    check_tolerance(tol)
     errors: dict[str, float] = {}
     notes: list[str] = []
     grid = traj.spec.grid

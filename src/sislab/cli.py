@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import models
-from .classify import predict_regime, verify_outcome
+from .classify import check_tolerance, predict_regime, verify_outcome
 from .config import PRESETS, ConfigError, RunConfig, load_config, load_sweep_config
 from .mesh import Field, build_grid, eval_expression
 from .models import MassConservationError, StepSizeError, Variant
@@ -125,6 +125,7 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    check_tolerance(args.tol)
     cfg = _resolve_config(args)
     spec, grid, S0, I0 = cfg.build()
     if args.run_dir:

@@ -19,14 +19,15 @@ def _frozen(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform mesh on [a, b] with composite-trapezoid quadrature weights."""
+    """Uniform mesh on [a, b] with composite-trapezoid quadrature weights.
+    Grids are equal when their a, b and nx are, which fix all the rest."""
 
     a: float
     b: float
     nx: int
-    dx: float
-    nodes: np.ndarray
-    weights: np.ndarray
+    dx: float = field(compare=False)
+    nodes: np.ndarray = field(compare=False)
+    weights: np.ndarray = field(compare=False)
 
     @property
     def length(self) -> float:
@@ -119,13 +120,9 @@ def rmin_set(r: Field, I0: Field) -> tuple[float, np.ndarray]:
 
     Returns ``(r_min, indices)`` where the indices are restricted to the grid
     closure of the support (support nodes plus their immediate neighbours).
+    The data are as ``models.check_initial_data`` passes them.
     """
-    _require_same_grid(r, I0)
-    if I0.min() < 0:
-        raise ValueError("initial infected density must be nonnegative")
     support = I0.values > 0
-    if not support.any():
-        raise ValueError("initial infected density is identically zero")
     r_min = float(r.values[support].min())
     tol_zero = 1e-9 * max(1.0, float(np.abs(r.values).max()))
     closure = support.copy()
@@ -135,8 +132,9 @@ def rmin_set(r: Field, I0: Field) -> tuple[float, np.ndarray]:
     return r_min, np.flatnonzero(at_min)
 
 
-def _require_same_grid(*fields: Field) -> None:
-    g = fields[0].grid
-    for f in fields[1:]:
-        if f.grid is not g and (f.grid.nx != g.nx or f.grid.a != g.a or f.grid.b != g.b):
-            raise ValueError("fields live on different grids")
+def common_grid(*fields: Field) -> Grid:
+    """The grid that every one of ``fields`` lives on."""
+    grid = fields[0].grid
+    if any(f.grid != grid for f in fields[1:]):
+        raise ValueError("fields live on different grids")
+    return grid

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import diagnostics as diag_mod
-from .mesh import EPS_REG, Field, Grid, quadrature
+from .mesh import EPS_REG, Field, Grid, common_grid, quadrature
 # The factored tridiagonal solve is bound as `solve_shifted`, the name the
 # Crank-Nicolson solve is traced under (bench/tracing.py).
 from .operators import TridiagonalMatrix, neumann_laplacian, solve_factored as solve_shifted
@@ -114,8 +114,7 @@ class ModelSpec:
     d_I: float
 
     def __post_init__(self):
-        if self.beta.grid.nx != self.gamma.grid.nx:
-            raise ValueError("beta and gamma live on different grids")
+        common_grid(self.beta, self.gamma)
         # a NaN minimum fails the first test
         if not all(0 < f.min() and f.max() < math.inf for f in (self.beta, self.gamma)):
             raise ValueError("transmission and recovery rates must be finite and positive "
@@ -136,6 +135,18 @@ class ModelSpec:
     def risk_ratio(self) -> Field:
         """gamma/beta, the local recovery-to-transmission ratio."""
         return Field(self.grid, self.gamma.values / self.beta.values)
+
+
+def check_initial_data(spec: ModelSpec, S0: Field, I0: Field) -> None:
+    """The one test of the initial data that a run and a regime prediction
+    take: on the spec's grid, finite and nonnegative, and I0 not identically
+    zero."""
+    common_grid(spec.beta, S0, I0)
+    # a NaN minimum fails the first test
+    if not all(0 <= f.min() and f.max() < math.inf for f in (S0, I0)):
+        raise ValueError("initial densities must be finite and nonnegative")
+    if not (I0.values > 0).any():
+        raise ValueError("initial infected density is identically zero")
 
 
 @dataclass(frozen=True)
@@ -309,7 +320,6 @@ class _Recorder:
         self.N = quadrature(grid, S + I)
         self.snapshots = [State(0.0, Field(grid, S), Field(grid, I), Field(grid, 0.0))]
         self.records = [self.context.record(self.snapshots[0], math.inf)]
-        self.rates: list[float] = []
         self.warnings = list(warnings)
         self.steady = False
 
@@ -327,9 +337,9 @@ class _Recorder:
         state = State(t, Field(grid, S), Field(grid, I), Field(grid, J))
         self.snapshots.append(state)
         self.records.append(self.context.record(state, rate))
-        self.rates.append(rate)
-        self.steady = len(self.rates) >= STEADY_WINDOW and all(
-            r < steady_tol for r in self.rates[-STEADY_WINDOW:])
+        # the first record, of the initial state, has no rate
+        self.steady = len(self.records) > STEADY_WINDOW and all(
+            rec.sup_change_rate < steady_tol for rec in self.records[-STEADY_WINDOW:])
         return self.steady
 
     def trajectory(self) -> Trajectory:
@@ -358,18 +368,13 @@ def run_batch(specs: list[ModelSpec], S0s: list[Field], I0s: list[Field], dt: fl
     more than 1e-9 relative.
     """
     def shared(s: ModelSpec) -> tuple:
-        return s.grid.a, s.grid.b, s.grid.nx, s.variant, s.d_S, s.d_I
+        return s.grid, s.variant, s.d_S, s.d_I
 
     spec = specs[0]
     if any(shared(row_spec) != shared(spec) for row_spec in specs[1:]):
         raise ValueError("batched specs must share the grid, variant and dispersal rates")
-    for row_spec, S0, I0 in zip(specs, S0s, I0s):
-        if S0.grid.nx != row_spec.grid.nx or I0.grid.nx != row_spec.grid.nx:
-            raise ValueError("initial data must live on the model grid")
-        if S0.min() < 0 or I0.min() < 0:
-            raise ValueError("initial densities must be nonnegative")
-        if not (I0.values > 0).any():
-            raise ValueError("initial infected density is identically zero")
+    for row in zip(specs, S0s, I0s):
+        check_initial_data(*row)
     for name, value in (("dt", dt), ("T", T), ("snapshot_every", snapshot_every)):
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")

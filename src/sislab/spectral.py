@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Field, Grid, quadrature
+from .mesh import Field, Grid, common_grid, quadrature
 from .operators import neumann_laplacian, solve_tridiagonal
 
 # iteration cap of both solvers
@@ -83,7 +83,7 @@ def basic_reproduction_number(d_I: float, beta: Field, gamma: Field) -> float:
     """
     if not 0 < d_I < np.inf:
         raise ValueError("diffusion rate d_I must be positive and finite")
-    grid = beta.grid
+    grid = common_grid(beta, gamma)
     bv = beta.values
     gv = gamma.values
     # min and max propagate a NaN, which fails every comparison
@@ -132,37 +132,43 @@ def _noda(what: str, d: float, grid: Grid, c: np.ndarray, w: float | np.ndarray,
         top = float(np.divide(diag, w, out=tmp).max())
     floor = top + _MARGIN * abs(top)
     shift = max(peak + 1.0, floor)
-    for it in range(DEFAULT_MAX_ITER + 1):
-        # A u = d*(L u) + c*u, with L u summed as TridiagonalMatrix.matvec sums it
-        np.multiply(L.diag, u, out=Au)
-        Au[:-1] += np.multiply(L.upper, u[1:], out=tmp[1:])
-        Au[1:] += np.multiply(L.lower, u[:-1], out=tmp[1:])
-        Au *= d
-        Au += np.multiply(c, u, out=tmp)
-        np.multiply(w, u, out=wu)
-        lam = quadrature(grid, np.multiply(u, Au, out=tmp))
-        np.subtract(Au, np.multiply(lam, wu, out=tmp), out=tmp)
-        residual = float(np.abs(tmp, out=tmp).max())
-        if residual <= _TOL * op_scale:
-            return EigenResult(lam, Field(grid, u), it, residual)
-        if it == DEFAULT_MAX_ITER:
-            break
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    # A value that overflows or is not a number ends the iteration through
+    # the residual test, so no step warns of it.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for it in range(DEFAULT_MAX_ITER + 1):
+            # A u = d*(L u) + c*u, with L u summed as TridiagonalMatrix.matvec sums it
+            np.multiply(L.diag, u, out=Au)
+            Au[:-1] += np.multiply(L.upper, u[1:], out=tmp[1:])
+            Au[1:] += np.multiply(L.lower, u[:-1], out=tmp[1:])
+            Au *= d
+            Au += np.multiply(c, u, out=tmp)
+            np.multiply(w, u, out=wu)
+            lam = quadrature(grid, np.multiply(u, Au, out=tmp))
+            np.subtract(Au, np.multiply(lam, wu, out=tmp), out=tmp)
+            residual = float(np.abs(tmp, out=tmp).max())
+            if residual <= _TOL * op_scale:
+                return EigenResult(lam, Field(grid, u), it, residual)
+            if it == DEFAULT_MAX_ITER or not residual < np.inf:
+                break
             bound = float(np.divide(Au, wu, out=tmp).max())
-        if not np.isfinite(bound):
-            # a component of w*u that underflowed to 0 makes its ratio inf
-            # or nan, which carries no information: take the largest finite
-            bound = float(tmp.max(where=np.isfinite(tmp), initial=-np.inf))
-        shift = min(shift, max(bound, lam + margin, floor))
-        # shift*diag(w) - A, whose three diagonals each solve overwrites
-        np.subtract(np.multiply(shift, w, out=dd), diag, out=dd)
-        np.multiply(L.lower, -d, out=dl)
-        np.multiply(L.upper, -d, out=du)
-        x = solve_tridiagonal(dl, dd, du, wu)
-        np.multiply(w, x, out=tmp)
-        tmp *= x
-        np.divide(x, np.sqrt(quadrature(grid, tmp)), out=u)
-    raise EigenConvergenceError(what, DEFAULT_MAX_ITER, residual)
+            if not np.isfinite(bound):
+                # a component of w*u that underflowed to 0 makes its ratio inf
+                # or nan, which carries no information: take the largest finite
+                bound = float(tmp.max(where=np.isfinite(tmp), initial=-np.inf))
+            shift = min(shift, max(bound, lam + margin, floor))
+            # shift*diag(w) - A, whose three diagonals each solve overwrites
+            np.subtract(np.multiply(shift, w, out=dd), diag, out=dd)
+            np.multiply(L.lower, -d, out=dl)
+            np.multiply(L.upper, -d, out=du)
+            x = solve_tridiagonal(dl, dd, du, wu)
+            norm2 = quadrature(grid, np.multiply(np.multiply(w, x, out=tmp), x, out=tmp))
+            if not 0 < norm2 < np.inf:
+                # w*x^2 underflowed (a shift near 1e300 leaves x near 1e-300)
+                # or overflowed: scale x to a largest entry of 1 first
+                x /= np.abs(x).max()
+                norm2 = quadrature(grid, np.multiply(np.multiply(w, x, out=tmp), x, out=tmp))
+            np.divide(x, np.sqrt(norm2), out=u)
+    raise EigenConvergenceError(what, it, residual)
 
 
 def dense_principal_eigenvalue(d: float, h: Field) -> tuple[float, np.ndarray]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Field, quadrature
+from .mesh import Field, common_grid, quadrature
 from .operators import TridiagonalSolveError, neumann_laplacian, solve_tridiagonal
 from .spectral import principal_eigenvalue
 
@@ -164,6 +164,7 @@ def critical_population(S0: Field, r: Field, beta: Field, d_I: float,
                         opts: OptimizerOptions | None = None) -> ThresholdResult:
     """Threshold population below which susceptible-lockdown extinction
     outcomes remain possible; see module docstring for the program solved."""
+    grid = common_grid(S0, r, beta)
     if S0.min() < 0:
         raise ValueError("initial susceptible density must be nonnegative")
     if r.min() <= 0 or beta.min() <= 0:
@@ -172,7 +173,6 @@ def critical_population(S0: Field, r: Field, beta: Field, d_I: float,
         raise ValueError("infected dispersal rate must be positive")
     opts = opts or OptimizerOptions()
     prob = _Problem(S0, r, beta, d_I)
-    grid = S0.grid
 
     lam0 = np.zeros(grid.nx)
     sigma0, phi0 = prob.sigma(lam0, None)            # lam = 0 is always feasible

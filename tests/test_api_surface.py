@@ -35,7 +35,7 @@ def _load_bench(name):
 
 def test_public_api_is_pinned():
     assert sislab.__all__ == [
-        "Field", "Grid", "build_grid", "eval_expression", "rmin_set",
+        "Field", "Grid", "build_grid", "eval_expression",
         "ModelSpec", "State", "Trajectory", "Variant", "run",
         "EigenResult", "basic_reproduction_number", "principal_eigenvalue",
         "OptimizerOptions", "ThresholdResult", "critical_population",
@@ -78,6 +78,10 @@ def test_public_api_is_pinned():
     assert "trailing input" not in expression_source
     # the exposure factor is exp(-beta*J), formed where a caller needs it
     assert not hasattr(classify, "estimate_lambda_star")
+    # one grid rule, Grid.__eq__ through mesh.common_grid; rmin_set is
+    # internal, and its callers pass it data models.check_initial_data passed
+    assert not hasattr(mesh, "_require_same_grid")
+    assert "rmin_set" not in sislab.__all__ and not hasattr(sislab, "rmin_set")
 
 
 def test_option_surface_is_pinned():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,29 @@ class TestPredictions:
             assert isinstance(pred.regime, Regime)
 
 
+    @pytest.mark.parametrize("name", ["sim1b", "sim1c", "sim2b", "sim3b", "sim4a"])
+    @pytest.mark.parametrize("bad", ["negative_I0", "nan_I0", "inf_I0", "zero_I0",
+                                     "I0_on_a_wider_domain",
+                                     "S0_on_a_wider_domain"])
+    def test_a_prediction_refuses_exactly_the_data_a_run_refuses(self, preset_setup,
+                                                                  name, bad):
+        spec, grid, S0, I0 = preset_setup(name)
+        # equal node counts on [0, 5] and [0, 1] are two different grids
+        wide = build_grid(grid.a, grid.a + 5 * grid.length, grid.nx)
+        S0, I0 = {
+            "negative_I0": (S0, Field(grid, grid.nodes - 0.5)),
+            "nan_I0": (S0, Field(grid, np.where(grid.nodes < 0.5, 1.0, np.nan))),
+            "inf_I0": (S0, Field(grid, np.where(grid.nodes < 0.5, 1.0, np.inf))),
+            "zero_I0": (S0, Field(grid, 0.0)),
+            "I0_on_a_wider_domain": (S0, Field(wide, I0.values)),
+            "S0_on_a_wider_domain": (Field(wide, S0.values), I0),
+        }[bad]
+        with pytest.raises(ValueError) as refused:
+            models.run(spec, S0, I0, dt=1e-3, T=1.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+            predict_regime(spec, S0, I0)
+
+
 class TestLambdaStarEstimate:
     def test_extinction_run_certificate(self, preset_run, preset_setup):
         # the exposure factor exp(-beta*J) of a died-out run certifies a
@@ -205,6 +230,14 @@ class TestVerifyOutcome:
         assert report.passed is None
         assert report.measured_errors == {}
         assert any("no verdict" in n for n in report.notes)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_tolerance_must_be_positive_and_finite(self, preset_run, preset_setup, tol):
+        spec, grid, S0, I0 = preset_setup("sim1b")
+        pred = predict_regime(spec, S0, I0)
+        with pytest.raises(ValueError, match=f"^tol must be positive and finite, "
+                                             f"got {re.escape(repr(tol))}$"):
+            verify_outcome(preset_run("sim1b"), pred, tol=tol)
 
     def test_failure_is_reported_not_hidden(self, preset_run, preset_setup):
         spec, grid, S0, I0 = preset_setup("sim1b")

@@ -88,6 +88,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=":2:"):
             parse_config_text("preset = sim1a\nnot a pair\n", source="cfg")
 
+    def test_empty_key_reports_its_line(self):
+        with pytest.raises(ConfigError, match="^cfg:2: empty key$"):
+            parse_config_text("preset = sim1a\n = 5\n", source="cfg")
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config_text("T = 1\nT = 2\n")
@@ -401,6 +405,18 @@ class TestCli:
                    "--run-dir", str(run_dir), "--tol", "1e-6"])
         assert rc == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_classify_refuses_a_tolerance_before_it_simulates(self, monkeypatch, capsys,
+                                                              tol):
+        def no_run(*args, **kwargs):
+            raise AssertionError("classify simulated with a tolerance it must refuse")
+
+        monkeypatch.setattr(models, "run", no_run)
+        rc = main(["classify", "--preset", "sim1b", "--set", "nx=21", "--tol", tol])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (1, "")
+        assert captured.err == f"error: tol must be positive and finite, got {float(tol)!r}\n"
+
     def test_classify_of_an_indeterminate_prediction_gives_no_verdict(self, capsys):
         # N = 2.82712 lies between int r and N*, where no decision rule applies
         rc = main(["classify", "--preset", "sim1c", "--set", "param.a=0.8", "--set", "T=1"])
@@ -520,7 +536,7 @@ class TestCli:
         assert capsys.readouterr() == in_process
 
     @pytest.mark.parametrize("case", ["header_only", "five_cells", "other_grid", "nan_cell",
-                                      "inf_cell"])
+                                      "inf_cell", "diagnostics_csv"])
     def test_unusable_profiles_are_one_error_line(self, tmp_path, capsys, case):
         run_dir = tmp_path / "out"
         sets = ["--set", "nx=41", "--set", "T=0.5"]
@@ -531,6 +547,8 @@ class TestCli:
         lines = profiles.read_text().splitlines()
         if case == "header_only":
             lines = lines[:1]
+        elif case == "diagnostics_csv":
+            lines = (run_dir / "diagnostics.csv").read_text().splitlines()
         elif case == "five_cells":
             lines[2] += ",0"
         elif case in ("nan_cell", "inf_cell"):
@@ -547,6 +565,8 @@ class TestCli:
         assert str(profiles) in captured.err
         if case in ("five_cells", "nan_cell", "inf_cell"):
             assert "line 3" in captured.err
+        if case == "diagnostics_csv":
+            assert captured.err == f"error: {profiles} is not a profiles.csv\n"
 
     def test_expression_overflow_is_one_error_line(self, capsys):
         # numpy's overflow warning would repeat the error on stderr

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sislab.mesh import (
     Field,
     build_grid,
+    common_grid,
     eval_expression,
     quadrature,
     risk_signs,
@@ -55,6 +56,28 @@ class TestBuildGrid:
         g = build_grid(a, a + width, nx)
         assert g.weights.sum() == pytest.approx(width, rel=1e-12)
         assert np.all(np.diff(g.nodes) > 0)
+
+
+class TestGridRule:
+    def test_grids_are_equal_exactly_when_their_domain_and_nodes_are(self):
+        g = build_grid(0, 1, 9)
+        assert g == build_grid(0.0, 1.0, 9) and g is not build_grid(0, 1, 9)
+        assert hash(g) == hash(build_grid(0, 1, 9))
+        assert len({g, build_grid(0, 1, 9), build_grid(0, 5, 9), build_grid(0, 1, 11)}) == 3
+        for other in (build_grid(0, 5, 9), build_grid(-1, 1, 9), build_grid(0, 1, 11)):
+            assert g != other
+
+    def test_common_grid_returns_the_shared_grid(self):
+        g = build_grid(0, 1, 9)
+        fields = (Field(g, 1.0), Field(build_grid(0, 1, 9), 2.0))
+        assert common_grid(*fields) is g
+        assert common_grid(fields[1]) is fields[1].grid
+
+    @pytest.mark.parametrize("a, b, nx", [(0, 5, 9), (0, 1, 11), (0.5, 1, 9)])
+    def test_common_grid_rejects_fields_on_different_grids(self, a, b, nx):
+        g = build_grid(0, 1, 9)
+        with pytest.raises(ValueError, match="^fields live on different grids$"):
+            common_grid(Field(g, 1.0), Field(g, 2.0), Field(build_grid(a, b, nx), 1.0))
 
 
 class TestFieldAndIntegrate:
@@ -191,20 +214,6 @@ class TestRminSet:
         support = np.flatnonzero(I0.values > 0)
         assert set(support).issubset(set(idx))
         assert set(idx).issubset(set(support) | {support.min() - 1})
-
-    def test_rejects_vanishing_infected_data(self):
-        g = build_grid(0, 1, 9)
-        with pytest.raises(ValueError, match="identically zero"):
-            rmin_set(Field(g, 1.0), Field(g, 0.0))
-
-    def test_rejects_negative_infected_data(self):
-        g = build_grid(0, 1, 9)
-        with pytest.raises(ValueError, match="must be nonnegative"):
-            rmin_set(Field(g, 1.0), Field(g, g.nodes - 0.5))
-
-    def test_rejects_fields_on_different_grids(self):
-        with pytest.raises(ValueError, match="different grids"):
-            rmin_set(Field(build_grid(0, 1, 9), 1.0), Field(build_grid(0, 1, 11), 1.0))
 
     @given(cut=st.floats(0.1, 0.9))
     @settings(max_examples=30, deadline=None)

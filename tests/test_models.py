@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sislab import models
 from sislab.mesh import Field, build_grid, eval_expression, incidence_quotient, quadrature
 from sislab.models import (
     MassConservationError,
@@ -10,6 +11,7 @@ from sislab.models import (
     Variant,
     _Kernel,
     run,
+    run_batch,
 )
 
 
@@ -139,6 +141,13 @@ class TestModelSpecValidation:
                       d_S=d_S, d_I=d_I)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("a, b, nx", [(0, 5, 11), (0, 1, 21)])
+    def test_rates_must_share_one_grid(self, a, b, nx):
+        # equal node counts on [0, 5] and [0, 1] are two different grids
+        with pytest.raises(ValueError, match="^fields live on different grids$"):
+            ModelSpec(Variant.MASS_ACTION_DS0, Field(build_grid(a, b, nx), 2.0),
+                      Field(unit_grid(11), 1.0), d_S=0.0, d_I=1.0)
+
     def test_variant_parsing(self):
         assert Variant.parse("mass_action_ds0") is Variant.MASS_ACTION_DS0
         assert Variant.parse("Std_Incidence_dI0") is Variant.STD_INCIDENCE_DI0
@@ -267,6 +276,46 @@ class TestRun:
         spec, g = make_spec()
         with pytest.raises(ValueError, match="nonnegative"):
             run(spec, Field(g, -0.1), Field(g, 1.0), dt=1e-3, T=1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            run(spec, Field(g, 1.0), Field(g, g.nodes - 0.5), dt=1e-3, T=1.0)
+
+    @pytest.mark.parametrize("which", ["S0", "I0"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_initial_data_before_any_step(self, monkeypatch, which,
+                                                             value):
+        def no_step(*args):
+            raise AssertionError("a step ran on data the run should have refused")
+
+        monkeypatch.setattr(models._Kernel, "advance", no_step)
+        spec, g = make_spec(nx=11)
+        data = {"S0": Field(g, 2.0), "I0": Field(g, 1.0)}
+        data[which] = Field(g, np.where(g.nodes < 0.5, 1.0, value))
+        with pytest.raises(ValueError, match="^initial densities must be finite and "
+                                             "nonnegative$"):
+            run(spec, data["S0"], data["I0"], dt=1e-3, T=1.0)
+
+    @pytest.mark.parametrize("a, b, nx", [(0, 5, 11), (0, 1, 21)])
+    @pytest.mark.parametrize("which", ["S0", "I0"])
+    def test_rejects_initial_data_on_another_grid(self, which, a, b, nx):
+        spec, g = make_spec(nx=11)
+        data = {"S0": Field(g, 2.0), "I0": Field(g, 1.0)}
+        data[which] = Field(build_grid(a, b, nx), 1.0)
+        with pytest.raises(ValueError, match="^fields live on different grids$"):
+            run(spec, data["S0"], data["I0"], dt=1e-3, T=1.0)
+
+    @pytest.mark.parametrize("other", [
+        dict(nx=21), dict(variant=Variant.STD_INCIDENCE_DS0), dict(d_I=2.0)])
+    def test_a_batch_shares_its_grid_variant_and_dispersal_rates(self, other):
+        spec, g = make_spec(nx=11)
+        row, h = make_spec(**{"nx": 11, **other})
+        with pytest.raises(ValueError, match="batched specs must share"):
+            run_batch([spec, row], [Field(g, 2.0), Field(h, 2.0)],
+                      [Field(g, 1.0), Field(h, 1.0)], dt=1e-3, T=1.0)
+        # equal grids built apart are one grid
+        same, h = make_spec(nx=11, beta="3")
+        rows = run_batch([spec, same], [Field(g, 2.0), Field(h, 2.0)],
+                         [Field(g, 1.0), Field(h, 1.0)], dt=1e-3, T=1e-3)
+        assert [len(t.snapshots) for t in rows] == [2, 2]
 
     @pytest.mark.parametrize("name, value", [
         ("dt", np.inf), ("dt", np.nan), ("dt", 0.0), ("T", np.inf), ("T", np.nan),

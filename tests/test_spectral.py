@@ -180,6 +180,33 @@ class TestNodaIteration:
         with pytest.raises(EigenConvergenceError, match="after 10000 iterations"):
             basic_reproduction_number(1e-3, eval_expression(g, _NEAR_TIE), Field(g, 1.0))
 
+    @pytest.mark.filterwarnings("error")
+    def test_an_iterate_whose_weighted_square_underflows_is_rescaled(self):
+        # a shift near 1e300 leaves the solve's x near 1e-300, and w*x^2
+        # underflows to 0; normalizing by its root would divide by zero
+        h = eval_expression(build_grid(0, 1, 41), "1e300*cos(2*pi*x)")
+        res = principal_eigenvalue(1.0, h)
+        assert res.iterations == 2
+        assert res.phi.min() > 0
+        assert quadrature(h.grid, res.phi.values ** 2) == pytest.approx(1.0, rel=1e-14)
+        assert res.sigma == pytest.approx(dense_principal_eigenvalue(1.0, h)[0], rel=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_residual_that_is_not_finite_ends_the_iteration_at_once(self, monkeypatch):
+        # 1e307*cos overflows in the Rayleigh quotient's residual
+        h = eval_expression(build_grid(0, 1, 41), "1e307*cos(2*pi*x)")
+        with pytest.raises(EigenConvergenceError,
+                           match=r"after 1 iterations \(last residual inf\)$"):
+            principal_eigenvalue(1.0, h)
+        # a solve that returns nan makes the next residual nan
+        solve = spectral.solve_tridiagonal
+        monkeypatch.setattr(spectral, "solve_tridiagonal",
+                            lambda dl, d, du, b: solve(dl, d, du, b) * np.nan)
+        h = eval_expression(build_grid(0, 1, 41), "cos(2*pi*x)")
+        with pytest.raises(EigenConvergenceError,
+                           match=r"after 1 iterations \(last residual nan\)$"):
+            principal_eigenvalue(1.0, h)
+
     @pytest.mark.parametrize("scale", ["1e20", "1e60"])
     def test_a_huge_potential_keeps_every_pivot_off_zero(self, scale):
         # 2d/dx^2 is below half an ulp of h at the peaks, so the diagonal of
@@ -278,21 +305,30 @@ class TestReproductionNumber:
         assert r0 == pytest.approx(-b / sig, rel=1e-12)
 
     @pytest.mark.filterwarnings("error")
-    def test_a_weight_product_that_underflows_is_left_out_of_the_shift(self):
-        # beta*u underflows to 0 at the subnormal node, so its ratio in the
-        # Collatz-Wielandt bound is inf or nan, and gamma/beta overflows there;
-        # the shift takes the largest finite ratio, no warning escapes, and
-        # the iteration converges as the dense solver says
+    @pytest.mark.parametrize("tiny", [1e-310, 5e-324])
+    def test_a_weight_product_that_underflows_is_left_out_of_the_shift(self, tiny):
+        # gamma/beta overflows at the subnormal node; at the least subnormal
+        # beta*u also underflows to 0 there, so its ratio in the
+        # Collatz-Wielandt bound is inf or nan.  The shift takes the largest
+        # finite ratio, no warning escapes, and the iteration converges as
+        # the dense solver says
         import scipy.linalg
 
         g = build_grid(0, 1, 41)
         beta = np.full(g.nx, 2.0)
-        beta[20] = 1e-310
+        beta[20] = tiny
         L = neumann_laplacian(g)
         B = np.diag(1.0 - L.diag) + np.diag(-L.upper, 1) + np.diag(-L.lower, -1)
         dense = np.sort(scipy.linalg.eigvals(np.diag(beta), B).real)[-1]
         r0 = basic_reproduction_number(1.0, Field(g, beta), Field(g, 1.0))
         assert r0 == pytest.approx(dense, rel=1e-12)
+
+    def test_rates_must_share_one_grid(self, monkeypatch):
+        # equal node counts on [0, 5] and [0, 1] are two different grids
+        monkeypatch.setattr(spectral, "solve_tridiagonal", _no_solve)
+        with pytest.raises(ValueError, match="^fields live on different grids$"):
+            basic_reproduction_number(1.0, Field(build_grid(0, 5, 41), 2.0),
+                                      Field(build_grid(0, 1, 41), 1.0))
 
     def test_matches_dense_generalized_solver(self):
         import scipy.linalg

@@ -106,6 +106,29 @@ class TestCriticalPopulation:
             critical_population(Field(g, 1.0), Field(g, 1.0),
                                 Field(g, 1.0), d_I=0.0)
 
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_fields_must_share_one_grid(self, which):
+        # equal node counts on [0, 5] and [0, 1] are two different grids
+        fields = [Field(build_grid(0, 1, 21), v) for v in (3.0, 1.0, 2.0)]
+        fields[which] = Field(build_grid(0, 5, 21), fields[which].values)
+        with pytest.raises(ValueError, match="^fields live on different grids$"):
+            critical_population(*fields, d_I=1.0)
+
+    def test_a_level_step_whose_every_node_moves_up_may_be_feasible_at_once(self):
+        # nodes of negative gap at lam = 1 and of positive gap at lam = 0:
+        # moving every node a short radius up keeps the potential negative,
+        # so the first trial is the step, with no bisection
+        S0, r, beta, d_I = _strict(41)
+        prob = threshold._Problem(S0, r, beta, d_I)
+        lam = (prob.gap < 0).astype(float)
+        sigma, phi = prob.sigma(lam, None)
+        solves = prob.eigen_solves
+        step = prob.level_step(lam, phi, prob.beta * phi * phi, np.full(lam.size, 1e-3))
+        assert prob.eigen_solves == solves + 1
+        assert np.array_equal(step[0], lam + 1e-3 * np.sign(prob.gap))
+        assert step[1] <= threshold._FEAS_TOL
+        assert prob.objective(step[0]) > prob.objective(lam)
+
 
 def _sim1c(nx, **overrides):
     spec, _, S0, _ = preset_config("sim1c", nx=nx, **overrides).build()

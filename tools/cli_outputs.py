@@ -16,9 +16,11 @@ files of ``simulate --set T=2`` and the output of ``classify`` (simulating
 and on that run directory) and ``eigen``; a cold ``eigen`` of
 cos(2*pi*(x - 0.45)) at d = 1e-3 on 2001 and 20001 nodes, the benchmark's
 largest eigen solves; ``eigen`` of potentials of size 1e20 and 1e60, whose
-diagonal rounds onto the potential at its peak, and of a transmission rate
-with a subnormal node, whose ratios overflow; ``eigen --tol``, which the
-command line no longer takes; ``threshold`` on sim1a-c;
+diagonal rounds onto the potential at its peak, of size 1e300, whose iterates
+underflow when they are normalized, and of size 1e307, whose Rayleigh
+quotient overflows; ``eigen`` of a transmission rate with a subnormal node,
+whose ratios overflow; ``eigen --tol``, which the command line no longer
+takes; ``classify --tol`` at nan, -1 and inf; ``threshold`` on sim1a-c;
 ``classify`` at nx 205 and 209 (both branches of the subsample test) on
 sim3c, sim4a and sim4b; ``classify`` of an indeterminate prediction; two
 sweeps with their plots; the three plot kinds of a run; and one command for
@@ -69,12 +71,15 @@ def commands() -> list[tuple[str, list[str]]]:
              for nx in (2001, 20001)]
     cmds += [(f"eigen_huge_h_{scale}", ["eigen", "--h", f"{scale}*cos(2*pi*x)", "--nx", "41",
                                         "--d", "1"])
-             for scale in ("1e20", "1e60")]
+             for scale in ("1e20", "1e60", "1e300", "1e307")]
     cmds += [
         ("eigen_subnormal_beta_sim3b", ["eigen", "--preset", "sim3b", "--set",
                                         "beta_expr=1e-310 + x", "--set", "nx=41"]),
         ("eigen_tol", ["eigen", "--h", "x", "--tol", "1e-6"]),
     ]
+    cmds += [(f"classify_tol_{tol}", ["classify", "--preset", "sim1b", "--set", "T=1",
+                                      "--set", "nx=21", "--tol", tol])
+             for tol in ("nan", "-1", "inf")]
     cmds += [(f"threshold_{p}", ["threshold", "--preset", p])
              for p in ("sim1a", "sim1b", "sim1c")]
     cmds += [(f"classify_{p}_nx{nx}", ["classify", "--preset", p, "--set", "T=1",
