@@ -33,7 +33,8 @@ from . import diagnostics as diag_mod
 from .mesh import EPS_REG, Field, Grid, common_grid, quadrature
 # The factored tridiagonal solve is bound as `solve_shifted`, the name the
 # Crank-Nicolson solve is traced under (bench/tracing.py).
-from .operators import TridiagonalMatrix, neumann_laplacian, solve_factored as solve_shifted
+from .operators import (TridiagonalMatrix, factor_symmetric, halve_end_rows, neumann_laplacian,
+                        solve_factored as solve_shifted)
 
 
 # consecutive slow snapshots that declare a run steady
@@ -195,11 +196,11 @@ class _Kernel:
         self.beta = np.stack([s.beta.values for s in specs])
         self.gamma = np.stack([s.gamma.values for s in specs])
         self.r = self.gamma / self.beta
-        self.L = neumann_laplacian(self.grid)
-        # the reaction flow over tau, called with tau = dt/2 and tau = dt
+        # the reaction flow over tau, called with tau = dt/2 and tau = dt,
+        # and its factors that depend on tau alone
         self.reaction_half = (self._std_incidence_flow if self.spec.variant.std_incidence
                               else self._mass_action_flow)
-        self._std_factors_by_tau: dict[float, tuple] = {}
+        self._factors_by_tau: dict[float, np.ndarray | tuple] = {}
         self._diffuse_S = self._crank_nicolson(self.spec.d_S, "S")
         self._diffuse_I = self._crank_nicolson(self.spec.d_I, "I")
 
@@ -211,12 +212,15 @@ class _Kernel:
         # u(tau) = u/(1 + I*g) with g = expm1(beta*tau*D)/D, whose limit at
         # D = 0 is beta*tau, and int I dt = log1p(I*g)/beta.  Bounding S_new
         # by C, as the exact flow is, keeps I_new >= 0 under roundoff.
+        beta_tau = self._factors_by_tau.get(tau)
+        if beta_tau is None:
+            beta_tau = self._factors_by_tau[tau] = self.beta * tau
         C = S + I
         D = C - self.r
-        g = self.beta * np.full_like(D, tau)
-        g = np.divide(np.expm1(g * D), D, out=g, where=D != 0.0)
-        S_new = np.minimum(self.r + (S - self.r) / (1.0 + I * g), C)
-        return S_new, C - S_new, J + np.log1p(I * g) / self.beta
+        g = np.divide(np.expm1(beta_tau * D), D, out=beta_tau.copy(), where=D != 0.0)
+        Ig = I * g
+        S_new = np.minimum(self.r + (S - self.r) / (1.0 + Ig), C)
+        return S_new, C - S_new, J + np.log1p(Ig) / self.beta
 
     def _std_incidence_flow(self, S, I, J, tau):
         # Exact nodewise solution of I' = beta*S*I/C - gamma*I, S' = -I'.
@@ -241,14 +245,14 @@ class _Kernel:
     def _std_factors(self, tau):
         """e^{a tau}, beta*g, e^{-gamma tau} and (1 - e^{-gamma tau})/gamma,
         which depend on tau alone; g = tau where a = 0."""
-        factors = self._std_factors_by_tau.get(tau)
+        factors = self._factors_by_tau.get(tau)
         if factors is None:
             a = self.beta - self.gamma
             flat = a == 0.0
             g = np.where(flat, tau, np.expm1(a * tau) / np.where(flat, 1.0, a))
             factors = (np.exp(a * tau), self.beta * g, np.exp(-self.gamma * tau),
                        -np.expm1(-self.gamma * tau) / self.gamma)
-            self._std_factors_by_tau[tau] = factors
+            self._factors_by_tau[tau] = factors
         return factors
 
     # -- diffusion ---------------------------------------------------------
@@ -264,14 +268,26 @@ class _Kernel:
         # Solving for the update keeps the quadrature-mass roundoff
         # proportional to |delta| instead of |u|, which is what lets runs of
         # hundreds of thousands of steps hold mass to ~1e-12 relative.
-        # Id - cL is the same at every step, so it is factored once here.
-        L = self.L
+        # Both sides are multiplied by S, which halves the two end rows
+        # exactly: S(Id - cL) is symmetric positive definite and the same at
+        # every step, so it is factored once here as L D L^T, and 2c(S L)u is
+        # S times 2cLu bit for bit.  S L's diagonals are stacked to the
+        # state's (K, nx) shape, so its product with the state broadcasts
+        # nothing.
+        L = neumann_laplacian(self.grid)
         c = 0.5 * d * self.dt
-        lu = TridiagonalMatrix(-c * L.lower, 1.0 - c * L.diag, -c * L.upper).factor()
+        lhs = halve_end_rows(TridiagonalMatrix(-c * L.lower, 1.0 - c * L.diag, -c * L.upper))
+        factors = factor_symmetric(lhs.diag, lhs.upper)
+        K = len(self.beta)
+        SL = halve_end_rows(L)
+        off = np.tile(SL.upper, (K, 1))
+        SL = TridiagonalMatrix(off, np.tile(SL.diag, (K, 1)), off)
 
         def cn_step(u):
-            # The K rows of the state are the K columns of one dgttrs call.
-            u = u + solve_shifted(lu, ((2.0 * c) * L.matvec(u)).T).T
+            rhs = SL.matvec(u)
+            rhs *= 2.0 * c
+            # The K rows of the state are the K columns of one dpttrs call.
+            u = u + solve_shifted(factors, rhs.T).T
             # one whole-state reduction per step; the per-row test runs only
             # once some value is negative
             if u.min() < 0.0 and (u.min(axis=-1) < -CN_OVERSHOOT_TOL * u.max(axis=-1)).any():

@@ -4,6 +4,13 @@ The boundary rows use ghost-point reflection, which keeps rows summing to
 zero exactly; combined with trapezoid weights this makes the operator
 symmetric in the weighted inner product and makes discrete mass
 conservation and summation-by-parts identities hold to machine precision.
+The same symmetry holds entrywise once the two end rows are halved, which
+is exact in floating point: S L and S (Id - cL), S = diag(1/2, 1, ..., 1,
+1/2) the trapezoid weights over dx, are symmetric tridiagonal, and the
+second is positive definite for c >= 0.  So a Crank-Nicolson matrix is
+factored as L D L^T (``factor_symmetric``, ``solve_factored``), and a
+matrix that is not symmetric or not definite is solved by LU with partial
+pivoting in one call (``solve_tridiagonal``).
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from .mesh import Grid
 
 
 def _load_lapack(folder: Path):
-    """``dgttrf``, ``dgttrs`` and ``dgtsv`` from scipy's compiled LAPACK wrappers.
+    """``dpttrf``, ``dpttrs`` and ``dgtsv`` from scipy's compiled LAPACK wrappers.
 
     ``folder`` is where scipy keeps ``_flapack``, the extension that
     ``scipy.linalg.lapack`` re-exports.  Loading that file alone skips the
@@ -40,20 +47,21 @@ def _load_lapack(folder: Path):
             break
     else:
         from scipy.linalg import lapack
-    return lapack.dgttrf, lapack.dgttrs, lapack.dgtsv
+    return lapack.dpttrf, lapack.dpttrs, lapack.dgtsv
 
 
-dgttrf, dgttrs, dgtsv = _load_lapack(Path(scipy.__file__).parent / "linalg")
+dpttrf, dpttrs, dgtsv = _load_lapack(Path(scipy.__file__).parent / "linalg")
 
 
 class TridiagonalSolveError(RuntimeError):
-    """A pivot of the LU factorization fell below the safe threshold."""
+    """A pivot of the factorization fell below the safe threshold."""
 
 
-def _check_pivots(u_diag: np.ndarray, info: int) -> None:
-    """LAPACK flags only an exactly zero pivot (``info`` > 0, which leaves
-    that 0 in ``u_diag``), so every pivot of U is checked against 1e-14."""
-    small = np.flatnonzero(np.abs(u_diag) < 1e-14)
+def _check_pivots(pivots: np.ndarray, info: int) -> None:
+    """LAPACK flags only a pivot that stops the elimination (``info`` > 0:
+    an exactly zero one in LU, a non-positive one in LDL^T, left in
+    ``pivots``), so every pivot is checked against 1e-14."""
+    small = np.flatnonzero(pivots < 1e-14)
     if info or small.size:
         raise TridiagonalSolveError(f"pivot {small[0]} below 1e-14")
 
@@ -71,42 +79,43 @@ class TridiagonalMatrix:
         out[..., 1:] += self.lower * v[..., :-1]
         return out
 
-    def factor(self) -> "TridiagonalLU":
-        """LU factorization with partial pivoting (LAPACK ``dgttrf``), for a
-        matrix solved many times."""
-        *factors, info = dgttrf(self.lower, self.diag, self.upper)
-        lu = TridiagonalLU(*factors)
-        _check_pivots(lu.d, info)
-        return lu
 
+class SymmetricFactors(NamedTuple):
+    """A = L D L^T for a symmetric positive-definite tridiagonal A, as
+    ``dpttrf`` returns it: D's diagonal ``d`` and L's subdiagonal ``e``."""
 
-class TridiagonalLU(NamedTuple):
-    """The factors ``dgttrf`` returns, in LAPACK's names: the multipliers
-    ``dl``, U's diagonal ``d`` and two superdiagonals ``du``/``du2``, and the
-    row interchanges ``ipiv``."""
-
-    dl: np.ndarray
     d: np.ndarray
-    du: np.ndarray
-    du2: np.ndarray
-    ipiv: np.ndarray
+    e: np.ndarray
 
 
-def solve_factored(lu: TridiagonalLU, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs from A's factorization (LAPACK ``dgttrs``); an (n, K)
-    ``rhs`` solves for its K columns in one call."""
-    return dgttrs(*lu, rhs)[0]
+def factor_symmetric(diag: np.ndarray, off: np.ndarray) -> SymmetricFactors:
+    """L D L^T factorization (LAPACK ``dpttrf``) of the symmetric
+    positive-definite tridiagonal matrix with diagonal ``diag`` and
+    off-diagonal ``off``, for a matrix solved many times.  It takes no
+    pivots, so every pivot of D must be positive: one below 1e-14 raises
+    ``TridiagonalSolveError``."""
+    d, e, info = dpttrf(diag, off)
+    _check_pivots(d, info)
+    return SymmetricFactors(d, e)
+
+
+def solve_factored(factors: SymmetricFactors, rhs: np.ndarray) -> np.ndarray:
+    """Solve A x = rhs from A's factorization (LAPACK ``dpttrs``); an (n, K)
+    ``rhs`` solves for its K columns in one call.  ``rhs`` is work space: a
+    Fortran-contiguous float64 one is overwritten, and x is returned in its
+    memory."""
+    return dpttrs(*factors, rhs, overwrite_b=1)[0]
 
 
 def solve_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
                       b: np.ndarray) -> np.ndarray:
-    """Solve A x = b in one LAPACK ``dgtsv`` call, for a matrix solved once:
-    ``factor`` and ``solve_factored`` in one pass, with the same bits.  The
+    """Solve A x = b in one LAPACK ``dgtsv`` call (LU with partial pivoting),
+    for a matrix solved once that need not be symmetric or definite.  The
     four arrays are work space: contiguous float64 ones are overwritten, and
     x is returned in ``b``'s memory."""
     _, u_diag, _, x, info = dgtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1,
                                   overwrite_du=1, overwrite_b=1)
-    _check_pivots(u_diag, info)
+    _check_pivots(np.abs(u_diag), info)
     return x
 
 
@@ -119,6 +128,17 @@ def neumann_laplacian(grid: Grid) -> TridiagonalMatrix:
     upper = np.full(n - 1, inv_dx2)
     upper[0] = 2.0 * inv_dx2
     lower[-1] = 2.0 * inv_dx2
+    return TridiagonalMatrix(lower, diag, upper)
+
+
+def halve_end_rows(m: TridiagonalMatrix) -> TridiagonalMatrix:
+    """S m for S = diag(1/2, 1, ..., 1, 1/2): ``m`` with its first and last
+    rows halved, exactly.  For the Neumann Laplacian L, S L and S (Id - cL)
+    have equal sub- and super-diagonals."""
+    lower, diag, upper = m.lower.copy(), m.diag.copy(), m.upper.copy()
+    diag[[0, -1]] *= 0.5
+    upper[0] *= 0.5
+    lower[-1] *= 0.5
     return TridiagonalMatrix(lower, diag, upper)
 
 

@@ -16,6 +16,7 @@ certifies the iterate to the relative gap ``_TOL``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,12 +166,15 @@ def critical_population(S0: Field, r: Field, beta: Field, d_I: float,
     """Threshold population below which susceptible-lockdown extinction
     outcomes remain possible; see module docstring for the program solved."""
     grid = common_grid(S0, r, beta)
-    if S0.min() < 0:
-        raise ValueError("initial susceptible density must be nonnegative")
-    if r.min() <= 0 or beta.min() <= 0:
-        raise ValueError("risk ratio and transmission rate must be positive")
-    if d_I <= 0:
-        raise ValueError("infected dispersal rate must be positive")
+    # a NaN minimum fails the first test
+    if not (0 <= S0.min() and S0.max() < math.inf):
+        raise ValueError("S0: initial susceptible density must be nonnegative and finite")
+    for name, what, f in (("r", "risk ratio", r), ("beta", "transmission rate", beta)):
+        if not (0 < f.min() and f.max() < math.inf):
+            raise ValueError(f"{name}: {what} must be positive and finite")
+    if not 0 < d_I < math.inf:
+        raise ValueError(f"d_I: infected dispersal rate must be positive and finite, "
+                         f"got {d_I!r}")
     opts = opts or OptimizerOptions()
     prob = _Problem(S0, r, beta, d_I)
 

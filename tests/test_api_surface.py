@@ -135,21 +135,21 @@ def test_every_benchmark_workload_sets_up(name, tmp_path):
 def _count_factorizations(monkeypatch):
     sizes = []
 
-    def counting(routine):
-        def count(dl, d, *args, **kwargs):
-            sizes.append(len(d))
-            return routine(dl, d, *args, **kwargs)
+    def counting(routine, position):
+        def count(*args, **kwargs):
+            sizes.append(len(args[position]))
+            return routine(*args, **kwargs)
         return count
 
     # dgtsv factors as it solves, so each of its calls is a factorization too
-    monkeypatch.setattr(operators, "dgttrf", counting(operators.dgttrf))
-    monkeypatch.setattr(operators, "dgtsv", counting(operators.dgtsv))
+    monkeypatch.setattr(operators, "dpttrf", counting(operators.dpttrf, 0))
+    monkeypatch.setattr(operators, "dgtsv", counting(operators.dgtsv, 1))
     return sizes
 
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """The sizes of the matrices factored through operators' dgttrf and
+    """The sizes of the matrices factored through operators' dpttrf and
     dgtsv bindings."""
     return _count_factorizations(monkeypatch)
 
@@ -196,13 +196,14 @@ def test_eigen_solves_factor_and_trace_once_per_iteration(factorizations):
     assert factorizations == [101] * (res.iterations + r0_iterations)
 
 
-def test_the_fallback_routines_factor_once_per_iteration(monkeypatch, tmp_path):
+def test_the_fallback_routines_factor_once(monkeypatch, tmp_path):
     # what operators runs on where scipy keeps no _flapack file beside it
-    dgttrf, dgttrs, dgtsv = operators._load_lapack(tmp_path)
-    monkeypatch.setattr(operators, "dgttrf", dgttrf)
-    monkeypatch.setattr(operators, "dgttrs", dgttrs)
-    monkeypatch.setattr(operators, "dgtsv", dgtsv)
+    for name, routine in zip(("dpttrf", "dpttrs", "dgtsv"), operators._load_lapack(tmp_path)):
+        monkeypatch.setattr(operators, name, routine)
     test_eigen_solves_factor_and_trace_once_per_iteration(_count_factorizations(monkeypatch))
+    for overrides, dispersing in ({}, 1), ({"model": "full", "d_S": 0.5}, 2):
+        test_a_run_factors_once_and_traces_every_crank_nicolson_solve(
+            _count_factorizations(monkeypatch), overrides, dispersing)
 
 
 _STARTUP_PROBE = """

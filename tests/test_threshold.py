@@ -106,6 +106,21 @@ class TestCriticalPopulation:
             critical_population(Field(g, 1.0), Field(g, 1.0),
                                 Field(g, 1.0), d_I=0.0)
 
+    @pytest.mark.parametrize("name", ["S0", "r", "beta", "d_I"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_value_that_is_not_finite_is_named(self, name, bad, recwarn):
+        g = build_grid(0, 1, 41)
+        args = {"S0": Field(g, 3.0), "r": Field(g, 1.0), "beta": Field(g, 2.0), "d_I": 1.0}
+        if name == "d_I":
+            args[name] = bad
+        else:
+            values = args[name].values.copy()
+            values[20] = bad
+            args[name] = Field(g, values)
+        with pytest.raises(ValueError, match=f"^{name}: .* and finite"):
+            critical_population(**args)
+        assert len(recwarn) == 0
+
     @pytest.mark.parametrize("which", [0, 1, 2])
     def test_fields_must_share_one_grid(self, which):
         # equal node counts on [0, 5] and [0, 1] are two different grids

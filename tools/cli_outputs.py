@@ -1,6 +1,7 @@
-"""Record what the sislab command line writes, for a byte-identity check.
+"""Record what the sislab command line writes, and compare two recordings.
 
     python tools/cli_outputs.py SRC OUT
+    python tools/cli_outputs.py --compare OUT_A OUT_B
 
 runs ``python -m sislab.cli`` on the sislab package under the directory SRC
 for a fixed list of commands, with OUT as the working directory, so every
@@ -11,7 +12,17 @@ source trees into two empty directories, and
 
     diff -r OUT_A OUT_B
 
-lists every output that differs.  The list covers, for every preset, the
+lists every output that differs.  A change that moves digits on purpose is
+reviewed with ``--compare OUT_A OUT_B`` instead: it reads every file
+of both recordings as text and numbers, and lists each file that differs
+with the largest absolute and relative difference between corresponding
+numbers and, for a CSV file, the largest difference relative to the
+largest magnitude in its column.  A difference that is not numeric (a
+verdict, a regime, a row count, an error line, a file only one side has)
+is listed as such with the first line where the two differ, and makes the
+exit code 1.
+
+The list covers, for every preset, the
 files of ``simulate --set T=2`` and the output of ``classify`` (simulating
 and on that run directory) and ``eigen``; a cold ``eigen`` of
 cos(2*pi*(x - 0.45)) at d = 1e-3 on 2001 and 20001 nodes, the benchmark's
@@ -31,7 +42,9 @@ check could miss.
 from __future__ import annotations
 
 import argparse
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -128,11 +141,95 @@ def _nan_profile(out: Path) -> None:
     (out / "runs/nan_profile/profiles.csv").write_text("".join(rows))
 
 
+# a decimal number, or nan/inf not inside a word; its sign is part of it
+_NUMBER = re.compile(r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                     r"|(?<![A-Za-z_])(?:nan|inf)(?![A-Za-z_]))")
+
+
+def _numbers(text: str) -> tuple[str, list[float]]:
+    """``text`` with every number replaced by ``#``, and the numbers."""
+    return _NUMBER.sub("#", text), [float(m) for m in _NUMBER.findall(text)]
+
+
+def _moved(a: list[float], b: list[float]) -> list[tuple[float, float]]:
+    """|x - y| and max(|x|, |y|) of each pair that differs; NaN on one side
+    only, or an infinity that moved, is an infinite difference."""
+    gaps = [(abs(x - y), max(abs(x), abs(y))) for x, y in zip(a, b)
+            if not (x == y or x != x and y != y)]
+    return [(gap if gap < math.inf else math.inf, size) for gap, size in gaps]
+
+
+def _column_scaled(text_a: str, text_b: str) -> float:
+    """The largest |a - b| in a CSV column over the largest finite |a| in it."""
+    worst = 0.0
+    rows_a = [line.split(",") for line in text_a.splitlines()[1:]]
+    rows_b = [line.split(",") for line in text_b.splitlines()[1:]]
+    for col_a, col_b in zip(zip(*rows_a), zip(*rows_b)):
+        a, b = (_numbers(",".join(col))[1] for col in (col_a, col_b))
+        gap = max((gap for gap, _ in _moved(a, b)), default=0.0)
+        scale = max((abs(x) for x in a if math.isfinite(x)), default=0.0)
+        if gap:
+            worst = max(worst, gap / scale if scale else math.inf)
+    return worst
+
+
+def compare_file(text_a: str, text_b: str, csv: bool) -> str:
+    """One line on how two recordings of a file differ."""
+    skeleton_a, a = _numbers(text_a)
+    skeleton_b, b = _numbers(text_b)
+    if skeleton_a != skeleton_b or len(a) != len(b):
+        lines_a, lines_b = text_a.splitlines(), text_b.splitlines()
+        for k, (line_a, line_b) in enumerate(zip(lines_a, lines_b), 1):
+            if _numbers(line_a)[0] != _numbers(line_b)[0]:
+                return f"NOT NUMERIC at line {k}: {line_a!r} vs {line_b!r}"
+        return f"NOT NUMERIC: {len(lines_a)} lines vs {len(lines_b)}"
+    moved = _moved(a, b)
+    if not moved:
+        return "same numbers, other spelling"
+    abs_diff = max(gap for gap, _ in moved)
+    rel_diff = max(gap / size if gap < math.inf else math.inf for gap, size in moved)
+    line = f"{len(moved)} numbers moved, max abs {abs_diff:.3g}, max rel {rel_diff:.3g}"
+    if csv:
+        line += f", max per column scale {_column_scaled(text_a, text_b):.3g}"
+    return line
+
+
+def compare(out_a: Path, out_b: Path) -> int:
+    """Print how the recordings ``out_a`` and ``out_b`` differ; 1 if any
+    difference is not numeric."""
+    files_a = {p.relative_to(out_a) for p in out_a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(out_b) for p in out_b.rglob("*") if p.is_file()}
+    status, same = 0, 0
+    for rel in sorted(files_a | files_b):
+        if rel not in files_a or rel not in files_b:
+            print(f"{rel}: NOT NUMERIC: only in {out_a if rel in files_a else out_b}")
+            status = 1
+            continue
+        bytes_a, bytes_b = (out_a / rel).read_bytes(), (out_b / rel).read_bytes()
+        if bytes_a == bytes_b:
+            same += 1
+            continue
+        line = compare_file(bytes_a.decode(errors="replace"), bytes_b.decode(errors="replace"),
+                            rel.suffix == ".csv")
+        status |= line.startswith("NOT NUMERIC")
+        print(f"{rel}: {line}")
+    print(f"{same} of {len(files_a | files_b)} files byte-identical")
+    return status
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("src", help="directory that holds the sislab package")
-    parser.add_argument("out", help="empty or new directory for the outputs")
+    parser.add_argument("src", nargs="?", help="directory that holds the sislab package")
+    parser.add_argument("out", nargs="?", help="empty or new directory for the outputs")
+    parser.add_argument("--compare", nargs=2, metavar=("OUT_A", "OUT_B"),
+                        help="compare two recordings instead of making one")
     args = parser.parse_args(argv)
+    if args.compare:
+        if args.src:
+            parser.error("--compare takes no SRC or OUT")
+        return compare(*(Path(out) for out in args.compare))
+    if not args.out:
+        parser.error("need SRC and OUT, or --compare OUT_A OUT_B")
     src, out = Path(args.src).resolve(), Path(args.out).resolve()
     if not (src / "sislab" / "__init__.py").is_file():
         parser.error(f"no sislab package under {src}")
