@@ -33,7 +33,7 @@ from . import diagnostics as diag_mod
 from .mesh import EPS_REG, Field, Grid, common_grid, quadrature
 # The factored tridiagonal solve is bound as `solve_shifted`, the name the
 # Crank-Nicolson solve is traced under (bench/tracing.py).
-from .operators import (TridiagonalMatrix, factor_symmetric, halve_end_rows, neumann_laplacian,
+from .operators import (SymmetricTridiagonal, factor_symmetric, neumann_laplacian,
                         solve_factored as solve_shifted)
 
 
@@ -268,20 +268,17 @@ class _Kernel:
         # Solving for the update keeps the quadrature-mass roundoff
         # proportional to |delta| instead of |u|, which is what lets runs of
         # hundreds of thousands of steps hold mass to ~1e-12 relative.
-        # Both sides are multiplied by S, which halves the two end rows
-        # exactly: S(Id - cL) is symmetric positive definite and the same at
-        # every step, so it is factored once here as L D L^T, and 2c(S L)u is
-        # S times 2cLu bit for bit.  S L's diagonals are stacked to the
-        # state's (K, nx) shape, so its product with the state broadcasts
-        # nothing.
-        L = neumann_laplacian(self.grid)
+        # Both sides are multiplied by S = weights/dx, which halves the end rows
+        # exactly: S(Id - cL) = S - c(S L) is symmetric positive definite and
+        # the same at every step, so it is factored once here as L D L^T, and
+        # 2c(S L)u is S times 2cLu bit for bit.  S L's diagonals are stacked
+        # to the state's (K, nx) shape, so its product with the state
+        # broadcasts nothing.
+        SL = neumann_laplacian(self.grid)
         c = 0.5 * d * self.dt
-        lhs = halve_end_rows(TridiagonalMatrix(-c * L.lower, 1.0 - c * L.diag, -c * L.upper))
-        factors = factor_symmetric(lhs.diag, lhs.upper)
+        factors = factor_symmetric(self.grid.weights / self.grid.dx - c * SL.diag, -c * SL.off)
         K = len(self.beta)
-        SL = halve_end_rows(L)
-        off = np.tile(SL.upper, (K, 1))
-        SL = TridiagonalMatrix(off, np.tile(SL.diag, (K, 1)), off)
+        SL = SymmetricTridiagonal(*(np.tile(a, (K, 1)) for a in SL))
 
         def cn_step(u):
             rhs = SL.matvec(u)

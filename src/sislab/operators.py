@@ -5,19 +5,22 @@ zero exactly; combined with trapezoid weights this makes the operator
 symmetric in the weighted inner product and makes discrete mass
 conservation and summation-by-parts identities hold to machine precision.
 The same symmetry holds entrywise once the two end rows are halved, which
-is exact in floating point: S L and S (Id - cL), S = diag(1/2, 1, ..., 1,
-1/2) the trapezoid weights over dx, are symmetric tridiagonal, and the
-second is positive definite for c >= 0.  So a Crank-Nicolson matrix is
-factored as L D L^T (``factor_symmetric``, ``solve_factored``), and a
-matrix that is not symmetric or not definite is solved by LU with partial
-pivoting in one call (``solve_tridiagonal``).
+is exact in floating point: with S = diag(1/2, 1, ..., 1, 1/2), the
+trapezoid weights over dx, S L is symmetric tridiagonal, and that is the
+form ``neumann_laplacian`` returns.  Every matrix sislab solves is S times
+a matrix built on L, symmetric and, where a solution is wanted, positive
+definite: a Crank-Nicolson matrix S (Id - cL), a shifted eigen matrix
+S (shift*W - d*L - h), and the fixed-node block -S (d*L + h - tau) of the
+threshold completion.  So there is one factorization, L D L^T without
+pivoting, whose pivot check also tells a matrix that is not definite:
+``factor_symmetric`` and ``solve_factored`` for a matrix solved many times,
+and ``solve_tridiagonal`` for one solved once.
 """
 
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -28,7 +31,7 @@ from .mesh import Grid
 
 
 def _load_lapack(folder: Path):
-    """``dpttrf``, ``dpttrs`` and ``dgtsv`` from scipy's compiled LAPACK wrappers.
+    """``dpttrf``, ``dpttrs`` and ``dptsv`` from scipy's compiled LAPACK wrappers.
 
     ``folder`` is where scipy keeps ``_flapack``, the extension that
     ``scipy.linalg.lapack`` re-exports.  Loading that file alone skips the
@@ -47,36 +50,37 @@ def _load_lapack(folder: Path):
             break
     else:
         from scipy.linalg import lapack
-    return lapack.dpttrf, lapack.dpttrs, lapack.dgtsv
+    return lapack.dpttrf, lapack.dpttrs, lapack.dptsv
 
 
-dpttrf, dpttrs, dgtsv = _load_lapack(Path(scipy.__file__).parent / "linalg")
+dpttrf, dpttrs, dptsv = _load_lapack(Path(scipy.__file__).parent / "linalg")
 
 
 class TridiagonalSolveError(RuntimeError):
     """A pivot of the factorization fell below the safe threshold."""
 
 
-def _check_pivots(pivots: np.ndarray, info: int) -> None:
-    """LAPACK flags only a pivot that stops the elimination (``info`` > 0:
-    an exactly zero one in LU, a non-positive one in LDL^T, left in
-    ``pivots``), so every pivot is checked against 1e-14."""
-    small = np.flatnonzero(pivots < 1e-14)
+def _check_pivots(d: np.ndarray, info: int) -> None:
+    """LAPACK flags only a pivot of D that stops the factorization (``info``
+    > 0: a non-positive one, left in ``d``), so every pivot is checked
+    against 1e-14."""
+    small = np.flatnonzero(d < 1e-14)
     if info or small.size:
         raise TridiagonalSolveError(f"pivot {small[0]} below 1e-14")
 
 
-@dataclass(frozen=True)
-class TridiagonalMatrix:
-    lower: np.ndarray  # sub-diagonal, length n-1
-    diag: np.ndarray   # main diagonal, length n
-    upper: np.ndarray  # super-diagonal, length n-1
+class SymmetricTridiagonal(NamedTuple):
+    """The symmetric tridiagonal matrix with diagonal ``diag`` and both
+    off-diagonals ``off``; (K, n) and (K, n-1) stacks act on K rows."""
+
+    diag: np.ndarray   # length n
+    off: np.ndarray    # length n-1
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """A v for an (n,) vector, or for every row of a (K, n) array."""
         out = self.diag * v
-        out[..., :-1] += self.upper * v[..., 1:]
-        out[..., 1:] += self.lower * v[..., :-1]
+        out[..., :-1] += self.off * v[..., 1:]
+        out[..., 1:] += self.off * v[..., :-1]
         return out
 
 
@@ -107,39 +111,25 @@ def solve_factored(factors: SymmetricFactors, rhs: np.ndarray) -> np.ndarray:
     return dpttrs(*factors, rhs, overwrite_b=1)[0]
 
 
-def solve_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
-                      b: np.ndarray) -> np.ndarray:
-    """Solve A x = b in one LAPACK ``dgtsv`` call (LU with partial pivoting),
-    for a matrix solved once that need not be symmetric or definite.  The
-    four arrays are work space: contiguous float64 ones are overwritten, and
-    x is returned in ``b``'s memory."""
-    _, u_diag, _, x, info = dgtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1,
-                                  overwrite_du=1, overwrite_b=1)
-    _check_pivots(np.abs(u_diag), info)
+def solve_tridiagonal(diag: np.ndarray, off: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b in one LAPACK ``dptsv`` call, for a matrix solved once:
+    the bits of ``factor_symmetric`` followed by ``solve_factored``, with the
+    same pivot check.  The three arrays are work space: contiguous float64
+    ones are overwritten, and x is returned in ``b``'s memory."""
+    d, _, x, info = dptsv(diag, off, b, overwrite_d=1, overwrite_e=1, overwrite_b=1)
+    _check_pivots(d, info)
     return x
 
 
-def neumann_laplacian(grid: Grid) -> TridiagonalMatrix:
-    """Second-order Laplacian with reflecting (zero-flux) boundary rows."""
-    n = grid.nx
+def neumann_laplacian(grid: Grid) -> SymmetricTridiagonal:
+    """S L: the second-order Laplacian L with reflecting (zero-flux)
+    boundary rows, times S = diag(1/2, 1, ..., 1, 1/2).  L u is S L u with
+    its two end entries doubled, which is exact, so it has the bits of the
+    unhalved product."""
     inv_dx2 = 1.0 / grid.dx**2
-    diag = np.full(n, -2.0 * inv_dx2)
-    lower = np.full(n - 1, inv_dx2)
-    upper = np.full(n - 1, inv_dx2)
-    upper[0] = 2.0 * inv_dx2
-    lower[-1] = 2.0 * inv_dx2
-    return TridiagonalMatrix(lower, diag, upper)
-
-
-def halve_end_rows(m: TridiagonalMatrix) -> TridiagonalMatrix:
-    """S m for S = diag(1/2, 1, ..., 1, 1/2): ``m`` with its first and last
-    rows halved, exactly.  For the Neumann Laplacian L, S L and S (Id - cL)
-    have equal sub- and super-diagonals."""
-    lower, diag, upper = m.lower.copy(), m.diag.copy(), m.upper.copy()
-    diag[[0, -1]] *= 0.5
-    upper[0] *= 0.5
-    lower[-1] *= 0.5
-    return TridiagonalMatrix(lower, diag, upper)
+    diag = np.full(grid.nx, -2.0 * inv_dx2)
+    diag[[0, -1]] = -inv_dx2
+    return SymmetricTridiagonal(diag, np.full(grid.nx - 1, inv_dx2))
 
 
 def gradient_energy_values(values: np.ndarray, dx: float) -> float:

@@ -195,7 +195,8 @@ def _svg_document(series, x_label, y_label, title, annotations=()) -> str:
         raise ValueError("no finite data to plot")
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(finite), max(finite)
-    if y_hi == y_lo:
+    if y_hi - y_lo <= 1e-12 * max(abs(y_lo), abs(y_hi)):
+        # constant to roundoff: one flat line, not roundoff at full height
         y_hi = y_lo + 1.0
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad

@@ -106,19 +106,21 @@ def _noda(what: str, d: float, grid: Grid, c: np.ndarray, w: float | np.ndarray,
     diag(A)/w), and solves (shift*diag(w) - A) x = w*u once.  The
     off-diagonals of A are nonnegative and the shift lies above lambda, so
     that matrix is a nonsingular M-matrix and the next iterate is positive.
+    With its end rows halved it is symmetric, so positive definite: L D L^T.
     The start u is positive with int(w*u^2) = 1, every iterate is
     normalized so, and convergence is checked before each solve.
 
     Every iterate is written into the start's memory, and each step works
     in arrays allocated once per call, so a step allocates no array.
     """
-    L = neumann_laplacian(grid)
+    SL = neumann_laplacian(grid)
     n = grid.nx
     Au, wu, tmp, diag, dd = (np.empty(n) for _ in range(5))
-    # the shifted matrix's off-diagonals live in A u and the scratch array,
-    # which are free from the Collatz-Wielandt bound to the next step
-    dl, du = Au[:-1], tmp[:-1]
-    np.multiply(L.diag, d, out=diag)
+    # the shifted matrix's off-diagonal lives in A u, which is free from the
+    # Collatz-Wielandt bound to the next step
+    off = Au[:-1]
+    np.multiply(SL.diag, d, out=diag)
+    diag[[0, -1]] *= 2.0                            # d*L's diagonal, exactly
     diag += c                                       # the diagonal of A
 
     # the margin is in units of lambda, hence the division by w
@@ -136,10 +138,12 @@ def _noda(what: str, d: float, grid: Grid, c: np.ndarray, w: float | np.ndarray,
     # the residual test, so no step warns of it.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(DEFAULT_MAX_ITER + 1):
-            # A u = d*(L u) + c*u, with L u summed as TridiagonalMatrix.matvec sums it
-            np.multiply(L.diag, u, out=Au)
-            Au[:-1] += np.multiply(L.upper, u[1:], out=tmp[1:])
-            Au[1:] += np.multiply(L.lower, u[:-1], out=tmp[1:])
+            # A u = d*(L u) + c*u: L u is S L u, summed as
+            # SymmetricTridiagonal.matvec sums it, with its ends [::n-1] doubled
+            np.multiply(SL.diag, u, out=Au)
+            Au[:-1] += np.multiply(SL.off, u[1:], out=tmp[1:])
+            Au[1:] += np.multiply(SL.off, u[:-1], out=tmp[1:])
+            Au[::n - 1] *= 2.0
             Au *= d
             Au += np.multiply(c, u, out=tmp)
             np.multiply(w, u, out=wu)
@@ -156,11 +160,12 @@ def _noda(what: str, d: float, grid: Grid, c: np.ndarray, w: float | np.ndarray,
                 # or nan, which carries no information: take the largest finite
                 bound = float(tmp.max(where=np.isfinite(tmp), initial=-np.inf))
             shift = min(shift, max(bound, lam + margin, floor))
-            # shift*diag(w) - A, whose three diagonals each solve overwrites
+            # S (shift*diag(w) - A) x = S w u, whose arrays the solve overwrites
             np.subtract(np.multiply(shift, w, out=dd), diag, out=dd)
-            np.multiply(L.lower, -d, out=dl)
-            np.multiply(L.upper, -d, out=du)
-            x = solve_tridiagonal(dl, dd, du, wu)
+            np.multiply(SL.off, -d, out=off)
+            dd[::n - 1] *= 0.5
+            wu[::n - 1] *= 0.5
+            x = solve_tridiagonal(dd, off, wu)
             norm2 = quadrature(grid, np.multiply(np.multiply(w, x, out=tmp), x, out=tmp))
             if not 0 < norm2 < np.inf:
                 # w*x^2 underflowed (a shift near 1e300 leaves x near 1e-300)
@@ -175,21 +180,21 @@ def dense_principal_eigenvalue(d: float, h: Field) -> tuple[float, np.ndarray]:
     """Direct oracle: the largest eigenpair of the symmetric tridiagonal
     matrix by LAPACK bisection and inverse iteration, independent of Noda.
 
-    Symmetrizes with the square root of the quadrature weights, so both
-    routes discretize the same weighted operator.
+    The matrix is S^(-1/2) (S A) S^(-1/2) for A = d*L + diag(h) and S the
+    trapezoid weights over dx, similar to A, so both routes discretize the
+    same weighted operator.
     """
     import scipy.linalg
 
     grid = h.grid
-    L = neumann_laplacian(grid)
-    hv = h.values
-    sqw = np.sqrt(grid.weights)
-    diag = d * L.diag + hv
-    off = d * L.upper * sqw[:-1] / sqw[1:]
+    SL = neumann_laplacian(grid)
+    s = grid.weights / grid.dx
+    root = np.sqrt(s)
+    diag = d * SL.diag / s + h.values
+    off = d * SL.off / (root[:-1] * root[1:])
     vals, vecs = scipy.linalg.eigh_tridiagonal(diag, off, select="i",
                                                select_range=(grid.nx - 1, grid.nx - 1))
-    phi = vecs[:, -1] / sqw
-    phi /= np.sqrt(quadrature(grid, phi * phi))
-    if phi.max() < 0:
-        phi = -phi
+    phi = vecs[:, -1] / root
+    # unit weighted norm, and positive: the eigenvector's sign is arbitrary
+    phi /= np.copysign(np.sqrt(quadrature(grid, phi * phi)), phi.sum())
     return float(vals[-1]), phi

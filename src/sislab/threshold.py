@@ -62,7 +62,8 @@ class _Problem:
         self.d_I = d_I
         self.base = quadrature(self.grid, r.values)
         self.c = self.grid.weights * self.gap
-        self.laplacian = neumann_laplacian(self.grid)
+        self.laplacian = neumann_laplacian(self.grid)      # S L
+        self.s = self.grid.weights / self.grid.dx
         self.eigen_solves = 0
         self.eigen_iterations = 0
 
@@ -130,28 +131,32 @@ class _Problem:
         inside [0, 1], which the bang-bang steps only approach.
 
         With phi = beta^(-1/2) on the free nodes, the eigen equation on the
-        other nodes is one tridiagonal solve for phi there, and the equation
-        at a free node then gives its potential.  A free node whose value
-        leaves [0, 1] is fixed at the bound and the solve repeated.  Returns
-        (lam, sigma, phi), or None if no feasible point results.
+        other nodes is one symmetric solve for phi there, and the equation
+        at a free node then gives its potential.  Its matrix has nonpositive
+        off-diagonals, so phi > 0 exists exactly when it is positive
+        definite, and otherwise the solve stops at a nonpositive pivot.  A
+        free node whose value leaves [0, 1] is fixed at the bound and the
+        solve repeated.  Returns (lam, sigma, phi), or None if no feasible
+        point results.
         """
-        d, L = self.d_I, self.laplacian
+        d, SL, s = self.d_I, self.laplacian, self.s
         target = _AIM * _FEAS_TOL
         free = free & (self.gap != 0)
         x = lam.copy()
         while free.any():
             fixed = ~free
-            diag = d * L.diag + self.beta * x * self.gap - target
+            # -S(d*L + h - tau) on the fixed rows (L's diagonal is S L's over
+            # s, exactly) and the identity on the free ones; the fixed rows'
+            # couplings to the free values are moved to the right-hand side
+            diag = -s * (d * (SL.diag / s) + self.beta * x * self.gap - target)
+            psi = np.where(fixed, 0.0, self.beta ** -0.5)
             try:
-                psi = solve_tridiagonal(np.where(fixed[1:], d * L.lower, 0.0),
-                                        np.where(fixed, diag, 1.0),
-                                        np.where(fixed[:-1], d * L.upper, 0.0),
-                                        np.where(fixed, 0.0, self.beta ** -0.5))
+                psi = solve_tridiagonal(np.where(fixed, diag, 1.0),
+                                        np.where(fixed[:-1] & fixed[1:], -d * SL.off, 0.0),
+                                        np.where(fixed, d * SL.matvec(psi), psi))
             except TridiagonalSolveError:
                 return None
-            if psi.min() <= 0:
-                return None
-            value = (target - d * L.matvec(psi) / psi)[free] / (self.beta * self.gap)[free]
+            value = (target - d * (SL.matvec(psi) / s) / psi)[free] / (self.beta * self.gap)[free]
             x[free] = np.clip(value, 0.0, 1.0)
             inside = (value >= 0) & (value <= 1)
             if inside.all():

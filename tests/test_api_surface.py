@@ -82,6 +82,22 @@ def test_public_api_is_pinned():
     # internal, and its callers pass it data models.check_initial_data passed
     assert not hasattr(mesh, "_require_same_grid")
     assert "rmin_set" not in sislab.__all__ and not hasattr(sislab, "rmin_set")
+    # one tridiagonal route, L D L^T on S times the matrix: no LU solve, no
+    # nonsymmetric matrix and no helper converting between the two
+    for name in ("dgtsv", "halve_end_rows", "TridiagonalMatrix"):
+        assert not hasattr(operators, name), name
+
+
+@pytest.mark.parametrize("where", ["extension", "fallback"])
+def test_the_lapack_loader_returns_scipys_symmetric_routines(where, tmp_path):
+    # the extension operators found beside scipy, or an empty folder
+    import scipy.linalg.lapack
+
+    folder = Path(scipy.__file__).parent / "linalg" if where == "extension" else tmp_path
+    routines = operators._load_lapack(folder)
+    assert routines == (scipy.linalg.lapack.dpttrf, scipy.linalg.lapack.dpttrs,
+                        scipy.linalg.lapack.dptsv)
+    assert (operators.dpttrf, operators.dpttrs, operators.dptsv) == routines
 
 
 def test_option_surface_is_pinned():
@@ -141,16 +157,16 @@ def _count_factorizations(monkeypatch):
             return routine(*args, **kwargs)
         return count
 
-    # dgtsv factors as it solves, so each of its calls is a factorization too
+    # dptsv factors as it solves, so each of its calls is a factorization too
     monkeypatch.setattr(operators, "dpttrf", counting(operators.dpttrf, 0))
-    monkeypatch.setattr(operators, "dgtsv", counting(operators.dgtsv, 1))
+    monkeypatch.setattr(operators, "dptsv", counting(operators.dptsv, 0))
     return sizes
 
 
 @pytest.fixture
 def factorizations(monkeypatch):
     """The sizes of the matrices factored through operators' dpttrf and
-    dgtsv bindings."""
+    dptsv bindings."""
     return _count_factorizations(monkeypatch)
 
 
@@ -177,7 +193,7 @@ def test_a_run_factors_once_and_traces_every_crank_nicolson_solve(
 
 
 def test_eigen_solves_factor_and_trace_once_per_iteration(factorizations):
-    # each Noda step shifts, so it solves its own matrix once, in one dgtsv call
+    # each Noda step shifts, so it solves its own matrix once, in one dptsv call
     grid = build_grid(0, 1, 101)
     h = eval_expression(grid, "cos(2*pi*x)")
     tracer = _load_bench("tracing").Tracer()
@@ -198,7 +214,7 @@ def test_eigen_solves_factor_and_trace_once_per_iteration(factorizations):
 
 def test_the_fallback_routines_factor_once(monkeypatch, tmp_path):
     # what operators runs on where scipy keeps no _flapack file beside it
-    for name, routine in zip(("dpttrf", "dpttrs", "dgtsv"), operators._load_lapack(tmp_path)):
+    for name, routine in zip(("dpttrf", "dpttrs", "dptsv"), operators._load_lapack(tmp_path)):
         monkeypatch.setattr(operators, name, routine)
     test_eigen_solves_factor_and_trace_once_per_iteration(_count_factorizations(monkeypatch))
     for overrides, dispersing in ({}, 1), ({"model": "full", "d_S": 0.5}, 2):

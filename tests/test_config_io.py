@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import io
 import json
+import math
 import warnings
 
 import numpy as np
@@ -357,6 +359,45 @@ class TestSvgEmission:
         assert "total population" in text
         points = text.split("<polyline", 1)[1].split('points="', 1)[1].split('"', 1)[0]
         assert len(points.split()) == len(traj.snapshots) == 5
+
+    @staticmethod
+    def _y_pixels(text):
+        points = text.split("<polyline", 1)[1].split('points="', 1)[1].split('"', 1)[0]
+        return {xy.split(",")[1] for xy in points.split()}
+
+    def test_a_mass_series_constant_to_roundoff_plots_as_one_flat_line(self, tiny_run,
+                                                                      tmp_path):
+        cfg, traj = tiny_run
+        wobble = [1.0, 1.0 + 1e-15, 1.0 - 1e-15, 1.0 + 2e-16, 1.0]
+        records = [dataclasses.replace(r, total_mass=traj.N * f)
+                   for r, f in zip(traj.diagnostics, wobble)]
+        assert len({r.total_mass for r in records}) > 1
+        flat = dataclasses.replace(traj, diagnostics=records)
+        text = emit_svg(flat, tmp_path / "m.svg", "mass_series").read_text()
+        assert len(self._y_pixels(text)) == 1
+        # a series that moves by more than roundoff still fills the plot
+        records[2] = dataclasses.replace(records[2], total_mass=traj.N * (1 - 1e-9))
+        text = emit_svg(dataclasses.replace(traj, diagnostics=records), tmp_path / "v.svg",
+                        "mass_series").read_text()
+        assert len(self._y_pixels(text)) == 2
+
+    def test_a_series_without_a_finite_value_is_an_error(self, tiny_run, tmp_path):
+        cfg, traj = tiny_run
+        records = [dataclasses.replace(r, total_mass=math.nan) for r in traj.diagnostics]
+        with pytest.raises(ValueError, match="^no finite data to plot$"):
+            emit_svg(dataclasses.replace(traj, diagnostics=records), tmp_path / "m.svg",
+                     "mass_series")
+
+    def test_a_sweep_without_a_finite_value_is_an_error(self, tmp_path):
+        with pytest.raises(ValueError, match="^no data for kind 'sweep_curve'$"):
+            emit_sweep_svg([(0.5, None, "failed"), (1.0, math.inf, None)], tmp_path / "s.svg")
+
+    def test_a_one_point_sweep_plots_at_the_left_edge(self, tmp_path):
+        # one parameter value spans no x range: the point sits at the axis' start
+        text = emit_sweep_svg([(0.5, 2.0)], tmp_path / "s.svg", knee=0.5).read_text()
+        points = text.split("<polyline", 1)[1].split('points="', 1)[1].split('"', 1)[0]
+        assert points.split(",")[0] == "70.00"
+        assert '<line x1="70.0"' in text
 
     def test_missing_energy_series_is_an_error(self, tiny_run, tmp_path):
         cfg, traj = tiny_run

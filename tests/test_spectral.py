@@ -27,8 +27,23 @@ def _smooth(grid, c0, coeffs):
                                 for k, a in enumerate(coeffs, 1)))
 
 
-def _no_solve(dl, d, du, b):
+def _no_solve(diag, off, b):
     raise AssertionError("an input check should have failed before any solve")
+
+
+def _dense_pencil(d, beta, gamma):
+    """Every eigenvalue rho of beta*u = rho*(gamma - d*L) u, ascending, from
+    the dense symmetric-definite pencil (S beta, S(gamma - d*L)), S the
+    trapezoid weights over dx: LAPACK's generalized solver, independent of
+    Noda."""
+    import scipy.linalg
+
+    g = beta.grid
+    s = g.weights / g.dx
+    SL = neumann_laplacian(g)
+    B = (np.diag(s * gamma.values - d * SL.diag) + np.diag(-d * SL.off, 1)
+         + np.diag(-d * SL.off, -1))
+    return scipy.linalg.eigh(np.diag(s * beta.values), B, eigvals_only=True)
 
 
 def _poison(f, value):
@@ -128,14 +143,9 @@ class TestNodaIteration:
         assert res.sigma == pytest.approx(dense_principal_eigenvalue(1e-3, h)[0], abs=1e-12)
 
     def test_near_tie_reproduction_number(self):
-        import scipy.linalg
-
         g = build_grid(0, 1, 61)
         beta, gamma = eval_expression(g, _NEAR_TIE), Field(g, 1.0)
-        L = neumann_laplacian(g)
-        B = (np.diag(gamma.values - 1e-3 * L.diag) + np.diag(-1e-3 * L.upper, 1)
-             + np.diag(-1e-3 * L.lower, -1))
-        dense = np.sort(scipy.linalg.eigvals(np.diag(beta.values), B).real)
+        dense = _dense_pencil(1e-3, beta, gamma)
         assert dense[-2] / dense[-1] > 0.999
         assert basic_reproduction_number(1e-3, beta, gamma) == pytest.approx(dense[-1],
                                                                             rel=1e-12)
@@ -146,14 +156,14 @@ class TestNodaIteration:
                                             Field(g, 1.5)),
     ], ids=["sigma", "R0"])
     def test_every_step_solves_in_place(self, monkeypatch, solve):
-        # each step hands dgtsv the same four work arrays and gets its
+        # each step hands dptsv the same three work arrays and gets its
         # solution back in the right-hand side's memory, so no step copies
         seen = []
         one_call = spectral.solve_tridiagonal
 
-        def in_place(dl, d, du, b):
-            x = one_call(dl, d, du, b)
-            seen.append((id(dl), id(d), id(du), id(b), np.shares_memory(x, b)))
+        def in_place(diag, off, b):
+            x = one_call(diag, off, b)
+            seen.append((id(diag), id(off), id(b), np.shares_memory(x, b)))
             return x
 
         monkeypatch.setattr(spectral, "solve_tridiagonal", in_place)
@@ -201,7 +211,7 @@ class TestNodaIteration:
         # a solve that returns nan makes the next residual nan
         solve = spectral.solve_tridiagonal
         monkeypatch.setattr(spectral, "solve_tridiagonal",
-                            lambda dl, d, du, b: solve(dl, d, du, b) * np.nan)
+                            lambda diag, off, b: solve(diag, off, b) * np.nan)
         h = eval_expression(build_grid(0, 1, 41), "cos(2*pi*x)")
         with pytest.raises(EigenConvergenceError,
                            match=r"after 1 iterations \(last residual nan\)$"):
@@ -240,6 +250,27 @@ class TestNodaIteration:
         monkeypatch.setattr(spectral, "solve_tridiagonal", _no_solve)
         with pytest.raises(ValueError, match=match):
             solve(eval_expression(grid, "1 + 0.5*cos(pi*x)"))
+
+
+    @given(nx=st.integers(5, 401), d=st.floats(1e-4, 10), c0=st.floats(-2, 2),
+           h=_coeffs, beta=_coeffs, gamma=_coeffs,
+           floors=st.tuples(st.floats(0.05, 2), st.floats(0.05, 2)))
+    @settings(max_examples=40, deadline=None)
+    def test_sigma_and_r0_match_the_dense_solvers(self, nx, d, c0, h, beta, gamma, floors):
+        # The oracles are LAPACK's: bisection for sigma, whose default
+        # interval is eps times the matrix's 1-norm wide (up to 2.5e-10 at
+        # d = 10 on 401 nodes, where Noda agrees with a long-double Rayleigh
+        # quotient to 1e-15), and the symmetric-definite pencil for R0.
+        g = build_grid(0, 1, nx)
+        h = _smooth(g, c0, h)
+        sigma = principal_eigenvalue(d, h).sigma
+        bisection = np.finfo(float).eps * (4.0 * d / g.dx**2 + np.abs(h.values).max())
+        assert abs(sigma - dense_principal_eigenvalue(d, h)[0]) <= (
+            1e-10 * max(1.0, abs(sigma)) + bisection)
+        beta, gamma = (_smooth(g, sum(map(abs, c)) + f, c)
+                       for c, f in zip((beta, gamma), floors))
+        r0 = basic_reproduction_number(d, beta, gamma)
+        assert abs(r0 - _dense_pencil(d, beta, gamma)[-1]) <= 1e-10 * max(1.0, r0)
 
 
 class TestMonotonicity:
@@ -288,7 +319,7 @@ class TestReproductionNumber:
         solve = spectral.solve_tridiagonal
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectral, "solve_tridiagonal",
-                       lambda dl, d, du, b: solves.append(1) or solve(dl, d, du, b))
+                       lambda diag, off, b: solves.append(1) or solve(diag, off, b))
             r0 = basic_reproduction_number(d_I, beta, gamma)
         assert np.sign(r0 - 1.0) == np.sign(sig)
         assert len(solves) <= 10
@@ -312,14 +343,10 @@ class TestReproductionNumber:
         # Collatz-Wielandt bound is inf or nan.  The shift takes the largest
         # finite ratio, no warning escapes, and the iteration converges as
         # the dense solver says
-        import scipy.linalg
-
         g = build_grid(0, 1, 41)
         beta = np.full(g.nx, 2.0)
         beta[20] = tiny
-        L = neumann_laplacian(g)
-        B = np.diag(1.0 - L.diag) + np.diag(-L.upper, 1) + np.diag(-L.lower, -1)
-        dense = np.sort(scipy.linalg.eigvals(np.diag(beta), B).real)[-1]
+        dense = _dense_pencil(1.0, Field(g, beta), Field(g, 1.0))[-1]
         r0 = basic_reproduction_number(1.0, Field(g, beta), Field(g, 1.0))
         assert r0 == pytest.approx(dense, rel=1e-12)
 
@@ -331,21 +358,11 @@ class TestReproductionNumber:
                                       Field(build_grid(0, 1, 41), 1.0))
 
     def test_matches_dense_generalized_solver(self):
-        import scipy.linalg
-
         g = build_grid(0, 1, 65)
         beta = eval_expression(g, "2.5 + sin(pi*x)")
         gamma = eval_expression(g, "1.5 + sin(pi*x)")
         d = 0.8
-        from sislab.operators import neumann_laplacian
-
-        L = neumann_laplacian(g)
-        sqw = np.sqrt(g.weights)
-        A = np.diag(beta.values)
-        B = np.diag(gamma.values - d * L.diag)
-        B += np.diag(-d * L.upper * sqw[:-1] / sqw[1:], 1)
-        B += np.diag(-d * L.lower * sqw[1:] / sqw[:-1], -1)
-        dense = scipy.linalg.eigh(A, B, eigvals_only=True)[-1]
+        dense = _dense_pencil(d, beta, gamma)[-1]
         ours = basic_reproduction_number(d, beta, gamma)
         assert ours == pytest.approx(dense, abs=1e-9)
 

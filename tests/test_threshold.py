@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sislab import threshold
 from sislab.config import preset_config
@@ -202,35 +202,32 @@ class TestCertifiedOptimum:
         assert critical_population(S0, r, beta, 0.5).converged
 
 
-def _failing_solve(how, after):
-    """threshold's one-call solve, failing ``how`` on its first ``after``
-    calls: a singular matrix, or a psi that is not positive."""
+def _failing_solve(after):
+    """threshold's one-call solve, stopping at a pivot that is not positive on
+    its first ``after`` calls, as it does on a fixed block that is not
+    positive definite."""
     calls = []
 
-    def fake(dl, d, du, b):
+    def fake(diag, off, b):
         calls.append(1)
-        x = solve_tridiagonal(dl, d, du, b)
         if len(calls) > after:
-            return x
-        if how == "singular":
-            raise TridiagonalSolveError("pivot 0 below 1e-14")
-        return -x
+            return solve_tridiagonal(diag, off, b)
+        raise TridiagonalSolveError("pivot 0 below 1e-14")
 
     return fake, calls
 
 
-@pytest.mark.parametrize("how", ["singular", "nonpositive_psi"])
-def test_a_failed_completion_is_skipped_and_the_result_still_certified(monkeypatch, how):
+def test_a_failed_completion_is_skipped_and_the_result_still_certified(monkeypatch):
     args = _sim1c(41)
     want = critical_population(*args)
     prob = threshold._Problem(*args)
     nx = prob.grid.nx
-    fake, _ = _failing_solve(how, after=nx)
+    fake, _ = _failing_solve(after=nx)
     monkeypatch.setattr(threshold, "solve_tridiagonal", fake)
     assert prob.complete(np.zeros(nx), np.ones(nx, dtype=bool)) is None
     # the first completion of the ascent fails: its step is refused, the
     # trust radius halves, and the next steps reach the same optimum
-    fake, calls = _failing_solve(how, after=1)
+    fake, calls = _failing_solve(after=1)
     monkeypatch.setattr(threshold, "solve_tridiagonal", fake)
     res = critical_population(*args)
     assert len(calls) > 1
@@ -260,3 +257,48 @@ def test_random_smooth_instances_are_certified(nx, s0, r, beta, floors, d_I):
     assert res.sigma_at_opt <= 1e-8
     assert res.lower_bound - 1e-9 <= res.n_star <= res.upper_bound + 1e-9
     assert res.n_star <= res.dual_bound
+
+
+@given(nx=st.integers(5, 41), s0=_coeffs, r=_coeffs, beta=_coeffs,
+       floors=st.tuples(st.floats(0.0, 1.0), st.floats(0.05, 1.0), st.floats(0.05, 1.0)),
+       log_d=st.floats(-4.0, 0.3), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_a_completion_is_refused_exactly_where_its_fixed_block_is_not_definite(
+        nx, s0, r, beta, floors, log_d, seed):
+    # The fixed-node block -S(d_I*L + h - tau) has nonpositive off-diagonals,
+    # so its solve has a positive solution exactly when it is positive
+    # definite; otherwise the solve stops at a pivot that is not positive
+    # and the completion returns None.  A small d_I makes about 40% of the
+    # blocks indefinite.
+    d_I = 10.0 ** log_d
+    g = build_grid(0, 1, nx)
+    prob = threshold._Problem(*(_smooth(g, c, f) for c, f in zip((s0, r, beta), floors)), d_I)
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(size=nx)
+    free = rng.uniform(size=nx) < 0.3
+    fixed = ~(free & (prob.gap != 0))
+    assume(fixed.any() and not fixed.all())
+    SL = prob.laplacian
+    h = prob.beta * lam * prob.gap - threshold._AIM * threshold._FEAS_TOL
+    off = np.diag(d_I * SL.off, 1)
+    dense = np.diag(d_I * SL.diag + prob.s * h) + off + off.T
+    lowest = np.linalg.eigvalsh(-dense[np.ix_(fixed, fixed)])[0]
+    assume(abs(lowest) > 1e-8 * (4.0 * d_I / g.dx**2 + np.abs(h).max()))
+    first = []
+
+    def spy(diag, off, b):
+        try:
+            x = solve_tridiagonal(diag, off, b)
+        except TridiagonalSolveError:
+            first.append(None)
+            raise
+        first.append(x.copy())
+        return x
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(threshold, "solve_tridiagonal", spy)
+        out = prob.complete(lam, free)
+    if lowest < 0:
+        assert first[0] is None and out is None
+    else:
+        assert first[0].min() > 0
