@@ -16,12 +16,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .mesh import Field, quadrature, risk_signs, rmin_set
-from .models import ModelSpec, Trajectory, Variant, check_initial_data
+from .models import ModelSpec, State, Trajectory, Variant, check_initial_data
 from .diagnostics import concentration_fraction
 from .threshold import critical_population
 
@@ -47,8 +47,8 @@ class Regime(enum.Enum):
 @dataclass
 class RegimePrediction:
     regime: Regime
-    predicted_S: Union[Field, float, None] = None
-    predicted_I: Union[Field, float, None] = None
+    predicted_S: Optional[Field] = None
+    predicted_I: Optional[Field] = None
     predicted_I_mass: Optional[float] = None
     min_indices: Optional[np.ndarray] = None
     high_mask: Optional[np.ndarray] = None
@@ -78,31 +78,28 @@ def _predict_mass_ds0(spec, S0, I0, N):
     int_r = quadrature(grid, r.values)
     notes = [f"N={N:.6g}, int r={int_r:.6g}"]
     if N < int_r:
-        pred = RegimePrediction(Regime.T32_EXTINCTION, notes=notes)
-        return pred
+        return RegimePrediction(Regime.T32_EXTINCTION, predicted_I=Field(grid, 0.0),
+                                notes=notes)
 
     gap = S0.values - r.values
     beta_span = spec.beta.max() - spec.beta.min()
     beta_const = beta_span <= 1e-12 * max(1.0, abs(spec.beta.max()))
     sign_tol = 1e-9 * max(1.0, float(np.abs(gap).max()))
     constant_sign = gap.min() >= -sign_tol or gap.max() <= sign_tol
-    endemic_I = (N - int_r) / grid.length
 
     if (beta_const or constant_sign) and N > int_r:
         notes.append("threshold equals int r here (constant transmission rate "
                      "or one-signed S0 - r)")
-        return RegimePrediction(Regime.T32_ENDEMIC_UNIFORM, predicted_S=r,
-                                predicted_I=endemic_I, predicted_I_mass=N - int_r,
-                                notes=notes)
-    res = critical_population(S0, r, spec.beta, spec.d_I)
-    notes.append(f"critical population N*={res.n_star:.6g} "
-                 f"(bounds [{res.lower_bound:.6g}, {res.upper_bound:.6g}])")
-    if N > res.n_star:
-        return RegimePrediction(Regime.T32_ENDEMIC_UNIFORM, predicted_S=r,
-                                predicted_I=endemic_I, predicted_I_mass=N - int_r,
-                                notes=notes)
-    notes.append("population lies in the undecided band above int r")
-    return RegimePrediction(Regime.INDETERMINATE, notes=notes)
+    else:
+        res = critical_population(S0, r, spec.beta, spec.d_I)
+        notes.append(f"critical population N*={res.n_star:.6g} "
+                     f"(bounds [{res.lower_bound:.6g}, {res.upper_bound:.6g}])")
+        if not N > res.n_star:
+            notes.append("population lies in the undecided band above int r")
+            return RegimePrediction(Regime.INDETERMINATE, notes=notes)
+    return RegimePrediction(Regime.T32_ENDEMIC_UNIFORM, predicted_S=r,
+                            predicted_I=Field(grid, (N - int_r) / grid.length),
+                            predicted_I_mass=N - int_r, notes=notes)
 
 
 def _predict_mass_di0(spec, S0, I0, N):
@@ -114,14 +111,12 @@ def _predict_mass_di0(spec, S0, I0, N):
     notes = [f"high-risk nodes meeting the infected support: {int(active_high.sum())}"]
     if not active_high.any():
         return RegimePrediction(Regime.T37_EXTINCTION_UNIFORM,
-                                predicted_S=N / grid.length, predicted_I=0.0,
-                                predicted_I_mass=0.0, min_indices=min_idx,
-                                notes=notes)
+                                predicted_S=Field(grid, N / grid.length),
+                                predicted_I=Field(grid, 0.0), notes=notes)
     mass = N - grid.length * r_min
     notes.append(f"limit infected mass N - |domain|*min r = {mass:.6g}")
-    return RegimePrediction(Regime.T37_CONCENTRATION, predicted_S=r_min,
-                            predicted_I_mass=mass, min_indices=min_idx,
-                            notes=notes)
+    return RegimePrediction(Regime.T37_CONCENTRATION, predicted_S=Field(grid, r_min),
+                            predicted_I_mass=mass, min_indices=min_idx, notes=notes)
 
 
 def _predict_std_ds0(spec, S0, I0, N):
@@ -131,23 +126,24 @@ def _predict_std_ds0(spec, S0, I0, N):
     notes = [f"risk partition sizes +:{np.count_nonzero(signs > 0)} "
              f"0:{np.count_nonzero(signs == 0)} -:{np.count_nonzero(signs < 0)}"]
     if (signs < 0).any():
-        return RegimePrediction(Regime.T42_EXTINCTION, predicted_I=0.0, notes=notes)
+        return RegimePrediction(Regime.T42_EXTINCTION, predicted_I=Field(grid, 0.0),
+                                notes=notes)
     if (signs > 0).all():
         I_star = N / quadrature(grid, bv / (bv - gv))
         S_star = Field(grid, gv * I_star / (bv - gv))
         notes.append(f"endemic infected level {I_star:.6g}")
         return RegimePrediction(Regime.T42_ENDEMIC, predicted_S=S_star,
-                                predicted_I=I_star,
-                                predicted_I_mass=I_star * grid.length, notes=notes)
+                                predicted_I=Field(grid, I_star), notes=notes)
     zero_measure = quadrature(grid, (signs == 0).astype(float))
     notes.append(f"moderate-risk weight {zero_measure:.3g} vs 2*dx={2*grid.dx:.3g}")
     if zero_measure > 2 * grid.dx:
-        return RegimePrediction(Regime.T43_EXTINCTION, predicted_I=0.0, notes=notes)
+        return RegimePrediction(Regime.T43_EXTINCTION, predicted_I=Field(grid, 0.0),
+                                notes=notes)
     divergent, detail = _reciprocal_gap_divergent(spec, mask=None)
     notes.append(detail)
     if divergent:
-        return RegimePrediction(Regime.T43_SUBSEQ_EXTINCTION, predicted_I=0.0,
-                                notes=notes)
+        return RegimePrediction(Regime.T43_SUBSEQ_EXTINCTION,
+                                predicted_I=Field(grid, 0.0), notes=notes)
     if divergent is False:
         notes.append("reciprocal risk gap looks integrable; no decision rule applies")
     return RegimePrediction(Regime.INDETERMINATE, notes=notes)
@@ -160,21 +156,19 @@ def _predict_std_di0(spec, S0, I0, N):
     notes = [f"high-risk infected-support nodes: {int(high.sum())}"]
     if not high.any():
         notes.append("no high-risk site meets the infected support")
-        return RegimePrediction(Regime.INDETERMINATE, high_mask=high, notes=notes)
+        return RegimePrediction(Regime.INDETERMINATE, notes=notes)
     divergent, detail = _reciprocal_gap_divergent(spec, mask=high)
     notes.append(detail)
     if divergent:
         notes.append("reciprocal risk gap blows up on the active high-risk set")
     if divergent is not False:
-        return RegimePrediction(Regime.INDETERMINATE, high_mask=high, notes=notes)
+        return RegimePrediction(Regime.INDETERMINATE, notes=notes)
     excess = np.where(high, np.maximum(bv - gv, 0.0) / gv, 0.0)
     S_star = N / (grid.length + quadrature(grid, excess))
-    I_star = Field(grid, excess * S_star)
     notes.append(f"uniform susceptible level {S_star:.6g}")
-    return RegimePrediction(Regime.T46_PERSISTENCE, predicted_S=S_star,
-                            predicted_I=I_star,
-                            predicted_I_mass=quadrature(grid, I_star.values),
-                            high_mask=high, notes=notes)
+    return RegimePrediction(Regime.T46_PERSISTENCE, predicted_S=Field(grid, S_star),
+                            predicted_I=Field(grid, excess * S_star), high_mask=high,
+                            notes=notes)
 
 
 _PREDICTORS = {
@@ -236,55 +230,46 @@ def verify_outcome(traj: Trajectory, pred: RegimePrediction, tol: float) -> Outc
     grid = traj.spec.grid
     final = traj.final
     density_scale = traj.N / grid.length
-    Sv = final.S.values
     Iv = final.I.values
     regime = pred.regime
 
     if regime is Regime.INDETERMINATE:
         notes.append("no verdict: the prediction is indeterminate")
-        notes.append(f"final sup S={Sv.max():.6g}, sup I={Iv.max():.6g}, "
+        notes.append(f"final sup S={final.S.max():.6g}, sup I={Iv.max():.6g}, "
                      f"infected mass={quadrature(grid, Iv):.6g}")
         return OutcomeReport({}, None, notes)
 
     if regime in (Regime.T32_EXTINCTION, Regime.T42_EXTINCTION, Regime.T43_EXTINCTION):
         errors["sup_I_rel"] = Iv.max() / density_scale
     elif regime is Regime.T32_ENDEMIC_UNIFORM:
-        I_star = float(pred.predicted_I)
-        r_vals = pred.predicted_S.values
         errors["I_mass_rel"] = abs(quadrature(grid, Iv) - pred.predicted_I_mass) \
             / pred.predicted_I_mass
-        errors["I_profile_rel"] = float(np.abs(Iv - I_star).max()) / I_star
-        errors["S_vs_risk_ratio_rel"] = float(np.abs(Sv - r_vals).max()) / r_vals.max()
+        errors["I_profile_rel"] = _sup_rel(final.I, pred.predicted_I)
+        errors["S_vs_risk_ratio_rel"] = _sup_rel(final.S, pred.predicted_S)
     elif regime is Regime.T37_EXTINCTION_UNIFORM:
-        level = float(pred.predicted_S)
-        errors["S_uniform_rel"] = float(np.abs(Sv - level).max()) / level
+        errors["S_uniform_rel"] = _sup_rel(final.S, pred.predicted_S)
         errors["I_mass_rel"] = quadrature(grid, Iv) / traj.N
     elif regime is Regime.T37_CONCENTRATION:
-        best = _best_concentration_snapshot(traj, pred)
-        errors["I_mass_rel"] = abs(best["mass"] - pred.predicted_I_mass) \
-            / pred.predicted_I_mass
-        errors["concentration_shortfall"] = 1.0 - best["fraction"]
-        errors["S_level_rel"] = best["s_err"] / pred.predicted_S
-        notes.append(f"best trailing snapshot at t={best['t']:g}")
+        best = max(traj.trailing(), key=lambda state: _concentration(state, pred)[0])
+        _, mass, share = _concentration(best, pred)
+        errors["I_mass_rel"] = abs(mass - pred.predicted_I_mass) / pred.predicted_I_mass
+        errors["concentration_shortfall"] = 1.0 - share
+        errors["S_level_rel"] = _sup_rel(best.S, pred.predicted_S)
+        notes.append(f"best trailing snapshot at t={best.t:g}")
     elif regime is Regime.T42_ENDEMIC:
-        I_star = float(pred.predicted_I)
-        S_star = pred.predicted_S.values
-        errors["I_uniform_rel"] = float(np.abs(Iv - I_star).max()) / I_star
-        errors["S_profile_rel"] = float(np.abs(Sv - S_star).max()) / S_star.max()
+        errors["I_uniform_rel"] = _sup_rel(final.I, pred.predicted_I)
+        errors["S_profile_rel"] = _sup_rel(final.S, pred.predicted_S)
     elif regime is Regime.T43_SUBSEQ_EXTINCTION:
         sup_trail = min(float(np.abs(s.I.values).max()) for s in traj.trailing())
         errors["sup_I_rel"] = sup_trail / density_scale
         notes.append("subsequential claim: judged on the best trailing snapshot")
     elif regime is Regime.T46_PERSISTENCE:
-        S_star = float(pred.predicted_S)
-        I_star = pred.predicted_I.values
         high = pred.high_mask
-        errors["S_uniform_rel"] = float(np.abs(Sv - S_star).max()) / S_star
-        scale = float(I_star.max())
-        errors["I_high_rel"] = float(np.abs((Iv - I_star)[high]).max()) / scale
+        errors["S_uniform_rel"] = _sup_rel(final.S, pred.predicted_S)
+        errors["I_high_rel"] = _sup_rel(final.I, pred.predicted_I, where=high)
         off = ~high
         if off.any():
-            errors["I_off_rel"] = float(Iv[off].max()) / scale
+            errors["I_off_rel"] = float(Iv[off].max()) / pred.predicted_I.max()
 
     passed = all(
         err <= (1.0 - CONCENTRATION_MIN if name == "concentration_shortfall" else tol)
@@ -293,17 +278,18 @@ def verify_outcome(traj: Trajectory, pred: RegimePrediction, tol: float) -> Outc
     return OutcomeReport(errors, passed, notes)
 
 
-def _best_concentration_snapshot(traj: Trajectory, pred: RegimePrediction) -> dict:
-    grid = traj.spec.grid
-    best = None
-    for state in traj.trailing():
-        Iv = state.I.values
-        mass = quadrature(grid, Iv)
-        frac = (concentration_fraction(state.I, pred.min_indices)
-                if mass > 0 else 0.0)
-        s_err = float(np.abs(state.S.values - pred.predicted_S).max())
-        score = frac - abs(mass - pred.predicted_I_mass) / max(pred.predicted_I_mass, 1e-300)
-        if best is None or score > best["score"]:
-            best = {"t": state.t, "mass": mass, "fraction": frac,
-                    "s_err": s_err, "score": score}
-    return best
+def _sup_rel(u: Field, limit: Field, where: np.ndarray | None = None) -> float:
+    """max |u - limit| over the nodes ``where`` (all of them by default) / max(limit)."""
+    gap = np.abs(u.values - limit.values)
+    if where is not None:
+        gap = gap[where]
+    return float(gap.max()) / limit.max()
+
+
+def _concentration(state: State, pred: RegimePrediction) -> tuple[float, float, float]:
+    """A trailing snapshot's score as the point-mass limit, its infected mass,
+    and the share of that mass near the target points."""
+    mass = quadrature(state.I.grid, state.I.values)
+    share = concentration_fraction(state.I, pred.min_indices) if mass > 0 else 0.0
+    target = pred.predicted_I_mass
+    return share - abs(mass - target) / max(target, 1e-300), mass, share

@@ -128,11 +128,12 @@ def _cmd_classify(args) -> int:
     check_tolerance(args.tol)
     cfg = _resolve_config(args)
     spec, grid, S0, I0 = cfg.build()
+    # predicting first fails a model with no regime prediction before any run
+    pred = predict_regime(spec, S0, I0)
     if args.run_dir:
         traj = read_run(spec, args.run_dir)
     else:
         traj = models.run(spec, S0, I0, **cfg.run_kwargs())
-    pred = predict_regime(spec, S0, I0)
     print(f"predicted regime: {pred.regime.name} — {pred.regime.value}")
     for note in pred.notes:
         print(f"  note: {note}")

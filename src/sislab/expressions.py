@@ -33,6 +33,7 @@ _RESERVED = ("x", "pi")
 # / and ^ carry domain checks of their own in Expression._eval
 _OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
               ast.Div: None, ast.Pow: None}
+_TOO_DEEP = "expression too long or too deeply nested"
 
 
 class ExpressionError(ValueError):
@@ -82,10 +83,13 @@ class Expression:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 self._ast = ast.parse(source, mode="eval").body
+            self._check(self._ast, source)
         except SyntaxError as exc:
             at = min(max((exc.offset or 1) - 1, 0), len(source))
             raise ExpressionError(exc.msg, self._offsets[at]) from None
-        self._check(self._ast, source)
+        except (RecursionError, MemoryError):
+            # CPython's parser, or a walk of its tree, ran out of stack
+            raise ExpressionError(_TOO_DEEP, 0) from None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Expression({self.text!r})"
@@ -132,8 +136,11 @@ class Expression:
         # raises ExpressionDomainError below, so numpy's own warning would
         # only repeat it
         with np.errstate(all="ignore"):
-            out = self._require_finite(self._eval(self._ast, x, params), x,
-                                       "a value that is not finite")
+            try:
+                out = self._eval(self._ast, x, params)
+            except RecursionError:
+                raise ExpressionError(_TOO_DEEP, 0) from None
+            out = self._require_finite(out, x, "a value that is not finite")
         return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
 
     def _eval(self, node: ast.expr, x: np.ndarray, params: Mapping[str, float]):

@@ -391,6 +391,8 @@ def run_batch(specs: list[ModelSpec], S0s: list[Field], I0s: list[Field], dt: fl
     for name, value in (("dt", dt), ("T", T), ("snapshot_every", snapshot_every)):
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if value / dt == math.inf:
+            raise ValueError(f"dt={dt!r} is too small to count the steps of {name}={value!r}")
     if math.isnan(steady_tol):
         raise ValueError("steady_tol must be a number, got nan")
     n_steps = round(T / dt)

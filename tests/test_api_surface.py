@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import typing
 from dataclasses import fields
 from pathlib import Path
 
@@ -53,6 +54,11 @@ def test_public_api_is_pinned():
     # a reload reads profiles.csv alone; T37's limit level is its predicted_S
     assert not hasattr(output, "read_diagnostics_csv")
     assert "r_tilde_min" not in {f.name for f in fields(classify.RegimePrediction)}
+    # a predicted limit is a Field, a level a constant one, and one helper
+    # measures every profile error
+    limits = typing.get_type_hints(classify.RegimePrediction)
+    assert limits["predicted_S"] == limits["predicted_I"] == typing.Optional[mesh.Field]
+    assert not hasattr(classify, "_best_concentration_snapshot")
     # a sweep point has one shape, and output names the diagnostics columns
     assert not hasattr(sweep.SweepResult, "table")
     assert not hasattr(diagnostics.DiagnosticsRecord, "CSV_COLUMNS")

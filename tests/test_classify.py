@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sislab import models
 from sislab.classify import (
@@ -13,6 +14,13 @@ from sislab.config import PRESETS, preset_config
 from sislab.mesh import Field, build_grid, quadrature
 from sislab.models import ModelSpec, Variant
 from sislab.spectral import principal_eigenvalue
+from test_models import _cosine_series
+
+
+def _level(limit: Field) -> float:
+    """The value of a predicted limit that is uniform, as it must be."""
+    assert isinstance(limit, Field) and limit.min() == limit.max()
+    return limit.max()
 
 
 EXPECTED_REGIMES = {
@@ -39,7 +47,7 @@ class TestPredictions:
     def test_endemic_level_for_the_large_population_case(self, preset_setup):
         spec, grid, S0, I0 = preset_setup("sim1b")
         pred = predict_regime(spec, S0, I0)
-        assert float(pred.predicted_I) == pytest.approx(2.5, abs=1e-3)
+        assert _level(pred.predicted_I) == pytest.approx(2.5, abs=1e-3)
         assert isinstance(pred.predicted_S, Field)
 
     def test_concentration_targets(self, preset_setup):
@@ -54,7 +62,7 @@ class TestPredictions:
     def test_persistence_level_closes_the_mass_balance(self, preset_setup):
         spec, grid, S0, I0 = preset_setup("sim4a")
         pred = predict_regime(spec, S0, I0)
-        S_star = float(pred.predicted_S)
+        S_star = _level(pred.predicted_S)
         assert S_star == pytest.approx(63 / 19, rel=1e-3)
         total = S_star * grid.length + quadrature(pred.predicted_I.grid, pred.predicted_I.values)
         assert total == pytest.approx(3.5, rel=1e-9)
@@ -64,8 +72,8 @@ class TestPredictions:
         pred = predict_regime(spec, S0, I0)
         bv, gv = spec.beta.values, spec.gamma.values
         level = 3.5 / quadrature(grid, bv / (bv - gv))
-        assert float(pred.predicted_I) == pytest.approx(level, rel=1e-12)
-        assert float(pred.predicted_I) == pytest.approx(1.1159, abs=2e-4)
+        assert _level(pred.predicted_I) == pytest.approx(level, rel=1e-12)
+        assert _level(pred.predicted_I) == pytest.approx(1.1159, abs=2e-4)
 
     def test_reciprocal_gap_heuristic_notes_are_reported(self, preset_setup):
         spec, grid, S0, I0 = preset_setup("sim3c")
@@ -78,7 +86,7 @@ class TestPredictions:
             "sim3a", beta_expr="1.5 + max(abs(x - 0.5) - 0.2, 0)", gamma_expr="1.5").build()
         pred = predict_regime(spec, S0, I0)
         assert pred.regime is Regime.T43_EXTINCTION
-        assert pred.predicted_I == 0.0
+        assert _level(pred.predicted_I) == 0.0
         assert "moderate-risk weight 0.405 vs 2*dx=0.01" in pred.notes
 
     def test_full_variant_is_rejected(self):
@@ -172,6 +180,55 @@ class TestPredictions:
             models.run(spec, S0, I0, dt=1e-3, T=1.0)
         with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
             predict_regime(spec, S0, I0)
+
+
+DEGENERATE = [v for v in Variant if v.locks_s or v.locks_i]
+
+
+@pytest.mark.parametrize("variant", DEGENERATE, ids=lambda v: v.value)
+@given(nx=st.integers(17, 65), data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_every_predicted_limit_is_a_field_on_the_grid(variant, nx, data):
+    g = build_grid(0, 1, nx)
+    d_S = 0.0 if variant.locks_s else data.draw(st.floats(0.01, 2))
+    d_I = 0.0 if variant.locks_i else data.draw(st.floats(0.01, 2))
+    spec = ModelSpec(variant, _cosine_series(data.draw, g, 0.1),
+                     _cosine_series(data.draw, g, 0.1), d_S=d_S, d_I=d_I)
+    pred = predict_regime(spec, _cosine_series(data.draw, g, 0.01),
+                          _cosine_series(data.draw, g, 0.01))
+    for limit in (pred.predicted_S, pred.predicted_I):
+        assert limit is None or (isinstance(limit, Field) and limit.grid == spec.grid)
+
+
+# a configuration for every decided regime but the point mass, whose limit
+# is no Field
+DECIDED = [
+    ("sim1a", {}, Regime.T32_EXTINCTION),
+    ("sim1b", {}, Regime.T32_ENDEMIC_UNIFORM),
+    ("sim2a", {}, Regime.T37_EXTINCTION_UNIFORM),
+    ("sim3a", {}, Regime.T42_EXTINCTION),
+    ("sim3b", {}, Regime.T42_ENDEMIC),
+    ("sim3a", {"beta_expr": "1.5 + max(abs(x - 0.5) - 0.2, 0)", "gamma_expr": "1.5"},
+     Regime.T43_EXTINCTION),
+    ("sim3c", {}, Regime.T43_SUBSEQ_EXTINCTION),
+    ("sim4a", {}, Regime.T46_PERSISTENCE),
+]
+
+
+@pytest.mark.parametrize("name, overrides, regime", DECIDED,
+                         ids=[regime.name for *_, regime in DECIDED])
+def test_a_run_at_its_predicted_limit_verifies_with_zero_profile_error(name, overrides,
+                                                                        regime):
+    spec, grid, S0, I0 = preset_config(name, **overrides).build()
+    pred = predict_regime(spec, S0, I0)
+    assert pred.regime is regime
+    S = S0 if pred.predicted_S is None else pred.predicted_S
+    at_limit = models.State(0.0, S, pred.predicted_I, None)
+    N = quadrature(grid, S0.values + I0.values)
+    report = verify_outcome(models.Trajectory(spec, [at_limit], [], N), pred, tol=1e-12)
+    profile = {k: err for k, err in report.measured_errors.items() if k != "I_mass_rel"}
+    assert profile and all(err == 0.0 for err in profile.values()), profile
+    assert report.passed is True
 
 
 class TestLambdaStarEstimate:

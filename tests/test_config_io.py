@@ -458,6 +458,18 @@ class TestCli:
         assert (rc, captured.out) == (1, "")
         assert captured.err == f"error: tol must be positive and finite, got {float(tol)!r}\n"
 
+    def test_classify_refuses_a_model_without_a_prediction_before_it_simulates(
+            self, monkeypatch, capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("classify simulated a model it cannot predict")
+
+        monkeypatch.setattr(models, "run", no_run)
+        rc = main(["classify", "--preset", "sim3c", "--set", "model=full", "--set", "d_S=1",
+                   "--set", "steady_tol=0"])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (1, "")
+        assert captured.err == "error: regime prediction covers only the degenerate systems\n"
+
     def test_classify_of_an_indeterminate_prediction_gives_no_verdict(self, capsys):
         # N = 2.82712 lies between int r and N*, where no decision rule applies
         rc = main(["classify", "--preset", "sim1c", "--set", "param.a=0.8", "--set", "T=1"])
@@ -783,6 +795,22 @@ class TestCli:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert not list(run_dir.glob("*.csv"))
+
+    def test_a_dt_too_small_to_count_steps_is_one_error_line(self, tmp_path, capsys):
+        run_dir = tmp_path / "out"
+        rc = main(["simulate", "--preset", "sim1b", "--set", "dt=1e-310",
+                   "--out", str(run_dir)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (1, "")
+        assert captured.err == "error: dt=1e-310 is too small to count the steps of T=200.0\n"
+        assert not run_dir.exists()
+
+    def test_an_expression_too_deep_to_parse_is_one_error_line(self, capsys):
+        rc = main(["eigen", "--h", "+".join(["x"] * 1000), "--nx", "5"])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (1, "")
+        assert captured.err == ("error: expression too long or too deeply nested "
+                                "(at position 0)\n")
 
     @pytest.mark.parametrize("name", ["x", "pi"])
     def test_a_constant_named_like_a_symbol_is_one_error_line(self, tmp_path, capsys, name):

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -148,6 +149,35 @@ def test_expression_reusable_across_inputs():
 def test_arithmetic_matches_python(a, b):
     got = ev(f"({a!r}) + ({b!r})*x", np.array([1.0]))[0]
     assert got == pytest.approx(a + b, rel=1e-15, abs=1e-15)
+
+
+@pytest.mark.parametrize("text", [
+    "+".join(["x"] * 1000),      # the grammar check runs out of stack
+    "+".join(["x"] * 3000),      # CPython's parser runs out of stack
+    "^".join(["1"] * 3000),      # CPython's parser runs out of memory
+], ids=["sum_1000", "sum_3000", "power_3000"])
+def test_an_expression_too_deep_to_parse_is_an_expression_error(text):
+    with pytest.raises(ExpressionError, match=r"^expression too long or too deeply "
+                                              r"nested \(at position 0\)$"):
+        Expression(text)
+
+
+def _evaluate_below(depth, expr, x):
+    """``expr.evaluate(x)`` called ``depth`` frames down the stack."""
+    return expr.evaluate(x) if depth == 0 else _evaluate_below(depth - 1, expr, x)
+
+
+def test_an_evaluation_out_of_stack_is_an_expression_error():
+    # a long sum parsed near the top of the stack still evaluates there, with
+    # the bits of the sum taken term by term, and fails cleanly further down
+    expr = Expression("+".join(["x"] * 500))
+    x = np.array([0.1, 0.3, 1.0])
+    total = np.zeros(3)
+    for _ in range(500):
+        total = total + x
+    assert np.array_equal(expr.evaluate(x), total)
+    with pytest.raises(ExpressionError, match="too long or too deeply nested"):
+        _evaluate_below(sys.getrecursionlimit() - 200, expr, x)
 
 
 def test_leading_zero_integers_are_rejected():

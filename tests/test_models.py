@@ -338,6 +338,18 @@ class TestRun:
             run(spec, S0, I0, dt=1e-3, T=4e-4)
         assert run(spec, S0, I0, dt=1e-3, T=6e-4).final.t == 1e-3
 
+    @pytest.mark.parametrize("name, kwargs", [
+        ("T", {"T": 200.0}),
+        ("snapshot_every", {"T": 1e-307, "snapshot_every": 1e10}),
+    ])
+    def test_a_dt_too_small_to_count_steps_is_an_error(self, name, kwargs):
+        # T/dt or snapshot_every/dt overflows, so no whole number of steps exists
+        spec, g = make_spec(nx=11)
+        value = kwargs[name]
+        with pytest.raises(ValueError, match=f"^dt=1e-310 is too small to count the steps "
+                                             f"of {name}={value!r}$"):
+            run(spec, Field(g, 2.0), Field(g, 1.0), dt=1e-310, **kwargs)
+
     def test_rounding_to_whole_steps_is_a_warning(self):
         spec, g = make_spec(nx=21)
         S0, I0 = Field(g, 2.0), Field(g, 1.0)

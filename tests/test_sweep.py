@@ -56,6 +56,14 @@ class TestRunSweep:
         assert "identically zero" in res.points[0].error
         assert res.points[-1].error is None
 
+    def test_a_dt_too_small_to_count_steps_fails_its_own_point(self):
+        base = preset_config("sim1b", nx=21, T=1.0)
+        cfg = SweepConfig(base=base, parameter="dt", lo=1e-310, hi=2e-3, count=2,
+                          observable="I_mass_at_T")
+        res = run_sweep(cfg)
+        assert [p.error for p in res.points] == [
+            "ValueError: dt=1e-310 is too small to count the steps of T=1.0", None]
+
     def test_extinction_is_dispersal_independent_below_threshold(self):
         # small-population extinction happens at every infected dispersal rate
         base = preset_config("sim1a", nx=101, T=40.0)

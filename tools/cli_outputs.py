@@ -36,7 +36,10 @@ takes; ``classify --tol`` at nan, -1 and inf; ``threshold`` on sim1a-c;
 sim3c, sim4a and sim4b; ``classify`` of an indeterminate prediction; two
 sweeps with their plots; the three plot kinds of a run; and one command for
 each input the command line rejects with an ``error:`` line that a simpler
-check could miss.
+check could miss, among them ``classify`` of the ``full`` model, which has
+no regime prediction, ``eigen --h`` of a 1000-term sum, too deep for the
+expression parser, and ``simulate`` at ``dt=1e-310``, too small to count
+the steps of T.
 """
 
 from __future__ import annotations
@@ -129,6 +132,14 @@ def commands() -> list[tuple[str, list[str]]]:
         ("simulate_rounded_steps", ["simulate", "--preset", "sim1b", "--set", "T=0.0016",
                                     "--set", "nx=21", "--set", "snapshot_every=0.0007",
                                     "--out", "runs/rounded_steps"]),
+        # a model with no regime prediction, an expression too deep for the
+        # parser, and a dt too small to count the steps of T
+        ("error_classify_full_model", ["classify", "--preset", "sim3c", "--set", "model=full",
+                                       "--set", "d_S=1", "--set", "steady_tol=0"]),
+        ("error_eigen_deep_expression", ["eigen", "--h", "+".join(["x"] * 1000),
+                                         "--nx", "5"]),
+        ("error_simulate_tiny_dt", ["simulate", "--preset", "sim1b", "--set", "dt=1e-310",
+                                    "--out", "runs/error_tiny_dt"]),
     ]
     return cmds
 
