@@ -12,9 +12,20 @@ J = int I dt in the same closed form that drives the update.  Exact flows
 compose, R(tau) R(tau) = R(2 tau), so between two snapshots the half
 reactions that meet between consecutive steps run as one flow over dt.
 
+Each Crank-Nicolson step solves for its update, (S - cSL) delta = 2c S L u,
+with S = diag(1/2, 1, ..., 1, 1/2) halving the end rows so that the matrix
+is symmetric and is factored once.  The right-hand side is a difference of
+fluxes, 2c (S L u)_i = F_{i+1} - F_i with F_i = (2c/dx^2)(u_i - u_{i-1}) and
+both end fluxes zero (no flux through a reflecting boundary), so the
+update's quadrature mass telescopes to roundoff.
+
 Crank-Nicolson is unconditionally stable but not positivity preserving: on
 rough data at large d*dt/dx^2 it can overshoot below zero.  That is the one
 thing that still bounds dt, and it is checked after every solve.
+
+At about 201 nodes a step costs numpy call overhead, not arithmetic, so the
+step makes few calls and keeps its intermediates in work arrays the kernel
+allocates once; every state it returns is a fresh array.
 
 Runs that share the grid, variant and dispersal rates share the
 Crank-Nicolson matrices; ``run_batch`` advances them as the rows of one
@@ -33,8 +44,7 @@ from . import diagnostics as diag_mod
 from .mesh import EPS_REG, Field, Grid, common_grid, quadrature
 # The factored tridiagonal solve is bound as `solve_shifted`, the name the
 # Crank-Nicolson solve is traced under (bench/tracing.py).
-from .operators import (SymmetricTridiagonal, factor_symmetric, neumann_laplacian,
-                        solve_factored as solve_shifted)
+from .operators import factor_symmetric, neumann_laplacian, solve_factored as solve_shifted
 
 
 # consecutive slow snapshots that declare a run steady
@@ -186,7 +196,9 @@ class _Kernel:
     and beta, gamma and r are (K, nx) stacks of the specs' coefficients.
     The specs share the grid, variant and dispersal rates, so they share the
     Crank-Nicolson matrices.  Every substep is nodewise or acts along the
-    last axis, so each row advances exactly as it would alone.
+    last axis, so each row advances exactly as it would alone.  The flows
+    keep their intermediates in ``_scratch``, four (K, nx) work arrays, and
+    never write into their arguments: what they return is fresh.
     """
 
     def __init__(self, specs: list[ModelSpec], dt: float):
@@ -196,6 +208,7 @@ class _Kernel:
         self.beta = np.stack([s.beta.values for s in specs])
         self.gamma = np.stack([s.gamma.values for s in specs])
         self.r = self.gamma / self.beta
+        self._scratch = tuple(np.empty_like(self.beta) for _ in range(4))
         # the reaction flow over tau, called with tau = dt/2 and tau = dt,
         # and its factors that depend on tau alone
         self.reaction_half = (self._std_incidence_flow if self.spec.variant.std_incidence
@@ -215,12 +228,17 @@ class _Kernel:
         beta_tau = self._factors_by_tau.get(tau)
         if beta_tau is None:
             beta_tau = self._factors_by_tau[tau] = self.beta * tau
-        C = S + I
-        D = C - self.r
-        g = np.divide(np.expm1(beta_tau * D), D, out=beta_tau.copy(), where=D != 0.0)
-        Ig = I * g
-        S_new = np.minimum(self.r + (S - self.r) / (1.0 + Ig), C)
-        return S_new, C - S_new, J + np.log1p(Ig) / self.beta
+        C, D, g, w = self._scratch
+        np.add(S, I, out=C)
+        np.subtract(C, self.r, out=D)
+        np.expm1(np.multiply(beta_tau, D, out=w), out=w)
+        np.copyto(g, beta_tau)
+        np.divide(w, D, out=g, where=D != 0.0)
+        Ig = np.multiply(I, g, out=g)
+        u = np.divide(np.subtract(S, self.r, out=D), np.add(1.0, Ig, out=w), out=D)
+        S_new = np.add(self.r, u)
+        np.minimum(S_new, C, out=S_new)
+        return S_new, C - S_new, J + np.divide(np.log1p(Ig, out=Ig), self.beta, out=Ig)
 
     def _std_incidence_flow(self, S, I, J, tau):
         # Exact nodewise solution of I' = beta*S*I/C - gamma*I, S' = -I'.
@@ -229,17 +247,20 @@ class _Kernel:
         # and int I dt = (C/beta)*log1p(x).  Where C <= EPS_REG the incidence
         # is exactly 0, so I only recovers: I*e^{-gamma tau}.
         growth, beta_g, decay, recovered = self._std_factors(tau)
-        C = S + I
-        empty = C <= EPS_REG
-        if empty.any():
+        C, x, w, v = self._scratch
+        np.add(S, I, out=C)
+        # fmin skips NaN, so a NaN node leaves the choice of branch to the
+        # others, as the mask below does
+        if np.fmin.reduce(C, axis=None) <= EPS_REG:
+            empty = C <= EPS_REG
             C_safe = np.where(empty, 1.0, C)
             x = np.where(empty, 0.0, beta_g * I / C_safe)
             I_new = np.where(empty, decay * I, growth * I / (1.0 + x))
             dJ = np.where(empty, recovered * I, C_safe / self.beta * np.log1p(x))
         else:
-            x = beta_g * I / C
-            I_new = growth * I / (1.0 + x)
-            dJ = C / self.beta * np.log1p(x)
+            np.divide(np.multiply(beta_g, I, out=x), C, out=x)
+            I_new = np.divide(np.multiply(growth, I, out=w), np.add(1.0, x, out=v))
+            dJ = np.multiply(np.divide(C, self.beta, out=w), np.log1p(x, out=x), out=w)
         return C - I_new, I_new, J + dJ
 
     def _std_factors(self, tau):
@@ -270,24 +291,33 @@ class _Kernel:
         # hundreds of thousands of steps hold mass to ~1e-12 relative.
         # Both sides are multiplied by S = weights/dx, which halves the end rows
         # exactly: S(Id - cL) = S - c(S L) is symmetric positive definite and
-        # the same at every step, so it is factored once here as L D L^T, and
-        # 2c(S L)u is S times 2cLu bit for bit.  S L's diagonals are stacked
-        # to the state's (K, nx) shape, so its product with the state
-        # broadcasts nothing.
+        # the same at every step, so it is factored once here as L D L^T.
         SL = neumann_laplacian(self.grid)
         c = 0.5 * d * self.dt
         factors = factor_symmetric(self.grid.weights / self.grid.dx - c * SL.diag, -c * SL.off)
-        K = len(self.beta)
-        SL = SymmetricTridiagonal(*(np.tile(a, (K, 1)) for a in SL))
+        # The right-hand side 2c(S L)u is a flux difference, F_{i+1} - F_i with
+        # F_i = k(u_i - u_{i-1}), k = 2c/dx^2, and F_0 = F_nx = 0: the halved
+        # end rows are the reflecting boundary's zero flux.  Its entries sum
+        # to zero up to the roundoff of the differences, which is the mass
+        # argument for the update.  It takes three calls on a buffer whose end
+        # columns stay zero, where the tridiagonal product takes six, and it is
+        # exactly 0 on a constant state.
+        k = 2.0 * c / self.grid.dx**2
+        flux = np.zeros((len(self.beta), self.grid.nx + 1))
+        inner, right, left = flux[:, 1:-1], flux[:, 1:], flux[:, :-1]
+        rhs = np.empty_like(self.beta)
 
         def cn_step(u):
-            rhs = SL.matvec(u)
-            rhs *= 2.0 * c
-            # The K rows of the state are the K columns of one dpttrs call.
+            np.subtract(u[:, 1:], u[:, :-1], out=inner)
+            np.multiply(inner, k, out=inner)
+            np.subtract(right, left, out=rhs)
+            # The K rows of the state are the K columns of one dpttrs call,
+            # which solves in rhs's memory.
             u = u + solve_shifted(factors, rhs.T).T
             # one whole-state reduction per step; the per-row test runs only
             # once some value is negative
-            if u.min() < 0.0 and (u.min(axis=-1) < -CN_OVERSHOOT_TOL * u.max(axis=-1)).any():
+            if (np.minimum.reduce(u, axis=None) < 0.0
+                    and (u.min(axis=-1) < -CN_OVERSHOOT_TOL * u.max(axis=-1)).any()):
                 raise StepSizeError(
                     f"dt={self.dt:g} is too large for these data: a Crank-Nicolson "
                     f"step drove {name} down to {u.min():.3e}")

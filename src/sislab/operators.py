@@ -71,7 +71,8 @@ def _check_pivots(d: np.ndarray, info: int) -> None:
 
 class SymmetricTridiagonal(NamedTuple):
     """The symmetric tridiagonal matrix with diagonal ``diag`` and both
-    off-diagonals ``off``; (K, n) and (K, n-1) stacks act on K rows."""
+    off-diagonals ``off``.  ``matvec`` broadcasts them over the rows of a
+    (K, n) array."""
 
     diag: np.ndarray   # length n
     off: np.ndarray    # length n-1

@@ -49,14 +49,15 @@ def emit_csv(traj: Trajectory, out_dir) -> tuple[Path, Path]:
     profiles = out / _PROFILES
     diagnostics = out / "diagnostics.csv"
 
-    nodes = traj.spec.grid.nodes
+    # x is formatted once per file and each snapshot is written at once;
+    # tolist() gives Python floats, whose repr is _fmt's
+    xs = [repr(x) for x in traj.spec.grid.nodes.tolist()]
     with profiles.open("w") as fh:
         fh.write("t,x,S,I\n")
         for snap in traj.snapshots:
             t = _fmt(snap.t)
-            Sv, Iv = snap.S.values, snap.I.values
-            for i in range(nodes.shape[0]):
-                fh.write(f"{t},{_fmt(nodes[i])},{_fmt(Sv[i])},{_fmt(Iv[i])}\n")
+            fh.write("".join([f"{t},{x},{s!r},{i!r}\n" for x, s, i in
+                              zip(xs, snap.S.values.tolist(), snap.I.values.tolist())]))
 
     with diagnostics.open("w") as fh:
         fh.write(",".join(_DIAGNOSTICS_COLUMNS) + "\n")

@@ -19,6 +19,7 @@ from sislab.config import (
     parse_config_text,
     preset_config,
 )
+from sislab.mesh import Field, build_grid
 from sislab.output import (
     emit_csv,
     emit_svg,
@@ -264,6 +265,23 @@ class TestCsvEmission:
             p, d = emit_csv(traj, tmp_path / sub)
             outs.append(p.read_bytes() + d.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_profiles_keep_the_per_row_format(self, tmp_path):
+        # signed zero, a subnormal, a large value, a sum that is not its
+        # literal, and t and x that are not dyadic, against the row format
+        # written out value by value
+        g = build_grid(0.0, 1.0, 4)
+        spec = models.ModelSpec(models.Variant.MASS_ACTION_DS0, Field(g, 2.0), Field(g, 1.0),
+                                d_S=0.0, d_I=1.0)
+        states = [(0.0, [1.0, -0.0, 5e-324, 1e22], [0.1 + 0.2, 2.0, 0.0, 3.5]),
+                  (0.1 * 3, [0.1 + 0.2, 1e22, -0.0, 7.0], [5e-324, 1.0 / 3.0, 1e-300, 0.0])]
+        traj = models.Trajectory(spec, [models.State(t, Field(g, S), Field(g, I), None)
+                                        for t, S, I in states], diagnostics=[], N=1.0)
+        profiles, _ = emit_csv(traj, tmp_path)
+        want = "t,x,S,I\n" + "".join(
+            f"{repr(float(t))},{repr(float(x))},{repr(float(s))},{repr(float(i))}\n"
+            for t, S, I in states for x, s, i in zip(g.nodes, S, I))
+        assert profiles.read_bytes() == want.encode()
 
     def test_trajectory_rebuild(self, tiny_run, tmp_path):
         cfg, traj = tiny_run

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from sislab.models import (
     run,
     run_batch,
 )
+from sislab.operators import neumann_laplacian
 
 
 def unit_grid(nx=201):
@@ -227,6 +230,32 @@ class TestStep:
                 assert np.array_equal(a[k], b)
         assert got[1][0][empty] == pytest.approx(5e-13 * np.exp(-1.5 * 2.0), rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("variant", [Variant.MASS_ACTION_DS0, Variant.STD_INCIDENCE_DS0])
+    @pytest.mark.parametrize("empty_node", [False, True], ids=["occupied", "empty_node"])
+    def test_reaction_scratch_never_leaks_into_a_result(self, variant, empty_node):
+        # the flows keep their intermediates in the kernel's work arrays; a
+        # second call must not change what the first returned, and no result
+        # may be a work array, another result or an input
+        specs = [make_spec(variant, beta=beta, gamma="1.5", nx=11)[0]
+                 for beta in ("2 - sin(pi*x)", "3")]
+        kernel = _Kernel(specs, 1e-3)
+        rng = np.random.default_rng(7)
+        S, I, J = (rng.uniform(0, 3, (2, 11)) for _ in range(3))
+        if empty_node:
+            S[0, 0], I[0, 0] = 0.0, 5e-13  # S + I <= EPS_REG
+        inputs = [a.copy() for a in (S, I, J)]
+        first = kernel.reaction_half(S, I, J, 5e-4)
+        kept = [a.copy() for a in first]
+        second = kernel.reaction_half(S[::-1].copy(), I[::-1].copy(), J, 1e-3)
+        for a, b in zip(first, kept):
+            assert np.array_equal(a, b)
+        for a, b in zip((S, I, J), inputs):
+            assert np.array_equal(a, b)
+        results = [*first, *second]
+        for n, a in enumerate(results):
+            others = [*results[:n], *results[n + 1:], *kernel._scratch, S, I, J]
+            assert not any(np.shares_memory(a, b) for b in others)
+
     def test_pure_diffusion_conserves_mass_exactly(self):
         # reaction disabled: drive only the diffusion substep
         spec, g = make_spec(Variant.FULL, beta="1", gamma="1", d_S=1.0, d_I=0.7)
@@ -239,6 +268,51 @@ class TestStep:
         drift = abs(quadrature(g, (S + I)[0]) - target)
         assert drift <= 1e-13 * target
         assert np.ptp(S) < 1e-3  # diffusion has flattened the profile
+
+    @staticmethod
+    def _traced_crank_nicolson(monkeypatch, nx, K):
+        """A kernel whose I diffuses at d = 0.7, c = 0.5*d*dt, and the right-hand
+        sides and updates of its Crank-Nicolson solves, as the kernel makes them."""
+        specs = [make_spec(beta=f"{2 + k}", gamma="1", d_I=0.7, nx=nx)[0] for k in range(K)]
+        seen = []
+
+        def traced(factors, rhs):
+            seen.append(rhs.T.copy())
+            seen.append(solve(factors, rhs).T.copy())
+            return rhs
+
+        solve = models.solve_shifted
+        monkeypatch.setattr(models, "solve_shifted", traced)
+        return _Kernel(specs, 1e-3), 0.5 * 0.7 * 1e-3, seen
+
+    @pytest.mark.parametrize("nx", [3, 41, 201])
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_a_constant_state_has_a_zero_flux_right_hand_side(self, monkeypatch, nx, K):
+        kernel, _, seen = self._traced_crank_nicolson(monkeypatch, nx, K)
+        I = np.full((K, nx), 1.7)
+        _, I1 = kernel.diffuse(np.ones((K, nx)), I)
+        rhs, delta = seen
+        assert np.all(rhs == 0.0) and np.all(delta == 0.0)
+        assert np.array_equal(I1, I)
+
+    @pytest.mark.parametrize("nx", [3, 41, 201])
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_the_flux_right_hand_side_is_S_times_2c_L_u(self, monkeypatch, nx, K):
+        # 2c(S L u)_i = F_{i+1} - F_i, F_i = (2c/dx^2)(u_i - u_{i-1}), F_0 = F_nx = 0:
+        # each entry is the difference of two rounded fluxes
+        kernel, c, seen = self._traced_crank_nicolson(monkeypatch, nx, K)
+        g = kernel.grid
+        I = np.random.default_rng(nx + K).uniform(0, 3, (K, nx))
+        # data this rough overshoot at nx 201; the right-hand side is seen first
+        with contextlib.suppress(StepSizeError):
+            kernel.diffuse(np.ones((K, nx)), I)
+        rhs = seen[0]
+        # L u: S L u with its end entries doubled (ghost-point reflection)
+        Lu = neumann_laplacian(g).matvec(I)
+        Lu[:, [0, -1]] *= 2.0
+        want = g.weights / g.dx * ((2.0 * c) * Lu)
+        flux = np.abs(2.0 * c / g.dx**2 * np.diff(I, axis=-1)).max()
+        assert np.abs(rhs - want).max() <= 4 * np.finfo(float).eps * flux
 
     def test_one_step_vs_two_half_steps_self_consistency(self):
         # The locked component shows the smooth-data third-order collapse;

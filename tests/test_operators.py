@@ -106,7 +106,8 @@ class TestCrankNicolsonMatrix:
         g = build_grid(0, 1, nx)
         c = 0.5 * 0.7 * 1e-3
         SL = neumann_laplacian(g)
-        # S L's diagonals stacked to the state's shape, as the kernel keeps them
+        # S L's diagonals stacked to a (K, nx) state's shape; the kernel forms
+        # this right-hand side as a flux difference instead (test_models.py)
         stacked = SymmetricTridiagonal(*(np.tile(a, (K, 1)) for a in SL))
         u = np.random.default_rng(nx + K).uniform(0, 3, (K, nx))
         got = stacked.matvec(u)

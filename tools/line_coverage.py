@@ -92,6 +92,13 @@ class LineCoverage:
         sys.settrace(self._trace)
         threading.settrace(self._trace)
 
+    def pytest_runtest_setup(self, item):
+        # CPython unsets the trace function when it raises, as it does when a
+        # test runs out of stack inside it (the CLI's too-deep expression);
+        # every later test is traced again
+        if sys.gettrace() is None:
+            sys.settrace(self._trace)
+
     def stop(self) -> None:
         sys.settrace(None)
         threading.settrace(None)
