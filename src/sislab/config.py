@@ -3,6 +3,7 @@ construction of model objects from expressions."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -34,7 +35,8 @@ def _preset(model: str, beta: str, gamma: str, **extra: str) -> dict[str, str]:
 
 PRESETS: dict[str, dict[str, str]] = {
     "sim1a": _preset("mass_action_ds0", "0.5", "4 - pi*sin(pi*x)"),
-    "sim1b": _preset("mass_action_ds0", "2", "4 - pi*sin(pi*x)"),
+    # settles slowly and smoothly, so error-controlled steps (README)
+    "sim1b": _preset("mass_action_ds0", "2", "4 - pi*sin(pi*x)", dt_tol="3e-7"),
     # nonconstant transmission with sign-changing S0 - gamma/beta, so no
     # closed-form threshold applies (int gamma/beta ~ 2.82); the clamp keeps
     # the movable initial datum nonnegative at small a
@@ -86,6 +88,7 @@ class RunConfig:
     T: float = 200.0
     snapshot_every: float = 0.5
     steady_tol: float = 1e-7
+    dt_tol: float | None = None
     output_dir: str = "."
     preset: str | None = None
     params: dict = field(default_factory=dict)
@@ -109,6 +112,7 @@ class RunConfig:
             "T": self.T,
             "snapshot_every": self.snapshot_every,
             "steady_tol": self.steady_tol,
+            "dt_tol": self.dt_tol,
         }
 
 
@@ -264,7 +268,19 @@ def _parse_int(value: str, key: str, where: str) -> int:
         raise ConfigError(f"{where}: {key} expects an integer, got {value!r}") from None
 
 
-_PARSERS = {str: lambda value, key, where: value, float: _parse_float, int: _parse_int}
+def _parse_tolerance(value: str, key: str, where: str) -> float | None:
+    """A positive finite number, or ``none`` for no tolerance."""
+    if value.lower() == "none":
+        return None
+    tol = _parse_float(value, key, where)
+    if not 0 < tol < math.inf:
+        raise ConfigError(f"{where}: {key} expects a positive finite number or none, "
+                          f"got {value!r}")
+    return tol
+
+
+_PARSERS = {str: lambda value, key, where: value, float: _parse_float, int: _parse_int,
+            float | None: _parse_tolerance}
 
 # How each settable RunConfig field is read from its string value; `preset`
 # and `params` are set through the `preset` key and `param.<name>` keys.

@@ -14,14 +14,20 @@ reactions that meet between consecutive steps run as one flow over dt.
 
 Each Crank-Nicolson step solves for its update, (S - cSL) delta = 2c S L u,
 with S = diag(1/2, 1, ..., 1, 1/2) halving the end rows so that the matrix
-is symmetric and is factored once.  The right-hand side is a difference of
-fluxes, 2c (S L u)_i = F_{i+1} - F_i with F_i = (2c/dx^2)(u_i - u_{i-1}) and
-both end fluxes zero (no flux through a reflecting boundary), so the
-update's quadrature mass telescopes to roundoff.
+is symmetric and is factored once per step size.  The right-hand side is a
+difference of fluxes, 2c (S L u)_i = F_{i+1} - F_i with
+F_i = (2c/dx^2)(u_i - u_{i-1}) and both end fluxes zero (no flux through a
+reflecting boundary), so the update's quadrature mass telescopes to
+roundoff.
 
 Crank-Nicolson is unconditionally stable but not positivity preserving: on
 rough data at large d*dt/dx^2 it can overshoot below zero.  That is the one
 thing that still bounds dt, and it is checked after every solve.
+
+Steps are of a fixed dt, or with ``dt_tol`` set, sized by a step-doubling
+error estimate (``_StepDoubling``).  Only the splitting and Crank-Nicolson
+error depends on the step size, so the mass and the lockdown identity hold
+at either.
 
 At about 201 nodes a step costs numpy call overhead, not arithmetic, so the
 step makes few calls and keeps its intermediates in work arrays the kernel
@@ -99,10 +105,19 @@ class Variant(enum.Enum):
 # preset at its own dt leaves a negative value after any solve.
 CN_OVERSHOOT_TOL = 1e-10
 
+# Step sizes whose factors a kernel keeps, oldest dropped first: an adaptive
+# run visits a few dozen rungs of its ladder dt * 2^(k/4), plus the steps
+# clipped to land on snapshot times.
+_CACHED_STEP_SIZES = 64
+
+# An adaptive run gives up on a step below this fraction of dt.
+_STEP_FLOOR = 1e-6
+
 
 class StepSizeError(ValueError):
     """A Crank-Nicolson step overshot below zero: dt is too large for how
-    rough the data are.  ``partial`` holds the trajectories recorded before
+    rough the data are; or, under ``dt_tol``, the error control needed a
+    step below its floor.  ``partial`` holds the trajectories recorded before
     the failure (empty when raised outside ``run_batch``)."""
 
     def __init__(self, message: str, partial: list["Trajectory"] | None = None):
@@ -179,6 +194,9 @@ class Trajectory:
     N: float
     steady_detected: bool = False
     warnings: list[str] = dataclass_field(default_factory=list)
+    # Strang steps taken, and trial steps the error control rejected
+    steps: int = 0
+    rejected_steps: int = 0
 
     @property
     def final(self) -> State:
@@ -190,7 +208,8 @@ class Trajectory:
 
 
 class _Kernel:
-    """Precomputed arrays and substeps for one step size.
+    """Precomputed arrays and substeps, by default of step dt.  What depends
+    on the step size alone is made once per step size and cached.
 
     The state of K specs is a triple of (K, nx) arrays, one row per spec,
     and beta, gamma and r are (K, nx) stacks of the specs' coefficients.
@@ -209,15 +228,34 @@ class _Kernel:
         self.gamma = np.stack([s.gamma.values for s in specs])
         self.r = self.gamma / self.beta
         self._scratch = tuple(np.empty_like(self.beta) for _ in range(4))
-        # the reaction flow over tau, called with tau = dt/2 and tau = dt,
-        # and its factors that depend on tau alone
-        self.reaction_half = (self._std_incidence_flow if self.spec.variant.std_incidence
-                              else self._mass_action_flow)
+        # the Crank-Nicolson right-hand side: a zero-padded flux buffer whose
+        # end columns stay zero, and the buffer dpttrs solves in
+        self._flux = np.zeros((len(self.beta), self.grid.nx + 1))
+        self._rhs = np.empty_like(self.beta)
+        # what depends on the step size alone, per tau for the reaction and
+        # per h for the diffusion; a fixed-dt run fills one or two entries
         self._factors_by_tau: dict[float, np.ndarray | tuple] = {}
-        self._diffuse_S = self._crank_nicolson(self.spec.d_S, "S")
-        self._diffuse_I = self._crank_nicolson(self.spec.d_I, "I")
+        self._diffusion_by_h: dict[float, tuple] = {}
+
+    @staticmethod
+    def _cache(table: dict, key: float, value):
+        """Store ``value`` under ``key``, first dropping the oldest entry of a
+        full table: an adaptive run visits a few dozen step sizes."""
+        if len(table) >= _CACHED_STEP_SIZES:
+            del table[next(iter(table))]
+        table[key] = value
+        return value
 
     # -- reaction ----------------------------------------------------------
+
+    @property
+    def reaction_half(self):
+        """The reaction flow over tau, called with tau = h/2 and tau = h.  A
+        bound method kept on the kernel would make a reference cycle, which
+        holds a finished kernel and its cached factors until the cyclic
+        collector runs."""
+        return (self._std_incidence_flow if self.spec.variant.std_incidence
+                else self._mass_action_flow)
 
     def _mass_action_flow(self, S, I, J, tau):
         # Exact nodewise solution of S' = -beta*(S-r)*I, I' = -S'.
@@ -227,7 +265,7 @@ class _Kernel:
         # by C, as the exact flow is, keeps I_new >= 0 under roundoff.
         beta_tau = self._factors_by_tau.get(tau)
         if beta_tau is None:
-            beta_tau = self._factors_by_tau[tau] = self.beta * tau
+            beta_tau = self._cache(self._factors_by_tau, tau, self.beta * tau)
         C, D, g, w = self._scratch
         np.add(S, I, out=C)
         np.subtract(C, self.r, out=D)
@@ -271,18 +309,24 @@ class _Kernel:
             a = self.beta - self.gamma
             flat = a == 0.0
             g = np.where(flat, tau, np.expm1(a * tau) / np.where(flat, 1.0, a))
-            factors = (np.exp(a * tau), self.beta * g, np.exp(-self.gamma * tau),
-                       -np.expm1(-self.gamma * tau) / self.gamma)
-            self._factors_by_tau[tau] = factors
+            factors = self._cache(self._factors_by_tau, tau, (
+                np.exp(a * tau), self.beta * g, np.exp(-self.gamma * tau),
+                -np.expm1(-self.gamma * tau) / self.gamma))
         return factors
 
     # -- diffusion ---------------------------------------------------------
 
-    def diffuse(self, S, I):
-        return self._diffuse_S(S), self._diffuse_I(I)
+    def _diffusion(self, h):
+        """The Crank-Nicolson steps of S and I over h."""
+        steps = self._diffusion_by_h.get(h)
+        if steps is None:
+            steps = self._cache(self._diffusion_by_h, h, (
+                self._crank_nicolson(self.spec.d_S, "S", h),
+                self._crank_nicolson(self.spec.d_I, "I", h)))
+        return steps
 
-    def _crank_nicolson(self, d, name):
-        """One CN step at dispersal rate d, or the identity when d = 0."""
+    def _crank_nicolson(self, d, name, h):
+        """One CN step of h at dispersal rate d, or the identity when d = 0."""
         if d <= 0:
             return lambda u: u
         # Incremental form of the trapezoidal step: (Id - cL) delta = 2cL u.
@@ -291,9 +335,9 @@ class _Kernel:
         # hundreds of thousands of steps hold mass to ~1e-12 relative.
         # Both sides are multiplied by S = weights/dx, which halves the end rows
         # exactly: S(Id - cL) = S - c(S L) is symmetric positive definite and
-        # the same at every step, so it is factored once here as L D L^T.
+        # the same at every step of h, so it is factored once here as L D L^T.
         SL = neumann_laplacian(self.grid)
-        c = 0.5 * d * self.dt
+        c = 0.5 * d * h
         factors = factor_symmetric(self.grid.weights / self.grid.dx - c * SL.diag, -c * SL.off)
         # The right-hand side 2c(S L)u is a flux difference, F_{i+1} - F_i with
         # F_i = k(u_i - u_{i-1}), k = 2c/dx^2, and F_0 = F_nx = 0: the halved
@@ -303,9 +347,8 @@ class _Kernel:
         # columns stay zero, where the tridiagonal product takes six, and it is
         # exactly 0 on a constant state.
         k = 2.0 * c / self.grid.dx**2
-        flux = np.zeros((len(self.beta), self.grid.nx + 1))
+        flux, rhs = self._flux, self._rhs
         inner, right, left = flux[:, 1:-1], flux[:, 1:], flux[:, :-1]
-        rhs = np.empty_like(self.beta)
 
         def cn_step(u):
             np.subtract(u[:, 1:], u[:, :-1], out=inner)
@@ -319,7 +362,7 @@ class _Kernel:
             if (np.minimum.reduce(u, axis=None) < 0.0
                     and (u.min(axis=-1) < -CN_OVERSHOOT_TOL * u.max(axis=-1)).any()):
                 raise StepSizeError(
-                    f"dt={self.dt:g} is too large for these data: a Crank-Nicolson "
+                    f"dt={h:g} is too large for these data: a Crank-Nicolson "
                     f"step drove {name} down to {u.min():.3e}")
             return u
 
@@ -327,29 +370,110 @@ class _Kernel:
 
     # -- steps -------------------------------------------------------------
 
-    def advance(self, S, I, J, steps: int):
-        """``steps`` Strang steps.  The two half reactions that meet between
-        consecutive steps run as one flow over dt, which for exact flows is
-        the same scheme up to roundoff."""
-        dt = self.dt
-        S, I, J = self.reaction_half(S, I, J, 0.5 * dt)
+    def advance(self, S, I, J, steps: int, h: float | None = None):
+        """``steps`` Strang steps of h, by default the kernel's dt.  The two
+        half reactions that meet between consecutive steps run as one flow
+        over h, which for exact flows is the same scheme up to roundoff."""
+        h = self.dt if h is None else h
+        react = self.reaction_half
+        diffuse_S, diffuse_I = self._diffusion(h)
+        S, I, J = react(S, I, J, 0.5 * h)
         for k in range(steps):
             if k:
-                S, I, J = self.reaction_half(S, I, J, dt)
-            S, I = self.diffuse(S, I)
-        return self.reaction_half(S, I, J, 0.5 * dt)
+                S, I, J = react(S, I, J, h)
+            S, I = diffuse_S(S), diffuse_I(I)
+        return react(S, I, J, 0.5 * h)
+
+
+def _fixed_steps(kernel: _Kernel, S, I, J, steps: int):
+    """``steps`` steps of dt: the state, and the accepted and rejected steps."""
+    return (*kernel.advance(S, I, J, steps), steps, 0)
+
+
+class _StepDoubling:
+    """Error control of the Strang step size by step doubling (Hairer,
+    Norsett & Wanner, Solving ODEs I, II.4).
+
+    A trial compares one step of h with two steps of h/2.  The local error
+    of a step is O(h^3), so two steps of h/2 err a quarter as much as one
+    of h, and their difference is 3/4 of the error of the step of h: the
+    estimate is 4/3 of its sup norm over S and I, divided by max(1, sup u),
+    and the largest over the rows of a batch.  The trial is accepted when
+    that is at most ``tol``, and the more accurate h/2 result is kept.
+    Either way the next h is h * 0.9 (tol/err)^(1/3), held within
+    [h/5, 2h] and rounded down onto the ladder dt * 2^(k/4), so that a run
+    visits few step sizes and the kernel factors each once.  A trial whose
+    Crank-Nicolson step overshoots is a rejected step.  Steps are clipped to
+    land on the end of the interval, and a step that would leave less than
+    itself is halved, so no sliver is left.  The mass and the lockdown
+    identity do not depend on h, since the reaction flows are exact and the
+    Crank-Nicolson update is conservative at every step size.
+    """
+
+    def __init__(self, dt: float, tol: float):
+        self.dt = dt
+        self.tol = tol
+        self.h = dt
+        # below this step the controller gives up
+        self.floor = _STEP_FLOOR * dt
+
+    def advance(self, kernel: _Kernel, S, I, J, steps: int):
+        """Cover ``steps`` steps of dt: the state, and the accepted and
+        rejected steps."""
+        remaining = steps * self.dt
+        accepted = rejected = 0
+        while remaining > 0.0:
+            h = self.h
+            if h >= remaining:
+                h = remaining
+            elif 2.0 * h > remaining:
+                h = 0.5 * remaining
+            try:
+                halves = kernel.advance(S, I, J, 2, 0.5 * h)
+                err = _doubling_error(kernel.advance(S, I, J, 1, h), halves)
+                failure = None
+            except StepSizeError as exc:
+                err, failure = math.inf, exc
+            if err <= self.tol:
+                S, I, J = halves
+                remaining -= h
+                accepted += 1
+            else:
+                rejected += 1
+            # a NaN error fails both comparisons and shrinks h fivefold
+            factor = 2.0 if err == 0.0 else min(2.0, max(0.2, 0.9 * (self.tol / err) ** (1 / 3)))
+            self.h = self.dt * 2.0 ** (math.floor(4.0 * math.log2(h * factor / self.dt)
+                                                  + 1e-9) / 4.0)
+            if self.h < self.floor:
+                last = failure or f"its error estimate was {err:.3e}"
+                raise StepSizeError(
+                    f"dt_tol={self.tol:g} needs a step below {self.floor:g}: "
+                    f"the last trial, h={h:g}, failed ({last})")
+        return S, I, J, accepted, rejected
+
+
+def _doubling_error(one, two) -> float:
+    """4/3 of the sup-norm gap of S and I between one step and two half
+    steps, over max(1, sup u), the largest over the rows."""
+    (S1, I1, _), (S2, I2, _) = one, two
+    gap = np.maximum(np.abs(S1 - S2).max(axis=-1), np.abs(I1 - I2).max(axis=-1))
+    scale = np.maximum(np.maximum(S2.max(axis=-1), I2.max(axis=-1)), 1.0)
+    return 4.0 / 3.0 * float((gap / scale).max())
 
 
 def run(spec: ModelSpec, S0: Field, I0: Field, dt: float, T: float,
-        snapshot_every: float = 0.5, steady_tol: float = 1e-7) -> Trajectory:
+        snapshot_every: float = 0.5, steady_tol: float = 1e-7,
+        dt_tol: float | None = None) -> Trajectory:
     """Integrate to time T or until the state stops changing.
 
     Snapshots (with diagnostics) are recorded every ``snapshot_every`` time
     units; steadiness is declared when the per-unit-time sup-norm change
     rate stays below ``steady_tol`` over ``STEADY_WINDOW`` consecutive
-    snapshots.
+    snapshots.  Steps are of ``dt``, or with ``dt_tol`` set, of the size
+    that keeps each step's error estimate within ``dt_tol``, starting at
+    ``dt`` (``_StepDoubling``).
     """
-    return run_batch([spec], [S0], [I0], dt, T, snapshot_every, steady_tol)[0]
+    return run_batch([spec], [S0], [I0], dt, T, snapshot_every, steady_tol, dt_tol)[0]
 
 
 class _Recorder:
@@ -365,6 +489,7 @@ class _Recorder:
         self.records = [self.context.record(self.snapshots[0], math.inf)]
         self.warnings = list(warnings)
         self.steady = False
+        self.steps = self.rejected_steps = 0
 
     def snapshot(self, t: float, S, I, J, elapsed: float, steady_tol: float) -> bool:
         """Check and record the state at time t, ``elapsed`` after the last
@@ -391,24 +516,27 @@ class _Recorder:
             self.warnings.append(
                 f"steady detection did not trigger by T={self.snapshots[-1].t:g}")
         return Trajectory(spec=self.spec, snapshots=self.snapshots, diagnostics=self.records,
-                          N=self.N, steady_detected=self.steady, warnings=self.warnings)
+                          N=self.N, steady_detected=self.steady, warnings=self.warnings,
+                          steps=self.steps, rejected_steps=self.rejected_steps)
 
 
 def run_batch(specs: list[ModelSpec], S0s: list[Field], I0s: list[Field], dt: float,
-              T: float, snapshot_every: float = 0.5,
-              steady_tol: float = 1e-7) -> list[Trajectory]:
+              T: float, snapshot_every: float = 0.5, steady_tol: float = 1e-7,
+              dt_tol: float | None = None) -> list[Trajectory]:
     """``run`` for K models that share one Crank-Nicolson matrix, advanced as
     the rows of one (K, nx) state; ``run`` is the case K = 1.
 
     The specs must share the grid, variant and dispersal rates;
     coefficients and initial data may differ.  Every row keeps its own
-    snapshots, diagnostics, warnings and steady stop, and equals its own
-    ``run`` bit for bit.  A row that goes steady leaves the state, and the
-    rows that remain get a kernel of their own.  Any row's error is raised
-    for the whole batch; a StepSizeError carries every row's trajectory up
-    to its last snapshot.  ``T`` and ``snapshot_every`` are rounded to whole
-    steps of ``dt``, and every trajectory warns when that moves either by
-    more than 1e-9 relative.
+    snapshots, diagnostics, warnings and steady stop, and at fixed dt equals
+    its own ``run`` bit for bit; under ``dt_tol`` one controller, held by the
+    largest error over the rows, sizes every row's steps.  A row that goes
+    steady leaves the state, and the rows that remain get a kernel of their
+    own.  Any row's error is raised for the whole batch; a StepSizeError
+    carries every row's trajectory up to its last snapshot.  ``T`` and
+    ``snapshot_every`` are rounded to whole steps of ``dt``, and every
+    trajectory warns when that moves either by more than 1e-9 relative;
+    the error control lands on the same snapshot times.
     """
     def shared(s: ModelSpec) -> tuple:
         return s.grid, s.variant, s.d_S, s.d_I
@@ -425,6 +553,8 @@ def run_batch(specs: list[ModelSpec], S0s: list[Field], I0s: list[Field], dt: fl
             raise ValueError(f"dt={dt!r} is too small to count the steps of {name}={value!r}")
     if math.isnan(steady_tol):
         raise ValueError("steady_tol must be a number, got nan")
+    if dt_tol is not None and not 0 < dt_tol < math.inf:
+        raise ValueError(f"dt_tol must be positive and finite, or None, got {dt_tol!r}")
     n_steps = round(T / dt)
     if n_steps < 1:
         raise ValueError(f"T={T!r} is at most half a step of dt={dt!r}, so the run "
@@ -443,16 +573,20 @@ def run_batch(specs: list[ModelSpec], S0s: list[Field], I0s: list[Field], dt: fl
     J = np.zeros_like(S)
     recorders = [_Recorder(*row, rounding) for row in zip(specs, S0s, I0s)]
     active = list(recorders)
+    advance = _fixed_steps if dt_tol is None else _StepDoubling(dt, dt_tol).advance
 
     k = 0
     while k < n_steps:
         steps = min(steps_per_snap, n_steps - k)
         try:
-            S, I, J = kernel.advance(S, I, J, steps)
+            S, I, J, accepted, rejected = advance(kernel, S, I, J, steps)
         except StepSizeError as exc:
             raise StepSizeError(f"{exc} between t={k * dt:g} and t={(k + steps) * dt:g}",
                                 [rec.trajectory() for rec in recorders]) from None
         k += steps
+        for rec in active:
+            rec.steps += accepted
+            rec.rejected_steps += rejected
         steady = [rec.snapshot(k * dt, *row, steps * dt, steady_tol)
                   for rec, *row in zip(active, S, I, J)]
         if any(steady):

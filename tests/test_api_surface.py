@@ -186,7 +186,8 @@ def _span_count(tracer, name):
 ], ids=["degenerate", "full"])
 def test_a_run_factors_once_and_traces_every_crank_nicolson_solve(
         factorizations, overrides, dispersing):
-    cfg = preset_config("sim1b", nx=41, T=0.05, **overrides)
+    # the fixed-dt path; the sim1b preset itself sets dt_tol
+    cfg = preset_config("sim1b", nx=41, T=0.05, dt_tol=None, **overrides)
     spec, _, S0, I0 = cfg.build()
     tracer = _load_bench("tracing").Tracer()
     with tracer.installed():
@@ -196,6 +197,25 @@ def test_a_run_factors_once_and_traces_every_crank_nicolson_solve(
     assert _span_count(tracer, "models.run") == 1
     assert _span_count(tracer, "operators.solve_shifted") == dispersing * steps
     assert factorizations == [41] * dispersing
+
+
+def test_an_adaptive_run_traces_three_solves_per_trial_and_bounds_its_factorizations(
+        factorizations):
+    # each trial is one step of h and two of h/2, one solve per step for the
+    # one dispersing compartment; the step sizes come off the ladder
+    # dt * 2^(k/4) or are clipped onto a snapshot time, so few of them recur
+    cfg = preset_config("sim1b", nx=41, T=2.0)
+    assert cfg.dt_tol == 3e-7
+    spec, _, S0, I0 = cfg.build()
+    tracer = _load_bench("tracing").Tracer()
+    with tracer.installed():
+        traj = models.run(spec, S0, I0, **cfg.run_kwargs())
+    trials = traj.steps + traj.rejected_steps
+    assert traj.steps > 100 and trials < round(cfg.T / cfg.dt)
+    assert _span_count(tracer, "operators.solve_shifted") == 3 * trials
+    # one factorization per step size, not two per trial
+    assert len(factorizations) <= models._CACHED_STEP_SIZES
+    assert set(factorizations) == {41}
 
 
 def test_eigen_solves_factor_and_trace_once_per_iteration(factorizations):

@@ -122,6 +122,20 @@ class TestConfigParsing:
         assert cfg.beta_expr == "2"
         assert cfg.params["a"] == 2.0
 
+    def test_dt_tol_is_a_positive_number_or_none(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("preset = sim1a\ndt_tol = 1e-6\n")
+        cfg = load_config(path)
+        assert cfg.dt_tol == 1e-6 and cfg.run_kwargs()["dt_tol"] == 1e-6
+        assert load_config(None, {"preset": "sim1a"}).run_kwargs()["dt_tol"] is None
+        assert load_config(None, {"preset": "sim1b"}).dt_tol == 3e-7
+        for none in ("none", "None"):
+            assert load_config(path, {"preset": "sim1b", "dt_tol": none}).dt_tol is None
+        path.write_text("preset = sim1a\ndt_tol = 0\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg:2: dt_tol expects a positive "
+                                              r"finite number or none, got '0'$"):
+            load_config(path)
+
     def test_full_explicit_config(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(
@@ -814,6 +828,33 @@ class TestCli:
         assert captured.out == ""
         assert not list(run_dir.glob("*.csv"))
 
+    @pytest.mark.parametrize("value", ["nan", "0", "-1e-6", "inf", "1e400", "tight"])
+    def test_a_dt_tol_that_is_not_positive_and_finite_is_one_error_line(
+            self, tmp_path, capsys, value):
+        run_dir = tmp_path / "out"
+        rc = main(["simulate", "--preset", "sim1b", "--set", f"dt_tol={value}",
+                   "--out", str(run_dir)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (1, "")
+        expects = "a real number" if value == "tight" else "a positive finite number or none"
+        assert captured.err == f"error: <config>: dt_tol expects {expects}, got {value!r}\n"
+        assert not run_dir.exists()
+
+    def test_simulate_takes_dt_tol_from_the_command_line(self, tmp_path, capsys, monkeypatch):
+        seen = []
+        run = models.run
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs["dt_tol"])
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(models, "run", recording)
+        for value in ("1e-5", "none"):
+            rc = main(["simulate", "--preset", "sim1a", "--set", "nx=21", "--set", "T=0.5",
+                       "--set", f"dt_tol={value}", "--out", str(tmp_path / value)])
+            assert rc == 0
+        assert seen == [1e-5, None]
+
     def test_a_dt_too_small_to_count_steps_is_one_error_line(self, tmp_path, capsys):
         run_dir = tmp_path / "out"
         rc = main(["simulate", "--preset", "sim1b", "--set", "dt=1e-310",
@@ -864,9 +905,10 @@ class TestCli:
 
     def test_simulate_keeps_the_snapshots_before_a_step_size_error(self, tmp_path, capsys):
         # the sim1b spike of TestStep::test_rejects_oversized_steps fails
-        # between t = 1 and 1.2
+        # between t = 1 and 1.2 at fixed dt
         run_dir = tmp_path / "out"
-        rc = main(["simulate", "--preset", "sim1b", "--set", "nx=21", "--set", "dt=0.05",
+        rc = main(["simulate", "--preset", "sim1b", "--set", "dt_tol=none",
+                   "--set", "nx=21", "--set", "dt=0.05",
                    "--set", "beta_expr=1", "--set", "gamma_expr=2",
                    "--set", "S0_expr=1 + 9*exp(-((x-0.5)/0.005)^2)",
                    "--set", "I0_expr=0.001", "--set", "T=4", "--set", "snapshot_every=0.2",

@@ -1,10 +1,14 @@
 import contextlib
+import gc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sislab import models
+from sislab.classify import predict_regime, verify_outcome
+from sislab.config import preset_config
 from sislab.mesh import Field, build_grid, eval_expression, incidence_quotient, quadrature
 from sislab.models import (
     MassConservationError,
@@ -263,8 +267,9 @@ class TestStep:
         S = eval_expression(g, "2 + cos(pi*x)").values[None]
         I = eval_expression(g, "1.5 + cos(3*pi*x)").values[None]
         target = quadrature(g, (S + I)[0])
+        diffuse_S, diffuse_I = kernel._diffusion(kernel.dt)
         for _ in range(1000):
-            S, I = kernel.diffuse(S, I)
+            S, I = diffuse_S(S), diffuse_I(I)
         drift = abs(quadrature(g, (S + I)[0]) - target)
         assert drift <= 1e-13 * target
         assert np.ptp(S) < 1e-3  # diffusion has flattened the profile
@@ -290,7 +295,7 @@ class TestStep:
     def test_a_constant_state_has_a_zero_flux_right_hand_side(self, monkeypatch, nx, K):
         kernel, _, seen = self._traced_crank_nicolson(monkeypatch, nx, K)
         I = np.full((K, nx), 1.7)
-        _, I1 = kernel.diffuse(np.ones((K, nx)), I)
+        I1 = kernel._diffusion(kernel.dt)[1](I)
         rhs, delta = seen
         assert np.all(rhs == 0.0) and np.all(delta == 0.0)
         assert np.array_equal(I1, I)
@@ -305,7 +310,7 @@ class TestStep:
         I = np.random.default_rng(nx + K).uniform(0, 3, (K, nx))
         # data this rough overshoot at nx 201; the right-hand side is seen first
         with contextlib.suppress(StepSizeError):
-            kernel.diffuse(np.ones((K, nx)), I)
+            kernel._diffusion(kernel.dt)[1](I)
         rhs = seen[0]
         # L u: S L u with its end entries doubled (ghost-point reflection)
         Lu = neumann_laplacian(g).matvec(I)
@@ -338,6 +343,115 @@ class TestStep:
         assert s_ratio > 20.0          # locked component: near dt^3 collapse
         assert i_ratio > 5.0           # diffusing component: superlinear
         assert vals[8e-3][1] < vals[1.6e-2][1] / 2.2
+
+
+class TestStepDoubling:
+    @pytest.mark.parametrize("name", ["sim1b", "sim3b"])
+    def test_adaptive_runs_lie_within_ten_tolerances_of_a_fine_reference(self, name):
+        spec, _, S0, I0 = preset_config(name).build()
+        dt_tol = 3e-7
+        kwargs = {"T": 2.0, "snapshot_every": 0.5, "steady_tol": 0.0}
+        ref = run(spec, S0, I0, dt=1e-4, **kwargs)
+        traj = run(spec, S0, I0, dt=1e-3, dt_tol=dt_tol, **kwargs)
+        assert [s.t for s in traj.snapshots] == pytest.approx([s.t for s in ref.snapshots])
+        err = max(np.abs(getattr(a, u).values - getattr(b, u).values).max()
+                  for a, b in zip(traj.snapshots, ref.snapshots) for u in "SI")
+        assert err <= 10 * dt_tol
+        assert 0 < traj.steps < 1000
+
+    def test_the_sim1b_preset_meets_criterion_1_at_the_fixed_runs_snapshot_times(
+            self, preset_run, preset_setup):
+        spec, _, S0, I0 = preset_setup("sim1b")
+        traj = preset_run("sim1b")
+        fixed_cfg = preset_config("sim1b", dt_tol=None)
+        fixed = run(spec, S0, I0, **fixed_cfg.run_kwargs())
+        assert [s.t for s in traj.snapshots] == [s.t for s in fixed.snapshots]
+        assert traj.steps < fixed.steps / 5
+        r = spec.risk_ratio()
+        assert traj.steady_detected
+        assert abs(quadrature(traj.final.I.grid, traj.final.I.values) - 2.5) <= 0.025
+        assert np.abs(traj.final.S.values - r.values).max() <= 0.01 * r.max()
+        report = verify_outcome(traj, predict_regime(spec, S0, I0), tol=0.01)
+        assert report.passed is True
+
+    @staticmethod
+    def _spike():
+        # TestStep::test_rejects_oversized_steps: at dt = 0.05 the spike that
+        # grows out of the reaction makes a Crank-Nicolson step overshoot
+        g = unit_grid(21)
+        spec = ModelSpec(Variant.MASS_ACTION_DS0, Field(g, 1.0),
+                         Field(g, 2.0), d_S=0.0, d_I=1.0)
+        S0 = np.ones(g.nx)
+        S0[10] = 10.0
+        return spec, Field(g, S0), Field(g, 1e-3)
+
+    def test_an_overshooting_trial_is_a_rejected_step(self, monkeypatch):
+        spec, S0, I0 = self._spike()
+        kwargs = {"dt": 0.05, "T": 4.0, "snapshot_every": 0.2, "steady_tol": 0.0}
+        with pytest.raises(StepSizeError):
+            run(spec, S0, I0, **kwargs)
+        overshoots = []
+        advance = _Kernel.advance
+
+        def counting(self, *args):
+            try:
+                return advance(self, *args)
+            except StepSizeError:
+                overshoots.append(args[-1])
+                raise
+
+        monkeypatch.setattr(_Kernel, "advance", counting)
+        traj = run(spec, S0, I0, dt_tol=1e-4, **kwargs)
+        assert len(traj.snapshots) == 21
+        assert traj.rejected_steps == len(overshoots) > 0
+        for s in traj.snapshots:
+            assert abs(s.total_mass() - traj.N) <= 1e-12 * traj.N
+            assert s.S.min() >= 0 and s.I.min() >= 0
+
+    def test_an_unreachable_tolerance_is_a_step_size_error_with_the_partial_runs(self):
+        spec, g = make_spec(nx=41)
+        S0, I0 = eval_expression(g, "2 + cos(pi*x)"), eval_expression(g, "1.5 + cos(pi*x)")
+        I0_low = eval_expression(g, "1 + cos(pi*x)")
+        kwargs = {"dt": 1e-3, "T": 1.0, "snapshot_every": 0.25, "steady_tol": 0.0}
+        with pytest.raises(StepSizeError, match=r"^dt_tol=1e-30 needs a step below 1e-09: "
+                                                r"the last trial, h=.*, failed \(its error "
+                                                r"estimate was .*\) between t=0 and "
+                                                r"t=0\.25$") as failed:
+            run_batch([spec, spec], [S0, S0], [I0, I0_low], dt_tol=1e-30, **kwargs)
+        assert len(failed.value.partial) == 2
+        for partial in failed.value.partial:
+            assert [s.t for s in partial.snapshots] == [0.0]
+            assert (partial.steps, partial.rejected_steps) == (0, 0)
+
+    def test_a_finished_kernel_is_freed_without_the_cyclic_collector(self):
+        # its caches hold up to _CACHED_STEP_SIZES factorizations; a
+        # reference cycle would keep them until a full collection
+        spec, g = make_spec(nx=11)
+        kernel = _Kernel([spec], 1e-3)
+        state = (np.full((1, g.nx), 2.0), np.full((1, g.nx), 1.0), np.zeros((1, g.nx)))
+        for h in (1e-3, 2e-3, 3e-3):
+            kernel.advance(*state, 2, h)
+        freed = weakref.ref(kernel)
+        gc.disable()
+        try:
+            del kernel
+            assert freed() is None
+        finally:
+            gc.enable()
+
+    def test_the_kernel_keeps_a_bounded_number_of_step_sizes(self):
+        for variant in (Variant.MASS_ACTION_DS0, Variant.STD_INCIDENCE_DI0):
+            spec, g = make_spec(variant, d_S=float(variant.locks_i), d_I=float(variant.locks_s),
+                                nx=11)
+            kernel = _Kernel([spec], 1e-3)
+            state = (np.full((1, g.nx), 2.0), np.full((1, g.nx), 1.0), np.zeros((1, g.nx)))
+            for k in range(2 * models._CACHED_STEP_SIZES):
+                kernel.advance(*state, 1, 1e-3 * (1 + k / 1000))
+            assert len(kernel._diffusion_by_h) == models._CACHED_STEP_SIZES
+            assert len(kernel._factors_by_tau) == models._CACHED_STEP_SIZES
+            # the newest entries stay, so the run's current step sizes are kept
+            assert 1e-3 * (1 + (2 * models._CACHED_STEP_SIZES - 1) / 1000) \
+                in kernel._diffusion_by_h
 
 
 class TestRun:
@@ -394,7 +508,8 @@ class TestRun:
     @pytest.mark.parametrize("name, value", [
         ("dt", np.inf), ("dt", np.nan), ("dt", 0.0), ("T", np.inf), ("T", np.nan),
         ("T", -1.0), ("snapshot_every", np.nan), ("snapshot_every", np.inf),
-        ("snapshot_every", 0.0),
+        ("snapshot_every", 0.0), ("dt_tol", np.nan), ("dt_tol", 0.0), ("dt_tol", -1e-6),
+        ("dt_tol", np.inf),
     ])
     def test_run_lengths_must_be_positive_and_finite(self, name, value):
         spec, g = make_spec(nx=11)
@@ -688,6 +803,29 @@ def _cosine_series(draw, grid, floor):
        dt=st.sampled_from([1e-3, 5e-3]), data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_random_smooth_runs_keep_their_invariants(variant, nx, dt, data):
+    traj = _random_smooth_run(variant, nx, dt, None, data)
+    assert (traj.steps, traj.rejected_steps) == (round(0.5 / dt), 0)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@given(nx=st.integers(17, 65), dt=st.sampled_from([1e-3, 5e-3]),
+       dt_tol=st.sampled_from([1e-8, 1e-6, 1e-4]), data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_adaptive_runs_keep_their_invariants(variant, nx, dt, dt_tol, data):
+    # the mass and the lockdown identity do not depend on the step size, and
+    # the steps land on the snapshot times of the fixed-dt run
+    traj = _random_smooth_run(variant, nx, dt, dt_tol, data)
+    every = round(0.1 / dt)
+    assert [s.t for s in traj.snapshots] == [j * every * dt for j in range(6)]
+    assert [s.t for s in traj.snapshots] == pytest.approx([j * 0.1 for j in range(6)],
+                                                          rel=1e-15)
+    assert traj.steps >= 5
+
+
+def _random_smooth_run(variant, nx, dt, dt_tol, data):
+    """A run of random smooth coefficients and data to T = 0.5, checked for
+    mass, positivity and, for mass_action_ds0, the lockdown identity at
+    every snapshot."""
     g = unit_grid(nx)
     d_S = 0.0 if variant.locks_s else data.draw(st.floats(0.01, 2))
     d_I = 0.0 if variant.locks_i else data.draw(st.floats(0.01, 2))
@@ -696,7 +834,8 @@ def test_random_smooth_runs_keep_their_invariants(variant, nx, dt, data):
     S0 = _cosine_series(data.draw, g, 0.01)
     I0 = _cosine_series(data.draw, g, 0.01)
     # a StepSizeError here means the guard fired on smooth data
-    traj = run(spec, S0, I0, dt=dt, T=0.5, snapshot_every=0.1, steady_tol=0.0)
+    traj = run(spec, S0, I0, dt=dt, T=0.5, snapshot_every=0.1, steady_tol=0.0,
+               dt_tol=dt_tol)
     assert len(traj.snapshots) == 6
     r = spec.risk_ratio().values
     for s in traj.snapshots:
@@ -705,3 +844,4 @@ def test_random_smooth_runs_keep_their_invariants(variant, nx, dt, data):
         if variant is Variant.MASS_ACTION_DS0:
             locked = r + (S0.values - r) * np.exp(-spec.beta.values * s.J.values)
             assert np.abs(s.S.values - locked).max() <= 1e-10 * S0.max()
+    return traj

@@ -93,6 +93,7 @@ def _assert_bitwise_equal(batched, single):
     assert batched.steady_detected == single.steady_detected
     assert batched.warnings == single.warnings
     assert batched.N == single.N
+    assert (batched.steps, batched.rejected_steps) == (single.steps, single.rejected_steps)
 
 
 class TestBatchedRows:
