@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .mesh import Field, quadrature, risk_signs, rmin_set
-from .models import ModelSpec, State, Trajectory, Variant, check_initial_data
+from .models import ModelSpec, Trajectory, Variant, check_initial_data
 from .diagnostics import concentration_fraction
 from .threshold import critical_population
 
@@ -46,12 +46,14 @@ class Regime(enum.Enum):
 
 @dataclass
 class RegimePrediction:
+    """The limit a regime states: S and I as Fields where the theorem fixes
+    them, and the nodes of T37's point mass, which has no Field form.  The
+    limit's infected mass is N minus the integral of predicted_S."""
+
     regime: Regime
     predicted_S: Optional[Field] = None
     predicted_I: Optional[Field] = None
-    predicted_I_mass: Optional[float] = None
     min_indices: Optional[np.ndarray] = None
-    high_mask: Optional[np.ndarray] = None
     notes: list[str] = dataclass_field(default_factory=list)
 
 
@@ -98,8 +100,7 @@ def _predict_mass_ds0(spec, S0, I0, N):
             notes.append("population lies in the undecided band above int r")
             return RegimePrediction(Regime.INDETERMINATE, notes=notes)
     return RegimePrediction(Regime.T32_ENDEMIC_UNIFORM, predicted_S=r,
-                            predicted_I=Field(grid, (N - int_r) / grid.length),
-                            predicted_I_mass=N - int_r, notes=notes)
+                            predicted_I=Field(grid, (N - int_r) / grid.length), notes=notes)
 
 
 def _predict_mass_di0(spec, S0, I0, N):
@@ -113,10 +114,11 @@ def _predict_mass_di0(spec, S0, I0, N):
         return RegimePrediction(Regime.T37_EXTINCTION_UNIFORM,
                                 predicted_S=Field(grid, N / grid.length),
                                 predicted_I=Field(grid, 0.0), notes=notes)
-    mass = N - grid.length * r_min
-    notes.append(f"limit infected mass N - |domain|*min r = {mass:.6g}")
-    return RegimePrediction(Regime.T37_CONCENTRATION, predicted_S=Field(grid, r_min),
-                            predicted_I_mass=mass, min_indices=min_idx, notes=notes)
+    S_limit = Field(grid, r_min)
+    notes.append(f"limit infected mass N - |domain|*min r = "
+                 f"{N - quadrature(grid, S_limit.values):.6g}")
+    return RegimePrediction(Regime.T37_CONCENTRATION, predicted_S=S_limit,
+                            min_indices=min_idx, notes=notes)
 
 
 def _predict_std_ds0(spec, S0, I0, N):
@@ -167,8 +169,7 @@ def _predict_std_di0(spec, S0, I0, N):
     S_star = N / (grid.length + quadrature(grid, excess))
     notes.append(f"uniform susceptible level {S_star:.6g}")
     return RegimePrediction(Regime.T46_PERSISTENCE, predicted_S=Field(grid, S_star),
-                            predicted_I=Field(grid, excess * S_star), high_mask=high,
-                            notes=notes)
+                            predicted_I=Field(grid, excess * S_star), notes=notes)
 
 
 _PREDICTORS = {
@@ -242,17 +243,26 @@ def verify_outcome(traj: Trajectory, pred: RegimePrediction, tol: float) -> Outc
     if regime in (Regime.T32_EXTINCTION, Regime.T42_EXTINCTION, Regime.T43_EXTINCTION):
         errors["sup_I_rel"] = Iv.max() / density_scale
     elif regime is Regime.T32_ENDEMIC_UNIFORM:
-        errors["I_mass_rel"] = abs(quadrature(grid, Iv) - pred.predicted_I_mass) \
-            / pred.predicted_I_mass
+        I_mass = traj.N - quadrature(grid, pred.predicted_S.values)
+        errors["I_mass_rel"] = abs(quadrature(grid, Iv) - I_mass) / I_mass
         errors["I_profile_rel"] = _sup_rel(final.I, pred.predicted_I)
         errors["S_vs_risk_ratio_rel"] = _sup_rel(final.S, pred.predicted_S)
     elif regime is Regime.T37_EXTINCTION_UNIFORM:
         errors["S_uniform_rel"] = _sup_rel(final.S, pred.predicted_S)
         errors["I_mass_rel"] = quadrature(grid, Iv) / traj.N
     elif regime is Regime.T37_CONCENTRATION:
-        best = max(traj.trailing(), key=lambda state: _concentration(state, pred)[0])
-        _, mass, share = _concentration(best, pred)
-        errors["I_mass_rel"] = abs(mass - pred.predicted_I_mass) / pred.predicted_I_mass
+        # judge the trailing snapshot closest to a point mass of I_mass on
+        # min_indices, in its mass and its share near those points
+        I_mass = traj.N - quadrature(grid, pred.predicted_S.values)
+
+        def fit(state):
+            mass = quadrature(grid, state.I.values)
+            share = concentration_fraction(state.I, pred.min_indices) if mass > 0 else 0.0
+            mass_err = abs(mass - I_mass) / I_mass
+            return share - mass_err, mass_err, share, state
+
+        _, errors["I_mass_rel"], share, best = max(map(fit, traj.trailing()),
+                                                   key=lambda scored: scored[0])
         errors["concentration_shortfall"] = 1.0 - share
         errors["S_level_rel"] = _sup_rel(best.S, pred.predicted_S)
         notes.append(f"best trailing snapshot at t={best.t:g}")
@@ -264,7 +274,7 @@ def verify_outcome(traj: Trajectory, pred: RegimePrediction, tol: float) -> Outc
         errors["sup_I_rel"] = sup_trail / density_scale
         notes.append("subsequential claim: judged on the best trailing snapshot")
     elif regime is Regime.T46_PERSISTENCE:
-        high = pred.high_mask
+        high = pred.predicted_I.values > 0
         errors["S_uniform_rel"] = _sup_rel(final.S, pred.predicted_S)
         errors["I_high_rel"] = _sup_rel(final.I, pred.predicted_I, where=high)
         off = ~high
@@ -284,12 +294,3 @@ def _sup_rel(u: Field, limit: Field, where: np.ndarray | None = None) -> float:
     if where is not None:
         gap = gap[where]
     return float(gap.max()) / limit.max()
-
-
-def _concentration(state: State, pred: RegimePrediction) -> tuple[float, float, float]:
-    """A trailing snapshot's score as the point-mass limit, its infected mass,
-    and the share of that mass near the target points."""
-    mass = quadrature(state.I.grid, state.I.values)
-    share = concentration_fraction(state.I, pred.min_indices) if mass > 0 else 0.0
-    target = pred.predicted_I_mass
-    return share - abs(mass - target) / max(target, 1e-300), mass, share

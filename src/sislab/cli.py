@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from . import models
 from .classify import check_tolerance, predict_regime, verify_outcome
@@ -132,6 +133,12 @@ def _cmd_classify(args) -> int:
     pred = predict_regime(spec, S0, I0)
     if args.run_dir:
         traj = read_run(spec, args.run_dir)
+        first = traj.snapshots[0]
+        # profiles are written with repr, so a run of these data reloads them exactly
+        if first.t != 0.0 or (first.S.values != S0.values).any() \
+                or (first.I.values != I0.values).any():
+            raise ValueError(f"{Path(args.run_dir, 'profiles.csv')} does not start from "
+                             f"the configured S0 and I0 at t = 0")
     else:
         traj = models.run(spec, S0, I0, **cfg.run_kwargs())
     print(f"predicted regime: {pred.regime.name} — {pred.regime.value}")

@@ -105,9 +105,9 @@ class Variant(enum.Enum):
 # preset at its own dt leaves a negative value after any solve.
 CN_OVERSHOOT_TOL = 1e-10
 
-# Step sizes whose factors a kernel keeps, oldest dropped first: an adaptive
-# run visits a few dozen rungs of its ladder dt * 2^(k/4), plus the steps
-# clipped to land on snapshot times.
+# Step sizes a kernel's table keeps, oldest dropped first: an adaptive run
+# visits a few dozen rungs of its ladder dt * 2^(k/4), plus the steps clipped
+# to land on snapshot times.
 _CACHED_STEP_SIZES = 64
 
 # An adaptive run gives up on a step below this fraction of dt.
@@ -209,7 +209,7 @@ class Trajectory:
 
 class _Kernel:
     """Precomputed arrays and substeps, by default of step dt.  What depends
-    on the step size alone is made once per step size and cached.
+    on the step size alone is made once per step size, in one table.
 
     The state of K specs is a triple of (K, nx) arrays, one row per spec,
     and beta, gamma and r are (K, nx) stacks of the specs' coefficients.
@@ -232,40 +232,32 @@ class _Kernel:
         # end columns stay zero, and the buffer dpttrs solves in
         self._flux = np.zeros((len(self.beta), self.grid.nx + 1))
         self._rhs = np.empty_like(self.beta)
-        # what depends on the step size alone, per tau for the reaction and
-        # per h for the diffusion; a fixed-dt run fills one or two entries
-        self._factors_by_tau: dict[float, np.ndarray | tuple] = {}
-        self._diffusion_by_h: dict[float, tuple] = {}
-
-    @staticmethod
-    def _cache(table: dict, key: float, value):
-        """Store ``value`` under ``key``, first dropping the oldest entry of a
-        full table: an adaptive run visits a few dozen step sizes."""
-        if len(table) >= _CACHED_STEP_SIZES:
-            del table[next(iter(table))]
-        table[key] = value
-        return value
+        # everything a Strang step of h needs, per h: the reaction factors
+        # over h/2 and h, and the Crank-Nicolson steps of S and I; a fixed-dt
+        # run fills one entry
+        self._by_h: dict[float, tuple] = {}
 
     # -- reaction ----------------------------------------------------------
 
     @property
-    def reaction_half(self):
-        """The reaction flow over tau, called with tau = h/2 and tau = h.  A
-        bound method kept on the kernel would make a reference cycle, which
-        holds a finished kernel and its cached factors until the cyclic
-        collector runs."""
-        return (self._std_incidence_flow if self.spec.variant.std_incidence
-                else self._mass_action_flow)
+    def reaction(self):
+        """The variant's reaction flow, called with the factors over tau, and
+        the builder of those factors.  Bound methods kept on the kernel would
+        make a reference cycle, which holds a finished kernel and its table
+        until the cyclic collector runs."""
+        if self.spec.variant.std_incidence:
+            return self._std_incidence_flow, self._std_factors
+        return self._mass_action_flow, self._mass_action_factors
 
-    def _mass_action_flow(self, S, I, J, tau):
+    def _mass_action_factors(self, tau):
+        return self.beta * tau
+
+    def _mass_action_flow(self, S, I, J, beta_tau):
         # Exact nodewise solution of S' = -beta*(S-r)*I, I' = -S'.
         # With C = S+I and D = C-r, u = S-r obeys a logistic equation:
         # u(tau) = u/(1 + I*g) with g = expm1(beta*tau*D)/D, whose limit at
         # D = 0 is beta*tau, and int I dt = log1p(I*g)/beta.  Bounding S_new
         # by C, as the exact flow is, keeps I_new >= 0 under roundoff.
-        beta_tau = self._factors_by_tau.get(tau)
-        if beta_tau is None:
-            beta_tau = self._cache(self._factors_by_tau, tau, self.beta * tau)
         C, D, g, w = self._scratch
         np.add(S, I, out=C)
         np.subtract(C, self.r, out=D)
@@ -278,13 +270,13 @@ class _Kernel:
         np.minimum(S_new, C, out=S_new)
         return S_new, C - S_new, J + np.divide(np.log1p(Ig, out=Ig), self.beta, out=Ig)
 
-    def _std_incidence_flow(self, S, I, J, tau):
+    def _std_incidence_flow(self, S, I, J, factors):
         # Exact nodewise solution of I' = beta*S*I/C - gamma*I, S' = -I'.
         # With C = S+I fixed this is I' = a*I - (beta/C)*I^2, a = beta-gamma:
         # I(tau) = I*e^{a tau}/(1 + x) with x = beta*g*I/C, g = (e^{a tau}-1)/a,
         # and int I dt = (C/beta)*log1p(x).  Where C <= EPS_REG the incidence
         # is exactly 0, so I only recovers: I*e^{-gamma tau}.
-        growth, beta_g, decay, recovered = self._std_factors(tau)
+        growth, beta_g, decay, recovered = factors
         C, x, w, v = self._scratch
         np.add(S, I, out=C)
         # fmin skips NaN, so a NaN node leaves the choice of branch to the
@@ -304,26 +296,13 @@ class _Kernel:
     def _std_factors(self, tau):
         """e^{a tau}, beta*g, e^{-gamma tau} and (1 - e^{-gamma tau})/gamma,
         which depend on tau alone; g = tau where a = 0."""
-        factors = self._factors_by_tau.get(tau)
-        if factors is None:
-            a = self.beta - self.gamma
-            flat = a == 0.0
-            g = np.where(flat, tau, np.expm1(a * tau) / np.where(flat, 1.0, a))
-            factors = self._cache(self._factors_by_tau, tau, (
-                np.exp(a * tau), self.beta * g, np.exp(-self.gamma * tau),
-                -np.expm1(-self.gamma * tau) / self.gamma))
-        return factors
+        a = self.beta - self.gamma
+        flat = a == 0.0
+        g = np.where(flat, tau, np.expm1(a * tau) / np.where(flat, 1.0, a))
+        return (np.exp(a * tau), self.beta * g, np.exp(-self.gamma * tau),
+                -np.expm1(-self.gamma * tau) / self.gamma)
 
     # -- diffusion ---------------------------------------------------------
-
-    def _diffusion(self, h):
-        """The Crank-Nicolson steps of S and I over h."""
-        steps = self._diffusion_by_h.get(h)
-        if steps is None:
-            steps = self._cache(self._diffusion_by_h, h, (
-                self._crank_nicolson(self.spec.d_S, "S", h),
-                self._crank_nicolson(self.spec.d_I, "I", h)))
-        return steps
 
     def _crank_nicolson(self, d, name, h):
         """One CN step of h at dispersal rate d, or the identity when d = 0."""
@@ -370,19 +349,31 @@ class _Kernel:
 
     # -- steps -------------------------------------------------------------
 
+    def _strang(self, h):
+        """The table's entry for h, made on first use; a full table first
+        drops its oldest entry."""
+        entry = self._by_h.get(h)
+        if entry is None:
+            if len(self._by_h) >= _CACHED_STEP_SIZES:
+                del self._by_h[next(iter(self._by_h))]
+            _, factors = self.reaction
+            entry = self._by_h[h] = (factors(0.5 * h), factors(h),
+                                     self._crank_nicolson(self.spec.d_S, "S", h),
+                                     self._crank_nicolson(self.spec.d_I, "I", h))
+        return entry
+
     def advance(self, S, I, J, steps: int, h: float | None = None):
         """``steps`` Strang steps of h, by default the kernel's dt.  The two
         half reactions that meet between consecutive steps run as one flow
         over h, which for exact flows is the same scheme up to roundoff."""
-        h = self.dt if h is None else h
-        react = self.reaction_half
-        diffuse_S, diffuse_I = self._diffusion(h)
-        S, I, J = react(S, I, J, 0.5 * h)
+        react, _ = self.reaction
+        half, full, diffuse_S, diffuse_I = self._strang(self.dt if h is None else h)
+        S, I, J = react(S, I, J, half)
         for k in range(steps):
             if k:
-                S, I, J = react(S, I, J, h)
+                S, I, J = react(S, I, J, full)
             S, I = diffuse_S(S), diffuse_I(I)
-        return react(S, I, J, 0.5 * h)
+        return react(S, I, J, half)
 
 
 def _fixed_steps(kernel: _Kernel, S, I, J, steps: int):

@@ -59,6 +59,13 @@ def test_public_api_is_pinned():
     limits = typing.get_type_hints(classify.RegimePrediction)
     assert limits["predicted_S"] == limits["predicted_I"] == typing.Optional[mesh.Field]
     assert not hasattr(classify, "_best_concentration_snapshot")
+    # a prediction states its limits and nothing they fix, and the kernel
+    # keeps what a step size needs in one table
+    assert tuple(f.name for f in fields(classify.RegimePrediction)) == (
+        "regime", "predicted_S", "predicted_I", "min_indices", "notes")
+    assert not hasattr(classify, "_concentration")
+    for name in ("reaction_half", "_cache", "_diffusion"):
+        assert not hasattr(models._Kernel, name), name
     # a sweep point has one shape, and output names the diagnostics columns
     assert not hasattr(sweep.SweepResult, "table")
     assert not hasattr(diagnostics.DiagnosticsRecord, "CSV_COLUMNS")

@@ -11,7 +11,7 @@ from sislab.classify import (
     verify_outcome,
 )
 from sislab.config import PRESETS, preset_config
-from sislab.mesh import Field, build_grid, quadrature
+from sislab.mesh import Field, build_grid, quadrature, risk_signs
 from sislab.models import ModelSpec, Variant
 from sislab.spectral import principal_eigenvalue
 from test_models import _cosine_series
@@ -53,7 +53,9 @@ class TestPredictions:
     def test_concentration_targets(self, preset_setup):
         spec, grid, S0, I0 = preset_setup("sim2b")
         pred = predict_regime(spec, S0, I0)
-        assert pred.predicted_I_mass == pytest.approx(np.pi - 0.5, abs=1e-6)
+        # the limit's infected mass is what its susceptibles leave of N
+        I_mass = quadrature(grid, S0.values + I0.values - pred.predicted_S.values)
+        assert I_mass == pytest.approx(np.pi - 0.5, abs=1e-6)
         assert grid.nodes[pred.min_indices] == pytest.approx([0.5])
         spec, grid, S0, I0 = preset_setup("sim2c")
         pred = predict_regime(spec, S0, I0)
@@ -194,18 +196,24 @@ def test_every_predicted_limit_is_a_field_on_the_grid(variant, nx, data):
     d_I = 0.0 if variant.locks_i else data.draw(st.floats(0.01, 2))
     spec = ModelSpec(variant, _cosine_series(data.draw, g, 0.1),
                      _cosine_series(data.draw, g, 0.1), d_S=d_S, d_I=d_I)
-    pred = predict_regime(spec, _cosine_series(data.draw, g, 0.01),
-                          _cosine_series(data.draw, g, 0.01))
+    # I0 vanishes beyond a drawn node, so its support may be part of the domain
+    support = np.arange(nx) < data.draw(st.integers(1, nx))
+    I0 = Field(g, np.where(support, _cosine_series(data.draw, g, 0.01).values, 0.0))
+    pred = predict_regime(spec, _cosine_series(data.draw, g, 0.01), I0)
     for limit in (pred.predicted_S, pred.predicted_I):
         assert limit is None or (isinstance(limit, Field) and limit.grid == spec.grid)
+    if pred.regime is Regime.T46_PERSISTENCE:
+        # the persistence set is where the stated I limit is positive
+        high = (risk_signs(spec.beta.values - spec.gamma.values) > 0) & (I0.values > 0)
+        assert np.array_equal(pred.predicted_I.values > 0, high)
 
 
-# a configuration for every decided regime but the point mass, whose limit
-# is no Field
+# a configuration for every decided regime
 DECIDED = [
     ("sim1a", {}, Regime.T32_EXTINCTION),
     ("sim1b", {}, Regime.T32_ENDEMIC_UNIFORM),
     ("sim2a", {}, Regime.T37_EXTINCTION_UNIFORM),
+    ("sim2b", {}, Regime.T37_CONCENTRATION),
     ("sim3a", {}, Regime.T42_EXTINCTION),
     ("sim3b", {}, Regime.T42_ENDEMIC),
     ("sim3a", {"beta_expr": "1.5 + max(abs(x - 0.5) - 0.2, 0)", "gamma_expr": "1.5"},
@@ -223,8 +231,15 @@ def test_a_run_at_its_predicted_limit_verifies_with_zero_profile_error(name, ove
     pred = predict_regime(spec, S0, I0)
     assert pred.regime is regime
     S = S0 if pred.predicted_S is None else pred.predicted_S
-    at_limit = models.State(0.0, S, pred.predicted_I, None)
     N = quadrature(grid, S0.values + I0.values)
+    I = pred.predicted_I
+    if I is None:
+        # a point mass has no Field form: the mass N - int S_inf, on min_indices
+        I = np.zeros(grid.nx)
+        I[pred.min_indices] = (N - quadrature(grid, S.values)) \
+            / grid.weights[pred.min_indices].sum()
+        I = Field(grid, I)
+    at_limit = models.State(0.0, S, I, None)
     report = verify_outcome(models.Trajectory(spec, [at_limit], [], N), pred, tol=1e-12)
     profile = {k: err for k, err in report.measured_errors.items() if k != "I_mass_rel"}
     assert profile and all(err == 0.0 for err in profile.values()), profile

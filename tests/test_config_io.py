@@ -621,12 +621,15 @@ class TestCli:
         assert capsys.readouterr() == in_process
 
     @pytest.mark.parametrize("case", ["header_only", "five_cells", "other_grid", "nan_cell",
-                                      "inf_cell", "diagnostics_csv"])
+                                      "inf_cell", "diagnostics_csv", "other_initial_state",
+                                      "no_initial_snapshot"])
     def test_unusable_profiles_are_one_error_line(self, tmp_path, capsys, case):
         run_dir = tmp_path / "out"
         sets = ["--set", "nx=41", "--set", "T=0.5"]
         if case == "other_grid":
             sets += ["--set", "x_max=2"]
+        elif case == "other_initial_state":
+            sets += ["--set", "I0_expr=1.5"]
         assert main(["simulate", "--preset", "sim1b", *sets, "--out", str(run_dir)]) == 0
         profiles = run_dir / "profiles.csv"
         lines = profiles.read_text().splitlines()
@@ -636,6 +639,8 @@ class TestCli:
             lines = (run_dir / "diagnostics.csv").read_text().splitlines()
         elif case == "five_cells":
             lines[2] += ",0"
+        elif case == "no_initial_snapshot":
+            del lines[1:1 + 41]
         elif case in ("nan_cell", "inf_cell"):
             lines[2] = lines[2].rsplit(",", 1)[0] + "," + case[:3]
         profiles.write_text("\n".join(lines) + "\n")
@@ -652,6 +657,10 @@ class TestCli:
             assert "line 3" in captured.err
         if case == "diagnostics_csv":
             assert captured.err == f"error: {profiles} is not a profiles.csv\n"
+        if case in ("other_initial_state", "no_initial_snapshot"):
+            # a run of other data would be judged against this prediction
+            assert captured.err == (f"error: {profiles} does not start from the "
+                                    f"configured S0 and I0 at t = 0\n")
 
     def test_expression_overflow_is_one_error_line(self, capsys):
         # numpy's overflow warning would repeat the error on stderr

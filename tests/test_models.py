@@ -26,6 +26,12 @@ def unit_grid(nx=201):
     return build_grid(0, 1, nx)
 
 
+def react(kernel, S, I, J, tau):
+    """The kernel's reaction flow over tau."""
+    flow, factors = kernel.reaction
+    return flow(S, I, J, factors(tau))
+
+
 def make_spec(variant=Variant.MASS_ACTION_DS0, beta="2", gamma="4 - pi*sin(pi*x)",
               d_S=0.0, d_I=1.0, nx=201):
     g = unit_grid(nx)
@@ -39,16 +45,15 @@ class TestReactionTerms:
         kernel = _Kernel([spec], 1e-3)
         S = np.linspace(0.5, 3.0, g.nx)
         # no infecteds: the exact flow leaves the pair and the exposure fixed
-        (S1,), (I1,), (J1,) = kernel.reaction_half(S[None], np.zeros((1, g.nx)),
-                                                   np.zeros((1, g.nx)), 1e-3)
+        (S1,), (I1,), (J1,) = react(kernel, S[None], np.zeros((1, g.nx)),
+                                    np.zeros((1, g.nx)), 1e-3)
         assert S1 == pytest.approx(S, abs=1e-14)
         assert np.abs(I1).max() <= 1e-14
         assert np.all(J1 == 0.0)
         # no susceptibles: the infected only recover, I' = -gamma*I at tau -> 0
         I = np.linspace(0.5, 3.0, g.nx)
         tau = 1e-7
-        _, (I1,), _ = kernel.reaction_half(np.zeros((1, g.nx)), I[None],
-                                           np.zeros((1, g.nx)), tau)
+        _, (I1,), _ = react(kernel, np.zeros((1, g.nx)), I[None], np.zeros((1, g.nx)), tau)
         assert (I1 - I) / tau == pytest.approx(-spec.gamma.values * I, rel=1e-5)
 
     def test_mass_action_nullcline(self):
@@ -57,8 +62,7 @@ class TestReactionTerms:
         kernel = _Kernel([spec], 1e-3)
         r = spec.gamma.values / spec.beta.values
         I = np.full(g.nx, 1.5)
-        (S1,), (I1,), _ = kernel.reaction_half(r[None].copy(), I[None],
-                                               np.zeros((1, g.nx)), 1e-2)
+        (S1,), (I1,), _ = react(kernel, r[None].copy(), I[None], np.zeros((1, g.nx)), 1e-2)
         assert np.array_equal(S1, r)
         assert I1 == pytest.approx(I, rel=1e-15)
 
@@ -73,8 +77,8 @@ class TestReactionTerms:
         spec, g = make_spec(Variant.STD_INCIDENCE_DS0, beta="2 - sin(pi*x)", gamma="1.5",
                             nx=4)
         tau = 0.3
-        (S1,), (I1,), (J1,) = _Kernel([spec], 1e-3).reaction_half(S[None], I[None],
-                                                                  np.zeros((1, 4)), tau)
+        (S1,), (I1,), (J1,) = react(_Kernel([spec], 1e-3), S[None], I[None],
+                                    np.zeros((1, 4)), tau)
         empty = np.array([True, False, True, False])
         decay = np.exp(-1.5 * tau)
         assert I1[empty] == pytest.approx(I[empty] * decay, rel=1e-15, abs=0.0)
@@ -202,7 +206,7 @@ class TestStep:
         S = rng.uniform(0, 3, g.nx)
         I = rng.uniform(0, 3, g.nx)
         total = S + I
-        (S2,), (I2,), _ = kernel.reaction_half(S[None], I[None], np.zeros((1, g.nx)), 5e-4)
+        (S2,), (I2,), _ = react(kernel, S[None], I[None], np.zeros((1, g.nx)), 5e-4)
         assert np.abs(S2 + I2 - total).max() <= 2 * np.finfo(float).eps * total.max()
         assert S2.min() >= 0 and I2.min() >= 0
 
@@ -213,7 +217,7 @@ class TestStep:
         rng = np.random.default_rng(1)
         S = rng.uniform(0, 3, g.nx)
         I = rng.uniform(0, 3, g.nx)
-        (S2,), (I2,), _ = kernel.reaction_half(S[None], I[None], np.zeros((1, g.nx)), 5e-4)
+        (S2,), (I2,), _ = react(kernel, S[None], I[None], np.zeros((1, g.nx)), 5e-4)
         assert S2 + I2 == pytest.approx(S + I, abs=1e-15)
         assert S2.min() >= 0 and I2.min() >= 0
 
@@ -226,10 +230,10 @@ class TestStep:
         S = np.stack([np.where(empty, 0.0, 2.0), np.full(11, 2.0)])
         I = np.stack([np.where(empty, 5e-13, 1.0), np.full(11, 0.5)])
         batch = _Kernel(specs, 1e-3)
-        got = batch.reaction_half(S, I, np.zeros_like(S), 2.0)
+        got = react(batch, S, I, np.zeros_like(S), 2.0)
         for k, spec in enumerate(specs):
             single = _Kernel([spec], 1e-3)
-            want = single.reaction_half(S[k:k + 1], I[k:k + 1], np.zeros((1, 11)), 2.0)
+            want = react(single, S[k:k + 1], I[k:k + 1], np.zeros((1, 11)), 2.0)
             for a, (b,) in zip(got, want):
                 assert np.array_equal(a[k], b)
         assert got[1][0][empty] == pytest.approx(5e-13 * np.exp(-1.5 * 2.0), rel=1e-15, abs=0.0)
@@ -248,9 +252,9 @@ class TestStep:
         if empty_node:
             S[0, 0], I[0, 0] = 0.0, 5e-13  # S + I <= EPS_REG
         inputs = [a.copy() for a in (S, I, J)]
-        first = kernel.reaction_half(S, I, J, 5e-4)
+        first = react(kernel, S, I, J, 5e-4)
         kept = [a.copy() for a in first]
-        second = kernel.reaction_half(S[::-1].copy(), I[::-1].copy(), J, 1e-3)
+        second = react(kernel, S[::-1].copy(), I[::-1].copy(), J, 1e-3)
         for a, b in zip(first, kept):
             assert np.array_equal(a, b)
         for a, b in zip((S, I, J), inputs):
@@ -267,7 +271,7 @@ class TestStep:
         S = eval_expression(g, "2 + cos(pi*x)").values[None]
         I = eval_expression(g, "1.5 + cos(3*pi*x)").values[None]
         target = quadrature(g, (S + I)[0])
-        diffuse_S, diffuse_I = kernel._diffusion(kernel.dt)
+        diffuse_S, diffuse_I = kernel._strang(kernel.dt)[2:]
         for _ in range(1000):
             S, I = diffuse_S(S), diffuse_I(I)
         drift = abs(quadrature(g, (S + I)[0]) - target)
@@ -295,7 +299,7 @@ class TestStep:
     def test_a_constant_state_has_a_zero_flux_right_hand_side(self, monkeypatch, nx, K):
         kernel, _, seen = self._traced_crank_nicolson(monkeypatch, nx, K)
         I = np.full((K, nx), 1.7)
-        I1 = kernel._diffusion(kernel.dt)[1](I)
+        I1 = kernel._strang(kernel.dt)[3](I)
         rhs, delta = seen
         assert np.all(rhs == 0.0) and np.all(delta == 0.0)
         assert np.array_equal(I1, I)
@@ -310,7 +314,7 @@ class TestStep:
         I = np.random.default_rng(nx + K).uniform(0, 3, (K, nx))
         # data this rough overshoot at nx 201; the right-hand side is seen first
         with contextlib.suppress(StepSizeError):
-            kernel._diffusion(kernel.dt)[1](I)
+            kernel._strang(kernel.dt)[3](I)
         rhs = seen[0]
         # L u: S L u with its end entries doubled (ghost-point reflection)
         Lu = neumann_laplacian(g).matvec(I)
@@ -424,7 +428,7 @@ class TestStepDoubling:
             assert (partial.steps, partial.rejected_steps) == (0, 0)
 
     def test_a_finished_kernel_is_freed_without_the_cyclic_collector(self):
-        # its caches hold up to _CACHED_STEP_SIZES factorizations; a
+        # its table holds up to _CACHED_STEP_SIZES factorizations; a
         # reference cycle would keep them until a full collection
         spec, g = make_spec(nx=11)
         kernel = _Kernel([spec], 1e-3)
@@ -447,11 +451,9 @@ class TestStepDoubling:
             state = (np.full((1, g.nx), 2.0), np.full((1, g.nx), 1.0), np.zeros((1, g.nx)))
             for k in range(2 * models._CACHED_STEP_SIZES):
                 kernel.advance(*state, 1, 1e-3 * (1 + k / 1000))
-            assert len(kernel._diffusion_by_h) == models._CACHED_STEP_SIZES
-            assert len(kernel._factors_by_tau) == models._CACHED_STEP_SIZES
             # the newest entries stay, so the run's current step sizes are kept
-            assert 1e-3 * (1 + (2 * models._CACHED_STEP_SIZES - 1) / 1000) \
-                in kernel._diffusion_by_h
+            assert list(kernel._by_h) == [1e-3 * (1 + k / 1000) for k in range(
+                models._CACHED_STEP_SIZES, 2 * models._CACHED_STEP_SIZES)]
 
 
 class TestRun:
@@ -679,7 +681,7 @@ def test_exact_reaction_flow_matches_a_fine_ode_integration(S, I, beta, gamma, t
     kernel = _Kernel([spec], 1e-3)
     Sv = np.full((1, 3), S)
     Iv = np.full((1, 3), I)
-    (S1,), (I1,), (J1,) = kernel.reaction_half(Sv, Iv, np.zeros((1, 3)), tau)
+    (S1,), (I1,), (J1,) = react(kernel, Sv, Iv, np.zeros((1, 3)), tau)
 
     # independent oracle: 4th-order Runge-Kutta on the nodewise pair, with
     # the exposure integral carried as an extra state component
@@ -720,8 +722,8 @@ def test_exact_std_flow_matches_a_fine_ode_integration(S, I, beta, gamma, tau):
     spec = ModelSpec(Variant.STD_INCIDENCE_DS0, Field(g, beta_v), Field(g, gamma_v),
                      d_S=0.0, d_I=1.0)
     kernel = _Kernel([spec], 1e-3)
-    (S1,), (I1,), (J1,) = kernel.reaction_half(np.full((1, 3), S), np.full((1, 3), I),
-                                               np.zeros((1, 3)), tau)
+    (S1,), (I1,), (J1,) = react(kernel, np.full((1, 3), S), np.full((1, 3), I),
+                                np.zeros((1, 3)), tau)
 
     # independent oracle: 4th-order Runge-Kutta on the nodewise pair, with
     # the exposure integral carried as an extra state component
@@ -764,8 +766,8 @@ def test_reaction_flows_are_semigroups(variant, S, I, beta, gamma, tau):
     kernel = _Kernel([spec], 1e-3)
     S = np.array([S + [2.0, 0.0]])
     I = np.array([I + [1.0, 5e-13]])
-    twice = kernel.reaction_half(*kernel.reaction_half(S, I, np.zeros((1, 6)), tau), tau)
-    once = kernel.reaction_half(S, I, np.zeros((1, 6)), 2 * tau)
+    twice = react(kernel, *react(kernel, S, I, np.zeros((1, 6)), tau), tau)
+    once = react(kernel, S, I, np.zeros((1, 6)), 2 * tau)
     for a, b in zip(twice, once):
         assert np.abs(a - b).max() <= 1e-13 * (S + I).max()
 

@@ -38,8 +38,9 @@ sweeps with their plots; the three plot kinds of a run; and one command for
 each input the command line rejects with an ``error:`` line that a simpler
 check could miss, among them ``classify`` of the ``full`` model, which has
 no regime prediction, ``eigen --h`` of a 1000-term sum, too deep for the
-expression parser, and ``simulate`` at ``dt=1e-310``, too small to count
-the steps of T.
+expression parser, ``simulate`` at ``dt=1e-310``, too small to count
+the steps of T, and ``classify --run-dir`` of sim1c at a = 0.4 on the sim3b
+run, which started from other initial data.
 """
 
 from __future__ import annotations
@@ -140,6 +141,10 @@ def commands() -> list[tuple[str, list[str]]]:
                                          "--nx", "5"]),
         ("error_simulate_tiny_dt", ["simulate", "--preset", "sim1b", "--set", "dt=1e-310",
                                     "--out", "runs/error_tiny_dt"]),
+        # a run directory of other initial data
+        ("error_classify_other_initial_state", ["classify", "--preset", "sim1c", "--set",
+                                                "param.a=0.4", "--set", "T=2",
+                                                "--run-dir", "runs/sim3b"]),
     ]
     return cmds
 
