@@ -18,7 +18,7 @@ from .config import PRESETS, ConfigError, RunConfig, load_config, load_sweep_con
 from .mesh import Field, build_grid, eval_expression
 from .models import MassConservationError, StepSizeError, Variant
 from .operators import TridiagonalSolveError
-from .output import SVG_KINDS, emit_run, emit_sweep, read_run
+from .output import SVG_KINDS, emit_run, emit_sweep, read_run, run_model
 from .spectral import EigenConvergenceError, basic_reproduction_number, principal_eigenvalue
 from .sweep import run_sweep
 from .threshold import critical_population
@@ -139,6 +139,11 @@ def _cmd_classify(args) -> int:
                 or (first.I.values != I0.values).any():
             raise ValueError(f"{Path(args.run_dir, 'profiles.csv')} does not start from "
                              f"the configured S0 and I0 at t = 0")
+        # profiles.csv holds no model; run.json, where the run left one, names it
+        model = run_model(args.run_dir)
+        if model not in (None, spec.variant.value):
+            raise ValueError(f"{Path(args.run_dir, 'run.json')} names model {model}, "
+                             f"not the configured {spec.variant.value}")
     else:
         traj = models.run(spec, S0, I0, **cfg.run_kwargs())
     print(f"predicted regime: {pred.regime.name} — {pred.regime.value}")

@@ -255,27 +255,36 @@ class _Kernel:
     def _mass_action_flow(self, S, I, J, beta_tau):
         # Exact nodewise solution of S' = -beta*(S-r)*I, I' = -S'.
         # With C = S+I and D = C-r, u = S-r obeys a logistic equation:
-        # u(tau) = u/(1 + I*g) with g = expm1(beta*tau*D)/D, whose limit at
-        # D = 0 is beta*tau, and int I dt = log1p(I*g)/beta.  Bounding S_new
-        # by C, as the exact flow is, keeps I_new >= 0 under roundoff.
+        # u(tau) = u/(1 + I*g) with g = expm1(beta*tau*D)/D, and
+        # int I dt = log1p(I*g)/beta.  The limit g = beta*tau at D = 0 is
+        # taken only when some node has D == 0; the masked divide that takes
+        # it costs several plain ones, and gives the same bits elsewhere.
+        # Bounding S_new by C, as the exact flow is, keeps I_new >= 0 under
+        # roundoff.  With J None the exposure is not formed.
         C, D, g, w = self._scratch
         np.add(S, I, out=C)
         np.subtract(C, self.r, out=D)
         np.expm1(np.multiply(beta_tau, D, out=w), out=w)
-        np.copyto(g, beta_tau)
-        np.divide(w, D, out=g, where=D != 0.0)
+        if np.count_nonzero(D) == D.size:
+            np.divide(w, D, out=g)
+        else:
+            np.copyto(g, beta_tau)
+            np.divide(w, D, out=g, where=D != 0.0)
         Ig = np.multiply(I, g, out=g)
         u = np.divide(np.subtract(S, self.r, out=D), np.add(1.0, Ig, out=w), out=D)
         S_new = np.add(self.r, u)
         np.minimum(S_new, C, out=S_new)
-        return S_new, C - S_new, J + np.divide(np.log1p(Ig, out=Ig), self.beta, out=Ig)
+        if J is not None:
+            J = J + np.divide(np.log1p(Ig, out=Ig), self.beta, out=Ig)
+        return S_new, C - S_new, J
 
     def _std_incidence_flow(self, S, I, J, factors):
         # Exact nodewise solution of I' = beta*S*I/C - gamma*I, S' = -I'.
         # With C = S+I fixed this is I' = a*I - (beta/C)*I^2, a = beta-gamma:
         # I(tau) = I*e^{a tau}/(1 + x) with x = beta*g*I/C, g = (e^{a tau}-1)/a,
         # and int I dt = (C/beta)*log1p(x).  Where C <= EPS_REG the incidence
-        # is exactly 0, so I only recovers: I*e^{-gamma tau}.
+        # is exactly 0, so I only recovers: I*e^{-gamma tau}.  With J None
+        # the exposure is not formed.
         growth, beta_g, decay, recovered = factors
         C, x, w, v = self._scratch
         np.add(S, I, out=C)
@@ -286,12 +295,14 @@ class _Kernel:
             C_safe = np.where(empty, 1.0, C)
             x = np.where(empty, 0.0, beta_g * I / C_safe)
             I_new = np.where(empty, decay * I, growth * I / (1.0 + x))
-            dJ = np.where(empty, recovered * I, C_safe / self.beta * np.log1p(x))
+            if J is not None:
+                J = J + np.where(empty, recovered * I, C_safe / self.beta * np.log1p(x))
         else:
             np.divide(np.multiply(beta_g, I, out=x), C, out=x)
             I_new = np.divide(np.multiply(growth, I, out=w), np.add(1.0, x, out=v))
-            dJ = np.multiply(np.divide(C, self.beta, out=w), np.log1p(x, out=x), out=w)
-        return C - I_new, I_new, J + dJ
+            if J is not None:
+                J = J + np.multiply(np.divide(C, self.beta, out=w), np.log1p(x, out=x), out=w)
+        return C - I_new, I_new, J
 
     def _std_factors(self, tau):
         """e^{a tau}, beta*g, e^{-gamma tau} and (1 - e^{-gamma tau})/gamma,
@@ -421,7 +432,8 @@ class _StepDoubling:
                 h = 0.5 * remaining
             try:
                 halves = kernel.advance(S, I, J, 2, 0.5 * h)
-                err = _doubling_error(kernel.advance(S, I, J, 1, h), halves)
+                # the step of h is only compared, so it forms no exposure
+                err = _doubling_error(kernel.advance(S, I, None, 1, h), halves)
                 failure = None
             except StepSizeError as exc:
                 err, failure = math.inf, exc
@@ -445,11 +457,15 @@ class _StepDoubling:
 
 def _doubling_error(one, two) -> float:
     """4/3 of the sup-norm gap of S and I between one step and two half
-    steps, over max(1, sup u), the largest over the rows."""
+    steps, over max(1, sup u), the largest over the rows.  It overwrites
+    the S and I of ``one``, the step of h that the trial discards, and
+    leaves ``two``, the kept result, as it is."""
     (S1, I1, _), (S2, I2, _) = one, two
-    gap = np.maximum(np.abs(S1 - S2).max(axis=-1), np.abs(I1 - I2).max(axis=-1))
-    scale = np.maximum(np.maximum(S2.max(axis=-1), I2.max(axis=-1)), 1.0)
-    return 4.0 / 3.0 * float((gap / scale).max())
+    np.abs(np.subtract(S1, S2, out=S1), out=S1)
+    np.abs(np.subtract(I1, I2, out=I1), out=I1)
+    gap = np.maximum.reduce(np.maximum(S1, I1, out=S1), axis=-1)
+    scale = np.maximum.reduce(np.maximum(S2, I2, out=I1), axis=-1)
+    return 4.0 / 3.0 * float(np.maximum.reduce(gap / np.maximum(scale, 1.0, out=scale)))
 
 
 def run(spec: ModelSpec, S0: Field, I0: Field, dt: float, T: float,

@@ -2,7 +2,8 @@
 
 A run directory holds profiles.csv, diagnostics.csv, run.json and an
 optional <kind>.svg; a sweep directory holds sweep.csv and an optional
-sweep.svg.  Only profiles.csv is ever read back.
+sweep.svg.  Only profiles.csv, and the model that run.json names, are ever
+read back.
 
 Numbers are written with repr(), the shortest decimal that round-trips to
 the same float, so re-parsing a profile file reproduces the state bit for
@@ -24,6 +25,7 @@ from .mesh import Field
 from .models import State, Trajectory
 
 _PROFILES = "profiles.csv"
+_SUMMARY = "run.json"
 _DIAGNOSTICS_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
@@ -83,7 +85,7 @@ def emit_run(traj: Trajectory, out_dir, preset: str | None, svg: str | None = No
     if error is not None:
         summary["error"] = error
     out = Path(out_dir)
-    (out / "run.json").write_text(json.dumps(summary, indent=2) + "\n")
+    (out / _SUMMARY).write_text(json.dumps(summary, indent=2) + "\n")
     if svg is not None:
         emit_svg(traj, out / f"{svg}.svg", svg)
     return paths
@@ -140,6 +142,22 @@ def read_run(spec, run_dir) -> Trajectory:
         snapshots.append(State(t, Field(grid, s), Field(grid, i), None))
     return Trajectory(spec=spec, snapshots=snapshots, diagnostics=[],
                       N=snapshots[0].total_mass())
+
+
+def run_model(run_dir) -> str | None:
+    """The model that a run directory's run.json names, or None when it has
+    no run.json.  A run.json that is not a JSON object naming a model raises
+    ValueError naming the file."""
+    path = Path(run_dir) / _SUMMARY
+    if not path.exists():
+        return None
+    try:
+        model = json.loads(path.read_text())["model"]
+    except (ValueError, KeyError, TypeError):
+        model = None
+    if not isinstance(model, str):
+        raise ValueError(f"{path} is not a run.json that names a model")
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,7 @@ def test_option_surface_is_pinned():
     # each caller forms its own risk indicator, and a run carries its own r and beta
     assert params(mesh.risk_signs) == ("indicator",)
     assert params(output.read_run) == ("spec", "run_dir")
+    assert params(output.run_model) == ("run_dir",)
 
 
 @pytest.mark.parametrize("module_name, path", [

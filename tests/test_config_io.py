@@ -662,6 +662,34 @@ class TestCli:
             assert captured.err == (f"error: {profiles} does not start from the "
                                     f"configured S0 and I0 at t = 0\n")
 
+    @pytest.mark.parametrize("run_json", ["of_its_model", "unreadable", "absent"])
+    def test_a_run_directory_of_another_model_is_one_error_line(self, tmp_path, capsys,
+                                                                run_json):
+        # sim1b and sim3b start from the same data; run.json names the model
+        # of the run, profiles.csv does not
+        run_dir = tmp_path / "out"
+        sets = ["--set", "nx=41", "--set", "T=0.5"]
+        assert main(["simulate", "--preset", "sim1b", *sets, "--out", str(run_dir)]) == 0
+        summary = run_dir / "run.json"
+        if run_json == "unreadable":
+            summary.write_text("[1]\n")
+        elif run_json == "absent":
+            summary.unlink()
+        capsys.readouterr()
+        rc = main(["classify", "--preset", "sim3b", *sets, "--run-dir", str(run_dir)])
+        captured = capsys.readouterr()
+        if run_json == "absent":
+            # without run.json the run is judged as the configured model
+            assert rc == 2 and captured.err == ""
+            assert "predicted regime: T42_ENDEMIC" in captured.out
+            return
+        assert rc == 1 and captured.out == ""
+        assert captured.err == {
+            "of_its_model": f"error: {summary} names model mass_action_ds0, not the "
+                            f"configured std_incidence_ds0\n",
+            "unreadable": f"error: {summary} is not a run.json that names a model\n",
+        }[run_json]
+
     def test_expression_overflow_is_one_error_line(self, capsys):
         # numpy's overflow warning would repeat the error on stderr
         with warnings.catch_warnings():

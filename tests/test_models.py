@@ -66,6 +66,46 @@ class TestReactionTerms:
         assert np.array_equal(S1, r)
         assert I1 == pytest.approx(I, rel=1e-15)
 
+    @pytest.mark.parametrize("zero_nodes", [True, False], ids=["some_D_zero", "no_D_zero"])
+    def test_mass_action_takes_the_D_zero_limit_only_where_D_is_zero(self, monkeypatch,
+                                                                      zero_nodes):
+        # g = expm1(beta*tau*D)/D with D = S + I - r, and g = beta*tau where
+        # D == 0; the masked divide runs only when some node has D == 0, and
+        # either way every row has the bits of the masked formula
+        specs = [make_spec(beta=beta, gamma="1.5", nx=11)[0]
+                 for beta in ("2 - sin(pi*x)", "3")]
+        kernel = _Kernel(specs, 1e-3)
+        rng = np.random.default_rng(5)
+        S, I, J = (rng.uniform(0.1, 3, (2, 11)) for _ in range(3))
+        r, beta = kernel.r, kernel.beta
+        zero = np.zeros((2, 11), dtype=bool)
+        if zero_nodes:
+            zero[0, ::3] = zero[1, 5] = True
+            # halving is exact, so S + I is r exactly
+            S[zero] = I[zero] = 0.5 * r[zero]
+        D = S + I - r
+        assert np.array_equal(D == 0.0, zero)
+        tau = 0.37
+        beta_tau = beta * tau
+        g = beta_tau.copy()
+        np.divide(np.expm1(beta_tau * D), D, out=g, where=D != 0.0)
+        Ig = I * g
+        S_want = np.minimum(r + (S - r) / (1.0 + Ig), S + I)
+        want = (S_want, (S + I) - S_want, J + np.log1p(Ig) / beta)
+        masked, np_copyto = [], np.copyto
+
+        def copyto(*args, **kwargs):
+            masked.append(args)
+            return np_copyto(*args, **kwargs)
+
+        monkeypatch.setattr(models.np, "copyto", copyto)
+        got = react(kernel, S, I, J, tau)
+        assert len(masked) == zero_nodes
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        # the zero nodes took the limit g = beta*tau
+        assert np.array_equal(got[2][zero], (J + np.log1p(I * beta_tau) / beta)[zero])
+
     def test_std_incidence_origin_and_arithmetic(self):
         S = np.array([0.0, 1.0, 4e-13, 1.0])
         I = np.array([0.0, 1.0, 5e-13, 0.0])
@@ -255,11 +295,14 @@ class TestStep:
         first = react(kernel, S, I, J, 5e-4)
         kept = [a.copy() for a in first]
         second = react(kernel, S[::-1].copy(), I[::-1].copy(), J, 1e-3)
+        # the J-less call, as the step of h of a step-doubling trial makes it
+        *third, no_J = react(kernel, S, I, None, 2e-3)
+        assert no_J is None
         for a, b in zip(first, kept):
             assert np.array_equal(a, b)
         for a, b in zip((S, I, J), inputs):
             assert np.array_equal(a, b)
-        results = [*first, *second]
+        results = [*first, *second, *third]
         for n, a in enumerate(results):
             others = [*results[:n], *results[n + 1:], *kernel._scratch, S, I, J]
             assert not any(np.shares_memory(a, b) for b in others)
@@ -426,6 +469,41 @@ class TestStepDoubling:
         for partial in failed.value.partial:
             assert [s.t for s in partial.snapshots] == [0.0]
             assert (partial.steps, partial.rejected_steps) == (0, 0)
+
+    @given(K=st.integers(1, 3), nx=st.integers(2, 40), size=st.sampled_from([0.5, 3.0]),
+           gap=st.sampled_from([0.0, 1e-9, 1e-3]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_the_doubling_error_leaves_the_kept_result_as_it_is(self, K, nx, size, gap,
+                                                                seed):
+        # the estimate overwrites only the S and I of the step of h; its value
+        # is 4/3 max(gap/scale) formed as the plain formula forms it
+        rng = np.random.default_rng(seed)
+        S2, I2, J2 = rng.uniform(0, size, (3, K, nx))
+        S1, I1 = S2 + rng.normal(0, gap, (K, nx)), I2 + rng.normal(0, gap, (K, nx))
+        kept = [a.copy() for a in (S2, I2, J2)]
+        err_gap = np.maximum(np.abs(S1 - S2).max(axis=-1), np.abs(I1 - I2).max(axis=-1))
+        scale = np.maximum(np.maximum(S2.max(axis=-1), I2.max(axis=-1)), 1.0)
+        want = 4.0 / 3.0 * float((err_gap / scale).max())
+        assert models._doubling_error((S1, I1, None), (S2, I2, J2)) == want
+        for a, b in zip((S2, I2, J2), kept):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("variant", [Variant.MASS_ACTION_DS0, Variant.STD_INCIDENCE_DI0])
+    def test_an_accepted_trial_keeps_the_two_half_steps_and_its_inputs(self, variant):
+        spec, g = make_spec(variant, d_S=0.0 if variant.locks_s else 1.0,
+                            d_I=0.0 if variant.locks_i else 1.0, nx=41)
+        kernel = _Kernel([spec], 1e-3)
+        S = eval_expression(g, "2 + cos(pi*x)").values[None]
+        I = eval_expression(g, "1.5 + cos(2*pi*x)").values[None]
+        J = eval_expression(g, "0.1*x").values[None]
+        inputs = [a.copy() for a in (S, I, J)]
+        *state, accepted, rejected = models._StepDoubling(1e-3, 1.0).advance(
+            kernel, S, I, J, 1)
+        assert (accepted, rejected) == (1, 0)
+        for a, b in zip((S, I, J), inputs):
+            assert np.array_equal(a, b)
+        for a, b in zip(state, kernel.advance(S, I, J, 2, 0.5e-3)):
+            assert np.array_equal(a, b)
 
     def test_a_finished_kernel_is_freed_without_the_cyclic_collector(self):
         # its table holds up to _CACHED_STEP_SIZES factorizations; a
@@ -822,6 +900,30 @@ def test_adaptive_runs_keep_their_invariants(variant, nx, dt, dt_tol, data):
     assert [s.t for s in traj.snapshots] == pytest.approx([j * 0.1 for j in range(6)],
                                                           rel=1e-15)
     assert traj.steps >= 5
+
+
+@given(variant=st.sampled_from([Variant.MASS_ACTION_DS0, Variant.STD_INCIDENCE_DS0]),
+       K=st.integers(1, 3), nx=st.integers(3, 30), tau=st.sampled_from([1e-4, 0.05, 2.0]),
+       special=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_a_flow_without_exposure_moves_S_and_I_as_with_it(variant, K, nx, tau, special,
+                                                          seed):
+    # the step of h of a step-doubling trial passes J = None: the flow forms
+    # no exposure and moves S and I bit for bit as it does with one
+    rng = np.random.default_rng(seed)
+    specs = [make_spec(variant, beta=f"{b!r} - sin(pi*x)", gamma=repr(c), nx=nx)[0]
+             for b, c in rng.uniform(1.5, 3.0, (K, 2)).tolist()]
+    kernel = _Kernel(specs, 1e-3)
+    S, I, J = rng.uniform(0, 3, (3, K, nx))
+    if special:
+        # a node with S + I <= EPS_REG (the std-incidence empty branch) and
+        # one with S + I == r (the mass-action D == 0 limit)
+        S[0, 0], I[0, 0] = 0.0, 5e-13
+        S[-1, -1] = I[-1, -1] = 0.5 * kernel.r[-1, -1]
+    S_J, I_J, J_J = react(kernel, S, I, J, tau)
+    S_, I_, J_ = react(kernel, S, I, None, tau)
+    assert J_ is None and J_J is not None
+    assert np.array_equal(S_, S_J) and np.array_equal(I_, I_J)
 
 
 def _random_smooth_run(variant, nx, dt, dt_tol, data):

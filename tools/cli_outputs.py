@@ -39,8 +39,9 @@ each input the command line rejects with an ``error:`` line that a simpler
 check could miss, among them ``classify`` of the ``full`` model, which has
 no regime prediction, ``eigen --h`` of a 1000-term sum, too deep for the
 expression parser, ``simulate`` at ``dt=1e-310``, too small to count
-the steps of T, and ``classify --run-dir`` of sim1c at a = 0.4 on the sim3b
-run, which started from other initial data.
+the steps of T, ``classify --run-dir`` of sim1c at a = 0.4 on the sim3b
+run, which started from other initial data, and ``classify --run-dir`` of
+sim3b on the sim1b run, whose run.json names another model.
 """
 
 from __future__ import annotations
@@ -141,10 +142,12 @@ def commands() -> list[tuple[str, list[str]]]:
                                          "--nx", "5"]),
         ("error_simulate_tiny_dt", ["simulate", "--preset", "sim1b", "--set", "dt=1e-310",
                                     "--out", "runs/error_tiny_dt"]),
-        # a run directory of other initial data
+        # a run directory of other initial data, and one of another model
         ("error_classify_other_initial_state", ["classify", "--preset", "sim1c", "--set",
                                                 "param.a=0.4", "--set", "T=2",
                                                 "--run-dir", "runs/sim3b"]),
+        ("error_classify_other_model", ["classify", "--preset", "sim3b", "--set", "T=2",
+                                        "--run-dir", "runs/sim1b"]),
     ]
     return cmds
 
