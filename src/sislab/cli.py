@@ -225,6 +225,15 @@ def main(argv=None) -> int:
             MassConservationError, TridiagonalSolveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        # only a parallel sweep loads the module of BrokenProcessPool
+        from concurrent.futures.process import BrokenProcessPool
+
+        if not isinstance(exc, BrokenProcessPool):
+            raise
+        print("error: a sweep worker process ended abruptly; no sweep table was written",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

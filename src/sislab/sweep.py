@@ -6,6 +6,8 @@ largest second difference."""
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -62,20 +64,98 @@ def _evaluate_point(payload) -> list[SweepPoint]:
     return points
 
 
+# The process's sweep worker pool as (workers, executor, exit hook): made by
+# the first parallel sweep and kept for later ones.  The lock makes each
+# sweep's check-then-replace atomic.
+_pool = None
+_pool_lock = threading.Lock()
+# Pools a forked child inherited, kept uncollected: collecting one takes a
+# lock and writes to a pipe that belong to the parent's threads.
+_inherited = []
+
+
+def _forget_pool() -> None:
+    """In a forked child: leave the parent's pool, whose manager thread did
+    not survive the fork, and the lock, which the fork may have left held."""
+    global _pool, _pool_lock
+    if _pool is not None:
+        _inherited.append(_pool)
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _close_pool() -> None:
+    """Shut the pool down, wait for its workers, and drop it.
+
+    Each pool also registers this as its exit hook, which multiprocessing
+    runs at exit before it joins the process's children: a process started
+    by multiprocessing skips concurrent.futures' own exit hook, and would
+    wait forever on idle workers.  The hook also drops the executor while
+    the modules it calls back into still exist; left to interpreter
+    teardown, its collection can print an ignored AttributeError.
+    """
+    global _pool
+    if _pool is not None:
+        _, executor, exit_hook = _pool
+        _pool = None
+        executor.shutdown()
+        exit_hook.cancel()
+
+
+def _map_on_pool(workers: int, payloads) -> list[list[SweepPoint]]:
+    """``_evaluate_point`` of each payload on the pool of ``workers`` processes.
+
+    A pool of another size is shut down, and waited for, before this one
+    starts.  A pool that breaks (a worker died) is dropped and the chunks
+    run once more on a fresh one: they are pure, so the rerun is safe.  A
+    second break drops that pool too and raises ``BrokenProcessPool``.
+    """
+    global _pool
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    from multiprocessing.util import Finalize
+
+    with _pool_lock:
+        for last_try in (False, True):
+            if _pool is not None and _pool[0] != workers:
+                _close_pool()
+            if _pool is None:
+                # before the exit hooks of multiprocessing's queue feeders
+                # (priority 10), which the shutdown still needs
+                _pool = (workers, ProcessPoolExecutor(max_workers=workers),
+                         Finalize(None, _close_pool, exitpriority=15))
+            try:
+                return list(_pool[1].map(_evaluate_point, payloads))
+            except BrokenProcessPool:
+                _close_pool()
+                if last_try:
+                    raise
+
+
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
     """Run the sweep, optionally across processes; the table stays sorted.
 
     A sweep over an expression constant goes in at most ``jobs`` contiguous
-    chunks, each one batch; any other sweep runs one point per task.
+    chunks, each one batch; any other sweep runs one point per task.  With
+    ``jobs > 1`` the chunks run on ``min(jobs, chunks)`` worker processes of
+    one pool per process: the first parallel sweep starts it, later sweeps
+    that need as many workers reuse it, one that needs another count
+    replaces it, and the workers end when the process exits (a forked child
+    starts a pool of its own).  A sweep whose pool breaks (a worker died)
+    reruns its chunks once on a fresh pool, then raises
+    ``BrokenProcessPool``.  Workers are forked when the pool starts, so they
+    run the module state of that moment: a later monkeypatch or edit of
+    ``config.OBSERVABLES`` does not reach them.  ``jobs`` below 1 raises
+    ``ValueError``.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     values = [float(v) for v in cfg.values()]
-    size = math.ceil(len(values) / max(jobs, 1)) if cfg.varies_params else 1
+    size = math.ceil(len(values) / jobs) if cfg.varies_params else 1
     payloads = [(cfg, values[i:i + size]) for i in range(0, len(values), size)]
     if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-            chunks = list(pool.map(_evaluate_point, payloads))
+        chunks = _map_on_pool(min(jobs, len(payloads)), payloads)
     else:
         chunks = [_evaluate_point(p) for p in payloads]
     points = sorted((p for chunk in chunks for p in chunk), key=lambda p: p.parameter)

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sislab import models, spectral
+from sislab import cli, models, spectral
 from sislab.cli import main
 from sislab.config import (
     ConfigError,
@@ -806,6 +806,45 @@ class TestCli:
         assert captured.err == f"error: {error}\n"
         assert captured.out == ""
         assert not (tmp_path / "sw").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_one_error_line(self, tmp_path, capsys, jobs):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("preset = sim1c\nnx = 41\nT = 0.5\nsweep_parameter = a\n"
+                       "sweep_lo = 0.5\nsweep_hi = 1.5\nsweep_count = 3\n")
+        rc = main(["sweep", "--config", str(cfg), "--jobs", jobs,
+                   "--out", str(tmp_path / "sw")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: jobs must be at least 1, got {jobs}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "sw").exists()
+
+    def test_a_dead_sweep_worker_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+
+        def broken(cfg, jobs):
+            raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+        monkeypatch.setattr(cli, "run_sweep", broken)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("preset = sim1c\nnx = 41\nT = 0.5\nsweep_parameter = a\n"
+                       "sweep_lo = 0.5\nsweep_hi = 1.5\nsweep_count = 3\n")
+        rc = main(["sweep", "--config", str(cfg), "--jobs", "2",
+                   "--out", str(tmp_path / "sw")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: a sweep worker process ended abruptly; "
+                                "no sweep table was written\n")
+        assert captured.out == ""
+        assert not (tmp_path / "sw").exists()
+
+        def failing(cfg, jobs):  # any other RuntimeError stays a traceback
+            raise RuntimeError("not a pool")
+
+        monkeypatch.setattr(cli, "run_sweep", failing)
+        with pytest.raises(RuntimeError, match="not a pool"):
+            main(["sweep", "--config", str(cfg), "--jobs", "2"])
 
     def test_a_run_that_would_take_no_step_is_one_error_line(self, tmp_path, capsys):
         run_dir = tmp_path / "out"

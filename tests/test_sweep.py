@@ -1,7 +1,18 @@
+import contextlib
+import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from sislab import models
+import sislab
+from sislab import models, sweep
 from sislab.config import OBSERVABLES, SweepConfig, preset_config
 from sislab.sweep import detect_knee, run_sweep
 
@@ -72,6 +83,174 @@ class TestRunSweep:
         res = run_sweep(cfg)
         assert all(p.error is None for p in res.points)
         assert all(p.value <= 1e-3 for p in res.points)
+
+
+def _worker_pids() -> list[int]:
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def _is_gone(pid: int, timeout: float = 30.0) -> bool:
+    """Whether process ``pid`` has ended and been reaped within ``timeout``."""
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.01)
+
+
+def _end_worker(payload):
+    os._exit(1)
+
+
+def _pool_state(queue):
+    queue.put((sweep._pool is None, sweep._pool_lock.acquire(blocking=False)))
+
+
+def _sweep_in_child(cfg, queue):
+    points = run_sweep(cfg, jobs=2).points
+    queue.put((points, _worker_pids()))
+
+
+# An executor left to interpreter teardown can be collected after
+# concurrent.futures' globals are cleared; its callback then prints an
+# ignored AttributeError.  atexit runs hooks last in, first out, so the
+# check registered before multiprocessing loads runs after its exit function.
+_ONE_PARALLEL_SWEEP = """
+import atexit, json, weakref
+pools = []
+atexit.register(lambda: print(json.dumps([ref() is None for ref in pools])))
+import multiprocessing
+from sislab import sweep
+from sislab.config import SweepConfig, preset_config
+cfg = SweepConfig(preset_config("sim1c", nx=41, T=0.5), "a", 0.5, 1.5, 4, "I_mass_at_T")
+sweep.run_sweep(cfg, jobs=2)
+pools.append(weakref.ref(sweep._pool[1]))
+print(json.dumps([p.pid for p in multiprocessing.active_children()]))
+"""
+
+
+class TestWorkerPool:
+    """One pool per process: reused, replaced when it must be, never left behind."""
+
+    def test_later_sweeps_run_on_the_same_workers(self, small_sweep):
+        first = run_sweep(small_sweep, jobs=2)
+        workers = _worker_pids()
+        second = run_sweep(small_sweep, jobs=2)
+        assert len(workers) == 2
+        assert _worker_pids() == workers
+        assert second.points == first.points
+
+    def test_another_worker_count_replaces_the_pool(self, small_sweep, monkeypatch):
+        from concurrent.futures import process
+
+        run_sweep(small_sweep, jobs=2)
+        old = _worker_pids()
+        gone_at_start = []
+
+        class Recording(process.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                gone_at_start.extend(_is_gone(pid, timeout=0.0) for pid in old)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(process, "ProcessPoolExecutor", Recording)
+        three = SweepConfig(small_sweep.base, "a", 0.5, 1.5, 3, "I_mass_at_T")
+        run_sweep(three, jobs=3)
+        new = _worker_pids()
+        assert len(old) == 2 and len(new) == 3
+        assert gone_at_start == [True, True]  # one pool at a time
+
+    def test_a_killed_idle_worker_is_replaced(self, small_sweep):
+        serial = run_sweep(small_sweep, jobs=1)
+        run_sweep(small_sweep, jobs=2)
+        old = _worker_pids()
+        os.kill(old[0], signal.SIGKILL)
+        # the pool has seen the death once the dead worker is reaped
+        assert _is_gone(old[0])
+        parallel = run_sweep(small_sweep, jobs=2)
+        assert parallel.points == serial.points
+        assert parallel.knee == serial.knee
+        new = _worker_pids()
+        assert len(new) == 2 and not set(old) & set(new)
+
+    def test_a_pool_that_breaks_twice_raises(self, small_sweep, monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+
+        serial = run_sweep(small_sweep, jobs=1)
+        monkeypatch.setattr(sweep, "_evaluate_point", _end_worker)
+        with pytest.raises(BrokenProcessPool):
+            run_sweep(small_sweep, jobs=2)
+        assert _worker_pids() == []
+        monkeypatch.undo()
+        assert run_sweep(small_sweep, jobs=2).points == serial.points
+
+    def test_no_worker_outlives_its_process(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(sislab.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", _ONE_PARALLEL_SWEEP], env=env,
+                              timeout=120, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+        workers, collected = map(json.loads, done.stdout.splitlines())
+        assert len(workers) == 2
+        assert collected == [True]
+        assert all(_is_gone(pid, timeout=0.0) for pid in workers)
+
+    def test_a_forked_child_starts_its_own_pool(self, small_sweep):
+        # the inherited pool's manager thread did not survive the fork, so a
+        # child that used it would wait forever for its tasks
+        run_sweep(small_sweep, jobs=2)
+        fork = multiprocessing.get_context("fork")
+        queue = fork.Queue()
+        with sweep._pool_lock:  # held at the fork, as by a sweep in another thread
+            child = fork.Process(target=_pool_state, args=(queue,))
+            child.start()
+        assert queue.get(timeout=60) == (True, True)
+        child.join(timeout=60)
+        assert child.exitcode == 0
+
+    def test_a_child_process_that_sweeps_exits(self, small_sweep):
+        # multiprocessing joins a child's children before concurrent.futures'
+        # exit hook would run, so idle workers would keep it from exiting
+        serial = run_sweep(small_sweep, jobs=1)
+        sweep._close_pool()
+        fork = multiprocessing.get_context("fork")
+        queue = fork.Queue()
+        child = fork.Process(target=_sweep_in_child, args=(small_sweep, queue))
+        child.start()
+        workers = []
+        try:
+            points, workers = queue.get(timeout=60)
+            child.join(timeout=60)
+            assert child.exitcode == 0
+        finally:
+            if child.is_alive():
+                for pid in [*workers, child.pid]:
+                    with contextlib.suppress(ProcessLookupError):
+                        os.kill(pid, signal.SIGKILL)
+                child.join(timeout=60)
+        assert points == serial.points
+        assert len(workers) == 2
+        assert all(_is_gone(pid, timeout=0.0) for pid in workers)
+
+    @pytest.mark.parametrize("parameter, lo, hi, failures",
+                             [("d_I", 0.5, 2.0, 0), ("a", -3.0, 1.5, 2)],
+                             ids=["run_field", "failing_point"])
+    def test_parallel_equals_serial_twice_on_one_pool(self, parameter, lo, hi, failures):
+        base = preset_config("sim1c", nx=41, T=1.0, dt=2e-3)
+        cfg = SweepConfig(base, parameter, lo, hi, 4, "I_mass_at_T")
+        serial = run_sweep(cfg, jobs=1)
+        assert sum(p.error is not None for p in serial.points) == failures
+        for _ in range(2):
+            parallel = run_sweep(cfg, jobs=2)
+            assert parallel.points == serial.points  # bitwise: floats compare exactly
+            assert parallel.knee == serial.knee
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_is_an_error(self, small_sweep, jobs):
+        with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+            run_sweep(small_sweep, jobs=jobs)
 
 
 def _batched_and_single_runs(cfg):

@@ -40,8 +40,9 @@ check could miss, among them ``classify`` of the ``full`` model, which has
 no regime prediction, ``eigen --h`` of a 1000-term sum, too deep for the
 expression parser, ``simulate`` at ``dt=1e-310``, too small to count
 the steps of T, ``classify --run-dir`` of sim1c at a = 0.4 on the sim3b
-run, which started from other initial data, and ``classify --run-dir`` of
-sim3b on the sim1b run, whose run.json names another model.
+run, which started from other initial data, ``classify --run-dir`` of
+sim3b on the sim1b run, whose run.json names another model, and ``sweep
+--jobs 0``, which asks for no worker.
 """
 
 from __future__ import annotations
@@ -125,6 +126,8 @@ def commands() -> list[tuple[str, list[str]]]:
                                     "--out", "runs/error_sweep_conc_sim1c"]),
         ("error_sweep_bogus_model", ["sweep", "--config", "sweep_bogus_model.cfg",
                                      "--out", "runs/error_sweep_bogus_model"]),
+        ("error_sweep_jobs_0", ["sweep", "--config", "sweep_sim1c_a.cfg", "--jobs", "0",
+                                "--out", "runs/error_sweep_jobs_0"]),
         ("error_simulate_no_step", ["simulate", "--preset", "sim1b", "--set", "T=0.0004",
                                     "--out", "runs/error_no_step"]),
         ("error_classify_nan_profile", ["classify", "--preset", "sim1b", "--set", "T=2",
