@@ -121,8 +121,11 @@ def _map_on_pool(workers: int, payloads) -> list[list[SweepPoint]]:
             if _pool is not None and _pool[0] != workers:
                 _close_pool()
             if _pool is None:
-                # before the exit hooks of multiprocessing's queue feeders
-                # (priority 10), which the shutdown still needs
+                # before the exit hooks that close multiprocessing's queue
+                # feeders, which the shutdown still needs: CPython's
+                # Lib/multiprocessing/queues.py registers them in
+                # Queue._start_thread at exitpriority=10 (checked by
+                # test_the_exit_hook_runs_before_the_queue_feeders_close)
                 _pool = (workers, ProcessPoolExecutor(max_workers=workers),
                          Finalize(None, _close_pool, exitpriority=15))
             try:
@@ -144,10 +147,12 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
     replaces it, and the workers end when the process exits (a forked child
     starts a pool of its own).  A sweep whose pool breaks (a worker died)
     reruns its chunks once on a fresh pool, then raises
-    ``BrokenProcessPool``.  Workers are forked when the pool starts, so they
-    run the module state of that moment: a later monkeypatch or edit of
-    ``config.OBSERVABLES`` does not reach them.  ``jobs`` below 1 raises
-    ``ValueError``.
+    ``BrokenProcessPool``.  A change to module state after the pool started
+    (a monkeypatch, an edit of ``config.OBSERVABLES``) does not reach the
+    workers: under the ``fork`` start method (Linux's default before Python
+    3.14) they run a copy of the state of that moment, under ``spawn`` or
+    ``forkserver`` a fresh import.  Idle workers hold their memory until
+    the process exits.  ``jobs`` below 1 raises ``ValueError``.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")

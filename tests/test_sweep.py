@@ -234,6 +234,17 @@ class TestWorkerPool:
         assert len(workers) == 2
         assert all(_is_gone(pid, timeout=0.0) for pid in workers)
 
+    def test_the_exit_hook_runs_before_the_queue_feeders_close(self, small_sweep):
+        # multiprocessing runs exit hooks from the highest priority down; the
+        # pool's shutdown still writes to its call queue
+        from multiprocessing import queues, util
+
+        run_sweep(small_sweep, jobs=2)
+        feeders = [key[0] for key, hook in list(util._finalizer_registry.items())
+                   if hook._callback == queues.Queue._finalize_close]
+        assert feeders
+        assert sweep._pool[2]._key[0] > max(feeders)
+
     @pytest.mark.parametrize("parameter, lo, hi, failures",
                              [("d_I", 0.5, 2.0, 0), ("a", -3.0, 1.5, 2)],
                              ids=["run_field", "failing_point"])
