@@ -6,9 +6,11 @@ rate, then another half reaction step.
 
 Both reactions are nodewise logistic systems, since S + I is constant at a
 node while only the reaction acts, and each is advanced by its exact flow.
-The flows keep both densities nonnegative for every step size, conserve the
-node's S + I to roundoff, and accumulate the per-node exposure integral
-J = int I dt in the same closed form that drives the update.  Exact flows
+The flows keep both densities nonnegative for every step size and conserve
+the node's S + I to roundoff.  For mass_action_ds0 alone, whose lockdown
+identity S - r = (S0 - r)e^{-beta J} reads it, the flow also accumulates the
+per-node exposure integral J = int I dt in the same closed form that drives
+the update; every other variant's run carries J = None.  Exact flows
 compose, R(tau) R(tau) = R(2 tau), so between two snapshots the half
 reactions that meet between consecutive steps run as one flow over dt.
 
@@ -43,6 +45,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field as dataclass_field
+from itertools import repeat
 
 import numpy as np
 
@@ -88,6 +91,13 @@ class Variant(enum.Enum):
         """Whether a run records the share of infected mass near the minimum
         of the risk ratio, where this variant's infecteds concentrate."""
         return self is Variant.MASS_ACTION_DI0
+
+    @property
+    def records_exposure(self) -> bool:
+        """Whether a run records the exposure J = int_0^t I dt.  Only
+        mass_action_ds0 has a use for it: with S locked under mass action,
+        S - r = (S0 - r)e^{-beta J} (the lockdown identity)."""
+        return self is Variant.MASS_ACTION_DS0
 
     @staticmethod
     def parse(name: str) -> "Variant":
@@ -180,7 +190,9 @@ class State:
     t: float
     S: Field
     I: Field
-    J: Field | None  # accumulated nodewise exposure int_0^t I dt; None if unknown
+    # accumulated nodewise exposure int_0^t I dt, for a mass_action_ds0 run
+    # (Variant.records_exposure); None for every other variant and reloaded run
+    J: Field | None
 
     def total_mass(self) -> float:
         return quadrature(self.S.grid, self.S.values + self.I.values)
@@ -211,8 +223,9 @@ class _Kernel:
     """Precomputed arrays and substeps, by default of step dt.  What depends
     on the step size alone is made once per step size, in one table.
 
-    The state of K specs is a triple of (K, nx) arrays, one row per spec,
-    and beta, gamma and r are (K, nx) stacks of the specs' coefficients.
+    The state of K specs is a triple S, I, J of (K, nx) arrays, one row per
+    spec, with J None unless the variant records the exposure; beta, gamma
+    and r are (K, nx) stacks of the specs' coefficients.
     The specs share the grid, variant and dispersal rates, so they share the
     Crank-Nicolson matrices.  Every substep is nodewise or acts along the
     last axis, so each row advances exactly as it would alone.  The flows
@@ -260,7 +273,8 @@ class _Kernel:
         # taken only when some node has D == 0; the masked divide that takes
         # it costs several plain ones, and gives the same bits elsewhere.
         # Bounding S_new by C, as the exact flow is, keeps I_new >= 0 under
-        # roundoff.  With J None the exposure is not formed.
+        # roundoff.  With J None the exposure is not formed: so it is in every
+        # run but mass_action_ds0's, and in the step of h of a doubling trial.
         C, D, g, w = self._scratch
         np.add(S, I, out=C)
         np.subtract(C, self.r, out=D)
@@ -281,37 +295,32 @@ class _Kernel:
     def _std_incidence_flow(self, S, I, J, factors):
         # Exact nodewise solution of I' = beta*S*I/C - gamma*I, S' = -I'.
         # With C = S+I fixed this is I' = a*I - (beta/C)*I^2, a = beta-gamma:
-        # I(tau) = I*e^{a tau}/(1 + x) with x = beta*g*I/C, g = (e^{a tau}-1)/a,
-        # and int I dt = (C/beta)*log1p(x).  Where C <= EPS_REG the incidence
-        # is exactly 0, so I only recovers: I*e^{-gamma tau}.  With J None
-        # the exposure is not formed.
-        growth, beta_g, decay, recovered = factors
+        # I(tau) = I*e^{a tau}/(1 + x) with x = beta*g*I/C, g = (e^{a tau}-1)/a.
+        # Where C <= EPS_REG the incidence is exactly 0, so I only recovers:
+        # I*e^{-gamma tau}.  No std-incidence run records the exposure
+        # (Variant.records_exposure), so J, None in every run, is not read
+        # and None is returned.
+        growth, beta_g, decay = factors
         C, x, w, v = self._scratch
         np.add(S, I, out=C)
         # fmin skips NaN, so a NaN node leaves the choice of branch to the
         # others, as the mask below does
         if np.fmin.reduce(C, axis=None) <= EPS_REG:
             empty = C <= EPS_REG
-            C_safe = np.where(empty, 1.0, C)
-            x = np.where(empty, 0.0, beta_g * I / C_safe)
+            x = np.where(empty, 0.0, beta_g * I / np.where(empty, 1.0, C))
             I_new = np.where(empty, decay * I, growth * I / (1.0 + x))
-            if J is not None:
-                J = J + np.where(empty, recovered * I, C_safe / self.beta * np.log1p(x))
         else:
             np.divide(np.multiply(beta_g, I, out=x), C, out=x)
             I_new = np.divide(np.multiply(growth, I, out=w), np.add(1.0, x, out=v))
-            if J is not None:
-                J = J + np.multiply(np.divide(C, self.beta, out=w), np.log1p(x, out=x), out=w)
-        return C - I_new, I_new, J
+        return C - I_new, I_new, None
 
     def _std_factors(self, tau):
-        """e^{a tau}, beta*g, e^{-gamma tau} and (1 - e^{-gamma tau})/gamma,
-        which depend on tau alone; g = tau where a = 0."""
+        """e^{a tau}, beta*g and e^{-gamma tau}, which depend on tau alone;
+        g = tau where a = 0."""
         a = self.beta - self.gamma
         flat = a == 0.0
         g = np.where(flat, tau, np.expm1(a * tau) / np.where(flat, 1.0, a))
-        return (np.exp(a * tau), self.beta * g, np.exp(-self.gamma * tau),
-                -np.expm1(-self.gamma * tau) / self.gamma)
+        return np.exp(a * tau), self.beta * g, np.exp(-self.gamma * tau)
 
     # -- diffusion ---------------------------------------------------------
 
@@ -492,7 +501,8 @@ class _Recorder:
         self.context = diag_mod.DiagnosticsContext(spec, I0)
         S, I = S0.values, I0.values
         self.N = quadrature(grid, S + I)
-        self.snapshots = [State(0.0, Field(grid, S), Field(grid, I), Field(grid, 0.0))]
+        J = Field(grid, 0.0) if spec.variant.records_exposure else None
+        self.snapshots = [State(0.0, Field(grid, S), Field(grid, I), J)]
         self.records = [self.context.record(self.snapshots[0], math.inf)]
         self.warnings = list(warnings)
         self.steady = False
@@ -509,7 +519,7 @@ class _Recorder:
             )
         prev = self.snapshots[-1]
         rate = max(np.abs(S - prev.S.values).max(), np.abs(I - prev.I.values).max()) / elapsed
-        state = State(t, Field(grid, S), Field(grid, I), Field(grid, J))
+        state = State(t, Field(grid, S), Field(grid, I), None if J is None else Field(grid, J))
         self.snapshots.append(state)
         self.records.append(self.context.record(state, rate))
         # the first record, of the initial state, has no rate
@@ -577,7 +587,7 @@ def run_batch(specs: list[ModelSpec], S0s: list[Field], I0s: list[Field], dt: fl
 
     kernel = _Kernel(specs, dt)
     S, I = np.stack([f.values for f in S0s]), np.stack([f.values for f in I0s])
-    J = np.zeros_like(S)
+    J = np.zeros_like(S) if spec.variant.records_exposure else None
     recorders = [_Recorder(*row, rounding) for row in zip(specs, S0s, I0s)]
     active = list(recorders)
     advance = _fixed_steps if dt_tol is None else _StepDoubling(dt, dt_tol).advance
@@ -595,13 +605,13 @@ def run_batch(specs: list[ModelSpec], S0s: list[Field], I0s: list[Field], dt: fl
             rec.steps += accepted
             rec.rejected_steps += rejected
         steady = [rec.snapshot(k * dt, *row, steps * dt, steady_tol)
-                  for rec, *row in zip(active, S, I, J)]
+                  for rec, *row in zip(active, S, I, repeat(None) if J is None else J)]
         if any(steady):
             keep = [i for i, done in enumerate(steady) if not done]
             if not keep:
                 break
             active = [active[i] for i in keep]
-            S, I, J = S[keep], I[keep], J[keep]
+            S, I, J = S[keep], I[keep], None if J is None else J[keep]
             kernel = _Kernel([rec.spec for rec in active], dt)
 
     return [rec.trajectory() for rec in recorders]

@@ -180,6 +180,27 @@ def test_an_evaluation_out_of_stack_is_an_expression_error():
         _evaluate_below(sys.getrecursionlimit() - 200, expr, x)
 
 
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_an_evaluation_under_a_lowered_recursion_limit_is_an_expression_error():
+    # a long sum parsed at the normal limit, then evaluated under a limit
+    # that leaves it fewer frames than its 500 terms need
+    expr = Expression("+".join(["x"] * 500))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        with pytest.raises(ExpressionError, match=r"^expression too long or too deeply "
+                                                  r"nested \(at position 0\)$"):
+            expr.evaluate(np.array([0.1, 0.3, 1.0]))
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_leading_zero_integers_are_rejected():
     # CPython's literal rule; zeros before a decimal point stay valid
     with pytest.raises(ExpressionError):

@@ -117,15 +117,14 @@ class TestReactionTerms:
         spec, g = make_spec(Variant.STD_INCIDENCE_DS0, beta="2 - sin(pi*x)", gamma="1.5",
                             nx=4)
         tau = 0.3
-        (S1,), (I1,), (J1,) = react(_Kernel([spec], 1e-3), S[None], I[None],
-                                    np.zeros((1, 4)), tau)
+        (S1,), (I1,), J1 = react(_Kernel([spec], 1e-3), S[None], I[None], None, tau)
+        assert J1 is None  # no std-incidence run records the exposure
         empty = np.array([True, False, True, False])
         decay = np.exp(-1.5 * tau)
         assert I1[empty] == pytest.approx(I[empty] * decay, rel=1e-15, abs=0.0)
-        assert J1[empty] == pytest.approx(I[empty] * (1.0 - decay) / 1.5, rel=1e-14, abs=0.0)
         assert np.array_equal(S1, S + I - I1)
-        assert S1[0] == I1[0] == J1[0] == 0.0
-        assert (S1[3], I1[3], J1[3]) == (1.0, 0.0, 0.0)  # no infecteds, no exposure
+        assert S1[0] == I1[0] == 0.0
+        assert (S1[3], I1[3]) == (1.0, 0.0)  # no infecteds
 
     @given(
         S=st.floats(0, 10),
@@ -270,11 +269,12 @@ class TestStep:
         S = np.stack([np.where(empty, 0.0, 2.0), np.full(11, 2.0)])
         I = np.stack([np.where(empty, 5e-13, 1.0), np.full(11, 0.5)])
         batch = _Kernel(specs, 1e-3)
-        got = react(batch, S, I, np.zeros_like(S), 2.0)
+        got = react(batch, S, I, None, 2.0)
+        assert got[2] is None
         for k, spec in enumerate(specs):
             single = _Kernel([spec], 1e-3)
-            want = react(single, S[k:k + 1], I[k:k + 1], np.zeros((1, 11)), 2.0)
-            for a, (b,) in zip(got, want):
+            want = react(single, S[k:k + 1], I[k:k + 1], None, 2.0)
+            for a, (b,) in zip(got[:2], want[:2]):
                 assert np.array_equal(a[k], b)
         assert got[1][0][empty] == pytest.approx(5e-13 * np.exp(-1.5 * 2.0), rel=1e-15, abs=0.0)
 
@@ -291,20 +291,24 @@ class TestStep:
         S, I, J = (rng.uniform(0, 3, (2, 11)) for _ in range(3))
         if empty_node:
             S[0, 0], I[0, 0] = 0.0, 5e-13  # S + I <= EPS_REG
-        inputs = [a.copy() for a in (S, I, J)]
+        # the exposure only where a run of the variant forms it
+        J = J if variant.records_exposure else None
+        arguments = [a for a in (S, I, J) if a is not None]
+        inputs = [a.copy() for a in arguments]
         first = react(kernel, S, I, J, 5e-4)
-        kept = [a.copy() for a in first]
+        kept = [a.copy() for a in first if a is not None]
         second = react(kernel, S[::-1].copy(), I[::-1].copy(), J, 1e-3)
         # the J-less call, as the step of h of a step-doubling trial makes it
-        *third, no_J = react(kernel, S, I, None, 2e-3)
-        assert no_J is None
-        for a, b in zip(first, kept):
+        third = react(kernel, S, I, None, 2e-3)
+        assert (first[2] is None) == (second[2] is None) == (J is None)
+        assert third[2] is None
+        results = [a for a in (*first, *second, *third) if a is not None]
+        for a, b in zip(results, kept):
             assert np.array_equal(a, b)
-        for a, b in zip((S, I, J), inputs):
+        for a, b in zip(arguments, inputs):
             assert np.array_equal(a, b)
-        results = [*first, *second, *third]
         for n, a in enumerate(results):
-            others = [*results[:n], *results[n + 1:], *kernel._scratch, S, I, J]
+            others = [*results[:n], *results[n + 1:], *kernel._scratch, *arguments]
             assert not any(np.shares_memory(a, b) for b in others)
 
     def test_pure_diffusion_conserves_mass_exactly(self):
@@ -692,6 +696,59 @@ class TestRun:
             reconstructed = r + (S0.values - r) * np.exp(-spec.beta.values * s.J.values)
             assert np.abs(s.S.values - reconstructed).max() <= 1e-10 * S0.max()
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_a_run_holds_an_exposure_exactly_where_its_variant_records_one(self, variant):
+        assert variant.records_exposure == (variant is Variant.MASS_ACTION_DS0)
+        spec, g = make_spec(variant, d_S=0.0 if variant.locks_s else 0.5,
+                            d_I=0.0 if variant.locks_i else 1.0, nx=41)
+        S0 = eval_expression(g, "2 + cos(pi*x)")
+        I0 = eval_expression(g, "1.5 + cos(pi*x)")
+        traj = run(spec, S0, I0, dt=1e-3, T=0.5, snapshot_every=0.1, steady_tol=0.0)
+        assert len(traj.snapshots) == 6
+        for s in traj.snapshots:
+            assert isinstance(s.J, Field) == variant.records_exposure
+
+    @pytest.mark.parametrize("variant", [Variant.MASS_ACTION_DS0, Variant.STD_INCIDENCE_DS0])
+    def test_batch_rows_going_steady_keep_their_own_exposure(self, variant):
+        # each steady stop drops rows from the state, the exposure's too
+        g = unit_grid(21)
+        specs = [ModelSpec(variant, eval_expression(g, "2 + sin(pi*x)"), Field(g, gamma),
+                           d_S=0.0, d_I=1.0) for gamma in (2.0, 4.0, 6.0, 8.0)]
+        S0 = eval_expression(g, "2 + cos(pi*x)")
+        I0 = eval_expression(g, "1.5 + cos(pi*x)")
+        trajs = run_batch(specs, [S0] * 4, [I0] * 4, dt=4e-3, T=12.0, steady_tol=1e-3)
+        ends = [traj.final.t for traj in trajs]
+        assert len(set(ends)) == 4 and max(ends) == 12.0
+        for spec, traj in zip(specs, trajs):
+            r = spec.risk_ratio().values
+            for s in traj.snapshots:
+                assert isinstance(s.J, Field) == variant.records_exposure
+                if variant.records_exposure:
+                    locked = r + (S0.values - r) * np.exp(-spec.beta.values * s.J.values)
+                    assert np.abs(s.S.values - locked).max() <= 1e-10 * S0.max()
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_the_partial_runs_of_a_failed_step_hold_an_exposure_where_recorded(
+            self, monkeypatch, variant):
+        spec, g = make_spec(variant, d_S=0.0 if variant.locks_s else 0.5,
+                            d_I=0.0 if variant.locks_i else 1.0, nx=21)
+        advance, calls = _Kernel.advance, []
+
+        def fail_third(kernel, *args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise StepSizeError("a step failed")
+            return advance(kernel, *args)
+
+        monkeypatch.setattr(_Kernel, "advance", fail_third)
+        with pytest.raises(StepSizeError, match="between t=0.2 and t=0.3") as failed:
+            run(spec, Field(g, 2.0), eval_expression(g, "1.5 + cos(pi*x)"), dt=1e-3,
+                T=1.0, snapshot_every=0.1)
+        partial, = failed.value.partial
+        assert len(partial.snapshots) == 3
+        for s in partial.snapshots:
+            assert isinstance(s.J, Field) == variant.records_exposure
+
     def test_nondegenerate_variant_runs(self):
         spec, g = make_spec(Variant.FULL, beta="1", gamma="2 + sin(pi*x)",
                             d_S=0.5, d_I=1.0, nx=101)
@@ -800,29 +857,26 @@ def test_exact_std_flow_matches_a_fine_ode_integration(S, I, beta, gamma, tau):
     spec = ModelSpec(Variant.STD_INCIDENCE_DS0, Field(g, beta_v), Field(g, gamma_v),
                      d_S=0.0, d_I=1.0)
     kernel = _Kernel([spec], 1e-3)
-    (S1,), (I1,), (J1,) = react(kernel, np.full((1, 3), S), np.full((1, 3), I),
-                                np.zeros((1, 3)), tau)
+    (S1,), (I1,), J1 = react(kernel, np.full((1, 3), S), np.full((1, 3), I), None, tau)
+    assert J1 is None  # no std-incidence run records the exposure
 
-    # independent oracle: 4th-order Runge-Kutta on the nodewise pair, with
-    # the exposure integral carried as an extra state component
+    # independent oracle: 4th-order Runge-Kutta on the nodewise pair
     total = S + I
 
-    def rhs(y):
-        i, j = y
-        return np.array([beta_v * (total - i) * i / total - gamma_v * i, i])
+    def rhs(i):
+        return beta_v * (total - i) * i / total - gamma_v * i
 
     n = 1600
     h = tau / n
-    y = np.array([np.full(3, I), np.zeros(3)])
+    y = np.full(3, I)
     for _ in range(n):
         k1 = rhs(y)
         k2 = rhs(y + 0.5 * h * k1)
         k3 = rhs(y + 0.5 * h * k2)
         k4 = rhs(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    assert I1 == pytest.approx(y[0], rel=1e-9, abs=1e-11)
-    assert S1 == pytest.approx(total - y[0], rel=1e-9, abs=1e-11)
-    assert J1 == pytest.approx(y[1], rel=1e-9, abs=1e-11)
+    assert I1 == pytest.approx(y, rel=1e-9, abs=1e-11)
+    assert S1 == pytest.approx(total - y, rel=1e-9, abs=1e-11)
 
 
 @given(
@@ -844,10 +898,13 @@ def test_reaction_flows_are_semigroups(variant, S, I, beta, gamma, tau):
     kernel = _Kernel([spec], 1e-3)
     S = np.array([S + [2.0, 0.0]])
     I = np.array([I + [1.0, 5e-13]])
-    twice = react(kernel, *react(kernel, S, I, np.zeros((1, 6)), tau), tau)
-    once = react(kernel, S, I, np.zeros((1, 6)), 2 * tau)
+    J = np.zeros((1, 6)) if variant.records_exposure else None
+    twice = react(kernel, *react(kernel, S, I, J, tau), tau)
+    once = react(kernel, S, I, J, 2 * tau)
+    assert (twice[2] is None) == (once[2] is None) == (J is None)
     for a, b in zip(twice, once):
-        assert np.abs(a - b).max() <= 1e-13 * (S + I).max()
+        if a is not None:
+            assert np.abs(a - b).max() <= 1e-13 * (S + I).max()
 
 
 @pytest.mark.parametrize("variant, beta, gamma", [
@@ -865,8 +922,10 @@ def test_merged_reactions_change_only_roundoff(variant, beta, gamma):
     assert len(merged.snapshots) == 3
     for a in merged.snapshots:
         b = shared[round(a.t, 9)]
-        for name in ("S", "I", "J"):
+        for name in ("S", "I", "J") if variant.records_exposure else ("S", "I"):
             assert np.abs(getattr(a, name).values - getattr(b, name).values).max() <= 1e-12
+        if not variant.records_exposure:
+            assert a.J is None and b.J is None
 
 
 def _cosine_series(draw, grid, floor):
@@ -922,14 +981,15 @@ def test_a_flow_without_exposure_moves_S_and_I_as_with_it(variant, K, nx, tau, s
         S[-1, -1] = I[-1, -1] = 0.5 * kernel.r[-1, -1]
     S_J, I_J, J_J = react(kernel, S, I, J, tau)
     S_, I_, J_ = react(kernel, S, I, None, tau)
-    assert J_ is None and J_J is not None
+    # the std-incidence flow never forms it, as no run of its variants records it
+    assert J_ is None and (J_J is None) == variant.std_incidence
     assert np.array_equal(S_, S_J) and np.array_equal(I_, I_J)
 
 
 def _random_smooth_run(variant, nx, dt, dt_tol, data):
     """A run of random smooth coefficients and data to T = 0.5, checked for
-    mass, positivity and, for mass_action_ds0, the lockdown identity at
-    every snapshot."""
+    mass, positivity, an exposure exactly where the variant records one and,
+    for mass_action_ds0, the lockdown identity at every snapshot."""
     g = unit_grid(nx)
     d_S = 0.0 if variant.locks_s else data.draw(st.floats(0.01, 2))
     d_I = 0.0 if variant.locks_i else data.draw(st.floats(0.01, 2))
@@ -945,6 +1005,7 @@ def _random_smooth_run(variant, nx, dt, dt_tol, data):
     for s in traj.snapshots:
         assert abs(s.total_mass() - traj.N) <= 1e-12 * traj.N
         assert s.S.min() >= 0 and s.I.min() >= 0
+        assert isinstance(s.J, Field) == variant.records_exposure
         if variant is Variant.MASS_ACTION_DS0:
             locked = r + (S0.values - r) * np.exp(-spec.beta.values * s.J.values)
             assert np.abs(s.S.values - locked).max() <= 1e-10 * S0.max()

@@ -13,7 +13,10 @@ totals.
 A code object stops being traced once every one of its lines has run, so
 the suite takes about twice its untraced time.  Code that runs only in a
 child process (the CLI tests that start ``python``, the workers of
-``sweep --jobs N``) is not seen.
+``sweep --jobs N``) is not seen.  Nor is a handler of a real
+``RecursionError``: the trace function's own call needs a frame more than
+the frame that ran out of stack, so it raises too, and CPython unsets a
+trace function that raises.  The next test is traced again.
 """
 
 from __future__ import annotations
